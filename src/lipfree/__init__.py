@@ -45,12 +45,10 @@ from .geometry import (
     DyadicCubeIndex,
     FiniteSupportPoint,
     Hypercube,
-    clamp_scalar,
     clamp_to_cube,
     embed_finite,
     grid_point,
     l1_distance,
-    leading_coords,
     locate_cube,
     sign_vectors,
     tiling_vertex_count,
@@ -77,11 +75,9 @@ from .operators import (
     commuting_check,
     convergence_check,
     coordinate_function,
-    grid_interpolant_at,
     l1_norm_function,
     lip_function,
     lip_projection,
-    lip_projection_at,
     max_coordinate_function,
     mcshane_extension,
     random_lattice_function,

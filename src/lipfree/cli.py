@@ -6,18 +6,22 @@ projection of a function at sample points with error and bound),
 (the seeded self-verification suites) and ``bap`` (restrict-extend
 diagnostics along a farthest-point chain of a finite metric space).
 
-Exit codes: 0 ok, 1 verification-suite failure, 2 input error, 3 solver
-error.  Output goes to stdout or is written atomically to ``--output``.
+Exit codes: 0 ok, 1 verification-suite failure, 2 input error or a
+non-finite result, 3 solver error.  Output goes to stdout or is written
+atomically to ``--output``.  ``python -m lipfree.cli`` runs the command line.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
+import math
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -94,6 +98,8 @@ def _parse_point(obj, dim):
         arr = np.asarray(obj, dtype=float)
         if arr.shape != (dim,):
             raise ValueError(f"expected points of dimension {dim}, got {arr.tolist()}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"point {arr.tolist()} has a non-finite coordinate")
         return arr
     return FiniteSupportPoint.from_dense(obj)
 
@@ -185,7 +191,7 @@ def _cmd_verify(args):
     payload = report.to_json()
     table = {
         "columns": ["suite", "passed", "worst_case"],
-        "rows": [[s.name, s.passed, s.worst] for s in report.suites],
+        "rows": [[s["name"], s["passed"], s["worst_case"]] for s in payload["suites"]],
     }
     return payload, table, 0 if report.passed else 1
 
@@ -227,8 +233,11 @@ _DISPATCH = {
 
 
 def _render(payload, table, fmt) -> str:
+    """The output text; non-finite numbers raise ValueError in either format."""
     if fmt == "json":
-        return json.dumps(payload, indent=2)
+        return json.dumps(payload, indent=2, allow_nan=False)
+    if any(isinstance(v, float) and not math.isfinite(v) for row in table["rows"] for v in row):
+        raise ValueError("result is not finite")
     buf = io.StringIO()
     if table.get("header"):
         buf.write(table["header"] + "\n")
@@ -239,13 +248,20 @@ def _render(payload, table, fmt) -> str:
 
 
 def _emit(text: str, output: str | None) -> None:
-    if output:
-        tmp = output + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
+    """Print, or write ``output`` through a unique temporary file beside it."""
+    if not output:
+        print(text)
+        return
+    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(output) + ".",
+                               dir=os.path.dirname(os.path.abspath(output)))
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
         os.replace(tmp, output)
-    else:
-        print(text)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def main(argv=None) -> int:
@@ -253,15 +269,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, table, code = _DISPATCH[args.command](args)
+        _emit(_render(payload, table, args.format), args.output)
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SimplexError, np.linalg.LinAlgError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
-    _emit(_render(payload, table, args.format), args.output)
     return code
 
 
 def main_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

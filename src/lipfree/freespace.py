@@ -19,9 +19,10 @@ closed-form total-variation expression available for molecules on the real
 line.
 
 The grid projection :func:`molecule_projection` pushes each point's mass onto
-the corners of its tiling cell with the interpolation weights; by
-construction its pairing with any function equals the pairing of the
-projected function with the original molecule.
+the weighted corners of its tiling cell through the same sparse corner
+triplets as the function projection; by construction its pairing with any
+function equals the pairing of the projected function with the original
+molecule.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ import numpy as np
 from scipy import optimize
 
 from .extension import FinitePointedMetricSpace
-from .geometry import FiniteSupportPoint, l1_distance, sign_matrix
+from .geometry import FiniteSupportPoint, l1_distance
 from .lp import SimplexError, solve_box_lp
-from .operators import GridLevel, cell_weights
+from .operators import GridLevel, cell_weights, lattice_coords
 
 KINDS = ("l1", "l1N", "finite")
 
@@ -48,6 +49,13 @@ def _as_l1_point(p) -> FiniteSupportPoint:
             return FiniteSupportPoint.from_json(p)
         return FiniteSupportPoint.from_dict(p)
     return FiniteSupportPoint.from_dense(p)
+
+
+def _coefficient(a) -> float:
+    a = float(a)
+    if not np.isfinite(a):
+        raise ValueError(f"coefficient {a} is not finite")
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +79,7 @@ class Molecule:
 
     @classmethod
     def on_l1(cls, pairs: Iterable[tuple[object, float]]) -> "Molecule":
-        terms = [(_as_l1_point(p), float(a)) for p, a in pairs]
+        terms = [(_as_l1_point(p), _coefficient(a)) for p, a in pairs]
         return cls(kind="l1", terms=_canonical(terms, lambda p: p.is_zero, lambda p: p.items))
 
     @classmethod
@@ -83,7 +91,9 @@ class Molecule:
                 dim = len(pt)
             if len(pt) != dim:
                 raise ValueError("all points must share one dimension")
-            terms.append((pt, float(a)))
+            if not all(np.isfinite(pt)):
+                raise ValueError(f"point {pt} has a non-finite coordinate")
+            terms.append((pt, _coefficient(a)))
         canon = _canonical(terms, lambda p: all(v == 0.0 for v in p), lambda p: p)
         return cls(kind="l1N", terms=canon, dim=dim)
 
@@ -95,7 +105,7 @@ class Molecule:
             i = int(p)
             if not (0 <= i < space.size):
                 raise ValueError(f"point index {i} outside the space")
-            terms.append((i, float(a)))
+            terms.append((i, _coefficient(a)))
         canon = _canonical(terms, lambda i: i == space.origin, lambda i: i)
         return cls(kind="finite", terms=canon, space=space)
 
@@ -460,37 +470,25 @@ def molecule_projection(mu: Molecule, n: int) -> Molecule:
     """Push each point's mass onto its tiling-cell corners (the predual step).
 
     For every term the (clamped, truncated) point is located in the level-n
-    tiling and its coefficient is distributed over the cell corners with the
-    interpolation weights; corners landing on the origin vanish in
-    canonicalization.  By construction pairing any function against the
-    result equals pairing its projection against the input.
+    tiling and its coefficient is spread over the weighted corners that
+    :func:`lipfree.operators.cell_weights` yields; canonicalization merges
+    corners shared by several terms and drops those landing on the origin.
+    By construction pairing any function against the result equals pairing
+    its projection against the input.
     """
     if mu.kind == "finite":
         raise ValueError("grid projections act on l1-type molecules only")
     if mu.is_zero:
         return mu
     level = GridLevel(n, dim=None if mu.kind == "l1" else mu.dim)
-    if mu.kind == "l1N":
-        pts = [np.asarray(p, dtype=float) for p, _ in mu.terms]
+    rows, keys, weights = cell_weights(mu.support, level)
+    mass = np.asarray(mu.coefficients)[rows] * weights
+    coords = lattice_coords(keys, n)
+    if mu.kind == "l1":
+        points = [FiniteSupportPoint.from_dense(c) for c in coords]
     else:
-        pts = [p for p, _ in mu.terms]
-    low, weights = cell_weights(pts, level)
-    dcell = low.shape[1]
-    s = 2.0 ** (1 - n)
-    bits = (sign_matrix(dcell) + 1.0) * 0.5
-    out_terms = []
-    for row, (_, a) in enumerate(mu.terms):
-        corners = low[row][None, :] + s * bits  # (2**d, d)
-        for c in range(corners.shape[0]):
-            w = weights[row, c]
-            if w == 0.0:
-                continue
-            if mu.kind == "l1":
-                point = FiniteSupportPoint.from_dense(corners[c])
-            else:
-                point = tuple(corners[c])
-            out_terms.append((point, a * w))
-    return mu._rebuild(out_terms)
+        points = [tuple(c) for c in coords.tolist()]
+    return mu._rebuild(list(zip(points, mass.tolist())))
 
 
 def projection_bound(mu: Molecule, n: int) -> float:

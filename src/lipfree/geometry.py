@@ -158,18 +158,6 @@ def grid_point(y, idx: DyadicCubeIndex) -> np.ndarray:
     return y + 2.0 ** (-idx.k - 1) * eps + 2.0 ** (-idx.k) * eps * h
 
 
-def clamp_scalar(t: float, edge: float) -> float:
-    """Nearest point to ``t`` in ``[-edge/2, edge/2]``."""
-    if not (edge > 0):
-        raise ValueError("edge must be positive")
-    half = 0.5 * edge
-    if t < -half:
-        return -half
-    if t > half:
-        return half
-    return float(t)
-
-
 def clamp_to_cube(x, edge: float) -> np.ndarray:
     """Coordinatewise clamp onto the origin-centered cube of the given edge.
 
@@ -288,15 +276,17 @@ class FiniteSupportPoint:
     items: tuple[tuple[int, float], ...] = ()
 
     def __post_init__(self):
-        seen = set()
+        prev = 0
         for idx, val in self.items:
             if not isinstance(idx, int) or idx < 1:
                 raise ValueError(f"indices must be integers >= 1, got {idx!r}")
-            if idx in seen:
-                raise ValueError(f"duplicate index {idx}")
+            if idx <= prev:
+                raise ValueError(f"indices must be strictly increasing, got {idx} after {prev}")
             if not np.isfinite(val):
                 raise ValueError(f"value at index {idx} is not finite")
-            seen.add(idx)
+            if val == 0.0:
+                raise ValueError(f"value at index {idx} is zero; use from_pairs to drop zeros")
+            prev = idx
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, float]]) -> "FiniteSupportPoint":
@@ -358,13 +348,6 @@ class FiniteSupportPoint:
 def embed_finite(values) -> FiniteSupportPoint:
     """Zero-padded injection of a finite coordinate vector into l1 (isometric)."""
     return FiniteSupportPoint.from_dense(values)
-
-
-def leading_coords(x: FiniteSupportPoint, n: int) -> np.ndarray:
-    """First ``n`` coordinates of a finitely supported sequence (1-Lipschitz)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return x.leading(n)
 
 
 def l1_distance(p, q) -> float:

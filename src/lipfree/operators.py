@@ -11,12 +11,19 @@ the function's values at the cell corners with the tensor-product weights of
 * coordinate mode (``dim=N``): functions on R^N under the l1 norm; the level
   only controls the grid, not the dimension.
 
+:func:`cell_weights` is the one corner expansion, shared with the molecule
+projection of :mod:`lipfree.freespace`.  It yields sparse ``(row, key,
+weight)`` triplets: a corner is named by its int64 lattice index ``key``
+(coordinates ``key * 2**(1-n) - 2**(n-1)``), and only corners of nonzero
+weight appear.  A point with ``s`` nonzero leading coordinates lies on a grid
+hyperplane along every other axis, so it reaches at most ``2**s`` corners.
+
 The projected function depends on the original only through its values on the
 level-n vertex grid, is linear in the function, does not increase Lipschitz
 constants, and the projections at different levels commute, with the coarser
 level winning.  :class:`ProjectedLipFunction` materializes a projection as a
-first-class function backed by a lazily filled corner-value table, so
-projections can be composed and paired exactly.
+first-class function backed by a lazily filled corner-value table keyed by
+lattice-index tuples, so projections can be composed and paired exactly.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ from .geometry import (
     clamp_to_cube,
     embed_finite,
     l1_distance,
-    sign_matrix,
 )
 from .interpolation import TabulatedFunction, lip_constant, weights_from_offsets
 
@@ -202,99 +208,80 @@ def _stack_points(points: Sequence, level: GridLevel) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(len(points), dim)
 
 
-def cell_weights(points: Sequence, level: GridLevel):
-    """Clamp, locate and weight a batch of points in one pass.
+def lattice_coords(keys, n: int) -> np.ndarray:
+    """Corner coordinates ``key * 2**(1-n) - 2**(n-1)`` of int64 lattice keys.
 
-    Returns ``(low, weights)``: the (m, d) low corners of the containing
-    cells and the (m, 2**d) corner weights, rows aligned with
-    :func:`lipfree.geometry.sign_vectors`.
+    Key ``j`` on an axis is the low end of slab ``j`` of
+    :func:`lipfree.geometry.slab_indices`, so the level-n vertex grid is keys
+    ``0 .. 2**(2n-1)`` per axis; the conversion is exact.
     """
-    u = _stack_points(points, level)
-    u = clamp_to_cube(u, 2.0 ** level.n)
+    return np.asarray(keys, dtype=np.int64) * 2.0 ** (1 - n) - 2.0 ** (n - 1)
+
+
+def cell_weights(points: Sequence, level: GridLevel):
+    """Clamp, locate and weight a batch of points: sparse corner triplets.
+
+    Returns ``(rows, keys, weights)``: point ``rows[e]`` puts weight
+    ``weights[e]`` on the cell corner with int64 lattice index ``keys[e]``
+    (see :func:`lattice_coords`).  Only corners of nonzero weight appear.
+    The expansion runs one axis at a time, so an axis whose offset in the
+    cell is exactly 0 or 1 adds no branch, and a point strictly inside its
+    cell along ``a`` axes gets at most ``2**a`` entries.  Entries are ordered
+    by row, then by key.
+    """
+    u = clamp_to_cube(_stack_points(points, level), 2.0 ** level.n)
     low = cell_low_corners(u, level.n)
     s = 2.0 ** (1 - level.n)
-    return low, weights_from_offsets((u - low) / s)
-
-
-def _corner_values(f, low: np.ndarray, level: GridLevel, cache: dict | None) -> np.ndarray:
-    """Values of ``f`` at all cell corners, evaluated once per distinct corner."""
-    m, d = low.shape
-    s = 2.0 ** (1 - level.n)
-    bits = (sign_matrix(d) + 1.0) * 0.5
-    corners = low[:, None, :] + s * bits[None, :, :]  # (m, 2**d, d)
-
-    if cache is None:
-        cache = {}
-    new_keys: list[tuple] = []
-    for i in range(m):
-        for c in range(2**d):
-            key = tuple(corners[i, c])
-            if key not in cache:
-                cache[key] = None  # reserve the slot; filled below before any read
-                new_keys.append(key)
-    # Evaluate the genuinely new corners in one batch.
-    if new_keys:
-        if level.dim is None:
-            pts = [embed_finite(k) for k in new_keys]
-        else:
-            pts = [np.array(k) for k in new_keys]
-        vals = f.eval_many(pts) if hasattr(f, "eval_many") else np.array([float(f(p)) for p in pts])
-        for key, v in zip(new_keys, vals):
-            cache[key] = float(v)
-    out = np.empty((m, 2**d))
-    for i in range(m):
-        for c in range(2**d):
-            out[i, c] = cache[tuple(corners[i, c])]
-    return out
+    m, d = u.shape
+    # Per point and axis, the low-side and the high-side weight factor.
+    factors = weights_from_offsets(((u - low) / s).reshape(m * d, 1)).reshape(m, d, 2)
+    rows = np.arange(m)
+    keys = ((low + 2.0 ** (level.n - 1)) / s).astype(np.int64)
+    weights = np.ones(m)
+    for axis in range(d):
+        branched = (weights[:, None] * factors[rows, axis]).ravel()
+        keys = np.repeat(keys, 2, axis=0)
+        keys[1::2, axis] += 1
+        keep = branched != 0.0
+        rows, keys, weights = np.repeat(rows, 2)[keep], keys[keep], branched[keep]
+    return rows, keys, weights
 
 
 def project_values(f, points: Sequence, level: GridLevel, cache: dict | None = None) -> np.ndarray:
-    """Projected values of ``f`` at a batch of points (vectorized pipeline)."""
+    """Projected values of ``f`` at a batch of points.
+
+    Each distinct weighted corner is passed to ``f.eval_many`` once, in one
+    batch; ``cache`` maps lattice-index tuples to corner values and spares
+    the corners it already holds.
+    """
     if not len(points):
         return np.zeros(0)
-    low, weights = cell_weights(points, level)
-    vals = _corner_values(f, low, level, cache)
-    return np.sum(weights * vals, axis=1)
-
-
-def grid_interpolant_at(g: Callable, u, n: int) -> float:
-    """Clamp ``u`` onto the level-n big cube and blend ``g``'s cell-corner values.
-
-    ``g`` is any real function of coordinate vectors; the cell dimension is
-    the dimension of ``u``.  The result depends on ``g`` only through its
-    values on the level-n vertex grid.
-    """
-    u = np.asarray(u, dtype=float)
-    level = GridLevel(n, dim=int(u.size))
-    return float(project_values(_Plain(g), [u], level)[0])
-
-
-class _Plain:
-    def __init__(self, g):
-        self.g = g
-
-    def __call__(self, x):
-        return float(self.g(x))
-
-
-def lip_projection_at(f, x, level: GridLevel) -> float:
-    """Single-point projection; see :class:`ProjectedLipFunction` for reuse."""
-    return float(project_values(f, [x], level)[0])
+    rows, keys, weights = cell_weights(points, level)
+    corners, inverse = np.unique(keys, axis=0, return_inverse=True)
+    table = {} if cache is None else cache
+    corner_keys = [tuple(k) for k in corners.tolist()]
+    new = [i for i, k in enumerate(corner_keys) if k not in table]
+    if new:
+        coords = lattice_coords(corners[new], level.n)
+        pts = [embed_finite(c) for c in coords] if level.dim is None else list(coords)
+        table.update(zip((corner_keys[i] for i in new), map(float, f.eval_many(pts))))
+    values = np.array([table[k] for k in corner_keys])
+    return np.bincount(rows, weights=weights * values[inverse.reshape(-1)], minlength=len(points))
 
 
 class ProjectedLipFunction(LipFunction):
     """A materialized projection: finite corner-value table plus the pipeline.
 
-    The table fills lazily (only corners of visited cells are ever computed)
-    and is keyed by exact dyadic corner coordinates, so composing projections
-    and forming pairings is exact and cheap.  Not safe for concurrent use
-    while the table is still being filled.
+    The table fills lazily (only weighted corners of visited cells are ever
+    computed) and is keyed by integer lattice-index tuples, so composing
+    projections and forming pairings is exact and cheap.  Not safe for
+    concurrent use while the table is still being filled.
     """
 
     def __init__(self, base, level: GridLevel):
         self.base = base
         self.level = level
-        self.table: dict[tuple, float] = {}
+        self.table: dict[tuple[int, ...], float] = {}
         declared = getattr(base, "declared_lip", None)
         label = f"project(n={level.n})[{getattr(base, 'label', '')}]"
         super().__init__(self._eval_one, declared_lip=declared, label=label)
@@ -368,7 +355,7 @@ def convergence_check(f, x, n: int, dim: int | None = None, tol: float = 1e-9) -
         tail = 0.0
         cells = dim
     clamped = bool(np.max(np.abs(lead), initial=0.0) > 2.0 ** (n - 1))
-    value = lip_projection_at(f, x, level)
+    value = float(project_values(f, [x], level)[0])
     exact = float(f(x))
     error = abs(value - exact)
     bound = 2.0 * f.declared_lip * (tail + cells * 2.0 ** (1 - n))

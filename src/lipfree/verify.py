@@ -8,6 +8,7 @@ of the pytest suite, packaged so the command line can re-run them anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,11 +36,15 @@ class VerificationReport:
         return all(s.passed for s in self.suites)
 
     def to_json(self) -> dict:
+        # Suites may report NumPy scalars, which JSON cannot encode.  A suite
+        # that stops at its first failure reports an infinite worst case; JSON
+        # has no infinity, so it is written as null.
         return {
             "seed": self.seed,
             "passed": self.passed,
             "suites": [
-                {"name": s.name, "passed": s.passed, "worst_case": s.worst, "note": s.note}
+                {"name": s.name, "passed": bool(s.passed),
+                 "worst_case": float(s.worst) if math.isfinite(s.worst) else None, "note": s.note}
                 for s in self.suites
             ],
         }
@@ -85,28 +90,43 @@ def _suite_geometry_retraction(rng) -> SuiteResult:
     return SuiteResult("geometry-retraction", worst <= 0.0, worst)
 
 
+def _tiling_cells(n: int, dim: int):
+    """``(eps, h, centers)`` of every level-n cell, eps-major as enumerated.
+
+    Built directly from the ``(eps, h)`` addresses with the centre formula of
+    :class:`lipfree.geometry.DyadicCubeIndex`, independently of the slab
+    arithmetic that :func:`lipfree.geometry.locate_cube` uses.
+    """
+    per_axis = 1 << (2 * n - 2)
+    h_grid = np.indices((per_axis,) * dim).reshape(dim, -1).T
+    eps = np.repeat(np.array(geometry.sign_vectors(dim)), len(h_grid), axis=0)
+    h = np.tile(h_grid, (2**dim, 1))
+    k = n - 1
+    centers = 2.0 ** (-k - 1) * eps + 2.0 ** (-k) * eps * h
+    return eps, h, centers
+
+
 def _suite_geometry_locate(rng) -> SuiteResult:
-    worst = 0.0
     for n in (1, 2, 3):
         for dim in (1, 2, 3):
             half = 2.0 ** (n - 1)
-            cells = []
-            eps_h = []
-            for eps in geometry.sign_vectors(dim):
-                for h in np.ndindex(*([1 << (2 * n - 2)] * dim)):
-                    idx = geometry.DyadicCubeIndex(eps=eps, h=tuple(int(v) for v in h), k=n - 1)
-                    cells.append(idx.cube())
-                    eps_h.append(idx)
-            centers = np.array([c.center for c in cells])
+            eps, h, centers = _tiling_cells(n, dim)
             pts = rng.uniform(-half, half, size=(20, dim))
             for u in pts:
                 inside = np.max(np.abs(centers - u), axis=1) <= 2.0 ** (-n) + 1e-12
                 located = geometry.locate_cube(u, n)
-                if located not in [eps_h[i] for i in np.nonzero(inside)[0]]:
+                hit = inside & np.all(eps == located.eps, axis=1) & np.all(h == located.h, axis=1)
+                if located.k != n - 1 or not hit.any():
                     return SuiteResult(
                         "geometry-locate", False, np.inf, f"point {u.tolist()} at level {n}"
                     )
-    return SuiteResult("geometry-locate", True, worst)
+    return SuiteResult("geometry-locate", True, 0.0)
+
+
+def _unique_rows(a: np.ndarray) -> np.ndarray:
+    """Distinct rows in lexicographic order (faster than ``np.unique(axis=0)``)."""
+    a = a[np.lexsort(a.T[::-1])]
+    return a[np.r_[True, np.any(a[1:] != a[:-1], axis=1)]]
 
 
 def _suite_geometry_vertex_count(rng) -> SuiteResult:
@@ -114,13 +134,10 @@ def _suite_geometry_vertex_count(rng) -> SuiteResult:
         for dim in (1, 2, 3):
             grid = geometry.tiling_vertices(n, dim)
             expected = geometry.tiling_vertex_count(n, dim)
-            union = set()
-            for eps in geometry.sign_vectors(dim):
-                for h in np.ndindex(*([1 << (2 * n - 2)] * dim)):
-                    cube = geometry.DyadicCubeIndex(eps=eps, h=tuple(int(v) for v in h), k=n - 1).cube()
-                    for v in cube.vertices():
-                        union.add(tuple(v))
-            if len(grid) != expected or set(map(tuple, grid)) != union:
+            _, _, centers = _tiling_cells(n, dim)
+            corners = centers[:, None, :] + 2.0 ** (-n) * np.array(geometry.sign_vectors(dim))
+            union = _unique_rows(corners.reshape(-1, dim))
+            if len(grid) != expected or not np.array_equal(_unique_rows(grid), union):
                 return SuiteResult(
                     "geometry-vertex-count", False, np.inf, f"level {n} dim {dim}"
                 )
@@ -294,6 +311,7 @@ def _suite_op_convergence(rng) -> SuiteResult:
 def _suite_op_boundary_affinity(rng) -> SuiteResult:
     worst = 0.0
     g = operators.random_lattice_function(rng, dim=2)
+    level = operators.GridLevel(1, dim=2)
     for m in (2, 3):
         s = 2.0 ** (1 - m)
         for _ in range(10):
@@ -301,11 +319,9 @@ def _suite_op_boundary_affinity(rng) -> SuiteResult:
             ix = int(rng.integers(0, 3))
             low = np.array([1.0 + ix * s, float(rng.integers(-2, 2)) * s])
             cube = geometry.Hypercube(center=tuple(low + s / 2), edge=s)
-            proj = lambda u: operators.grid_interpolant_at(g, u, 1)  # noqa: E731
             for a, b in interpolation.sample_axis_segments(cube, 12, rng):
-                mid = 0.5 * (a + b)
-                dev = abs(proj(mid) - 0.5 * (proj(a) + proj(b)))
-                worst = max(worst, dev)
+                va, vb, vm = operators.project_values(g, [a, b, 0.5 * (a + b)], level)
+                worst = max(worst, abs(vm - 0.5 * (va + vb)))
     return SuiteResult("operators-boundary-affinity", worst <= 1e-10, worst)
 
 

@@ -1,10 +1,17 @@
 import csv
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lipfree
 from lipfree.cli import main
 
 
@@ -201,6 +208,12 @@ class TestVerify:
         assert payload["passed"] is True
         assert payload["suites"][0]["name"] == "interp-weight-simplex"
 
+    @pytest.mark.parametrize("suite", ["interp-linearity", "operators-boundary-affinity"])
+    def test_numpy_scalar_verdicts_render(self, capsys, suite):
+        code, out, _ = run(capsys, ["verify", "--suite", suite])
+        assert code == 0
+        assert json.loads(out)["suites"][0]["passed"] is True
+
     def test_unknown_suite_exits_2(self, capsys):
         code, _, _ = run(capsys, ["verify", "--suite", "no-such-suite"])
         assert code == 2
@@ -293,3 +306,88 @@ class TestOutputs:
         payload = json.loads(out)
         mu = Molecule.from_json(LINE_THREE)
         assert payload["value"] == pytest.approx(free_norm(mu).value, abs=1e-12)
+
+
+def run_module(argv, cap_bytes=None, timeout=120):
+    """Run ``python -m lipfree.cli`` in a child process, optionally under an
+    address-space cap; returns the completed process and its wall time."""
+    src = str(Path(lipfree.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (cap_bytes, cap_bytes))
+
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "lipfree.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=timeout,
+                          preexec_fn=cap if cap_bytes else None)
+    return proc, time.perf_counter() - t0
+
+
+class TestNonFinite:
+    def test_nan_coefficient_exits_2(self, tmp_path, capsys):
+        mol = {"space": "l1N", "dim": 1, "terms": [{"point": [1.0], "coeff": float("nan")}]}
+        code, out, err = run(capsys, ["norm", "--input", write_json(tmp_path / "mol.json", mol)])
+        assert code == 2
+        assert out == "" and "not finite" in err
+
+    def test_infinite_coordinate_exits_2(self, tmp_path, capsys):
+        mol = {"space": "l1N", "dim": 2, "terms": [{"point": [float("inf"), 0.0], "coeff": 1.0}]}
+        code, out, err = run(capsys, ["norm", "--input", write_json(tmp_path / "mol.json", mol)])
+        assert code == 2
+        assert out == "" and "non-finite" in err
+
+    def test_non_finite_result_exits_2(self, tmp_path, capsys):
+        # finite inputs whose distance overflows to infinity
+        mol = {"space": "l1N", "dim": 1,
+               "terms": [{"point": [1e308], "coeff": 1.0}, {"point": [-1e308], "coeff": -1.0}]}
+        path = write_json(tmp_path / "mol.json", mol)
+        with np.errstate(over="ignore"):
+            for fmt in ("json", "csv"):
+                code, out, err = run(capsys, ["norm", "--input", path, "--format", fmt])
+                assert code == 2
+                assert out == "" and "error" in err
+
+
+class TestModuleEntry:
+    def test_python_dash_m_runs_the_cli(self):
+        proc, _ = run_module(["verify", "--suite", "geometry-retraction"])
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["passed"] is True
+        assert [s["name"] for s in payload["suites"]] == ["geometry-retraction"]
+
+    def test_level_20_runs_in_bounded_memory(self, tmp_path):
+        # Sparse points reach only the 2**s weighted corners of their cells;
+        # a dense expansion of the 2**20 corners needs gigabytes.
+        rng = np.random.default_rng(20)
+
+        def sparse_point():
+            idx = sorted(int(i) for i in rng.choice(np.arange(1, 31), size=3, replace=False))
+            return {"coords": {str(i): float(rng.uniform(-3, 3)) for i in idx}}
+
+        pts = write_json(tmp_path / "pts.json", {"points": [sparse_point() for _ in range(100)]})
+        mol = write_json(tmp_path / "mol.json", {"space": "l1", "terms": [
+            {"point": sparse_point(), "coeff": float(rng.normal())} for _ in range(5)]})
+        commands = (["project", "--input", pts, "--n", "20"],
+                    ["fdd-table", "--input", mol, "--n-max", "20", "--format", "json"])
+        for argv, rows in zip(commands, (100, 20)):
+            out = tmp_path / "out.json"
+            proc, elapsed = run_module([*argv, "--output", str(out)], cap_bytes=1536 * 2**20)
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            assert elapsed < 10.0
+            assert len(json.loads(out.read_text())["rows"]) == rows
+
+
+class TestEmitFailure:
+    def test_failed_replace_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        mol = write_json(tmp_path / "mol.json", TWO_POINT)
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        code, out, err = run(capsys, ["norm", "--input", mol, "--output", str(tmp_path / "out.json")])
+        assert code == 2
+        assert "replace refused" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mol.json"]

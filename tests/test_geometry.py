@@ -5,7 +5,6 @@ from lipfree.geometry import (
     DyadicCubeIndex,
     FiniteSupportPoint,
     Hypercube,
-    clamp_scalar,
     clamp_to_cube,
     embed_finite,
     grid_point,
@@ -66,11 +65,6 @@ class TestGridPoint:
 
 
 class TestClamp:
-    def test_scalar_cases(self):
-        assert clamp_scalar(3, 2) == 1.0
-        assert clamp_scalar(-0.3, 2) == -0.3
-        assert clamp_scalar(-5, 1) == -0.5
-
     def test_cube_cases(self):
         assert tuple(clamp_to_cube([3, 0.2], 2)) == (1.0, 0.2)
         assert tuple(clamp_to_cube([0.0], 2)) == (0.0,)
@@ -125,6 +119,10 @@ class TestSparsePoints:
             FiniteSupportPoint(items=((0, 1.0),))
         with pytest.raises(ValueError):
             FiniteSupportPoint(items=((1, 1.0), (1, 2.0)))
+        with pytest.raises(ValueError):
+            FiniteSupportPoint(items=((2, 1.0), (1, 1.0)))
+        with pytest.raises(ValueError):
+            FiniteSupportPoint(items=((1, 0.0),))
         assert FiniteSupportPoint.from_pairs([(2, 0.0)]).is_zero
 
     def test_json_round_trip(self):

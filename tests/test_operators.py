@@ -1,20 +1,27 @@
 import numpy as np
 import pytest
 
-from lipfree.geometry import FiniteSupportPoint, Hypercube, embed_finite, l1_distance
-from lipfree.interpolation import sample_axis_segments
+from lipfree.geometry import (
+    FiniteSupportPoint,
+    Hypercube,
+    embed_finite,
+    l1_distance,
+    locate_cube,
+)
+from lipfree.interpolation import VertexData, interpolate_recursive, sample_axis_segments
 from lipfree.operators import (
     GridLevel,
     LipFunction,
+    cell_weights,
     commuting_check,
     convergence_check,
     coordinate_function,
-    grid_interpolant_at,
     l1_norm_function,
+    lattice_coords,
     lip_function,
     lip_projection,
-    lip_projection_at,
     max_coordinate_function,
+    project_values,
     random_lattice_function,
     tabulated_lip_function,
 )
@@ -25,6 +32,12 @@ def sparse(pairs):
     return FiniteSupportPoint.from_pairs(pairs)
 
 
+def grid_value(g, u, n):
+    """Level-n grid interpolant of ``g`` at ``u``, in cells of ``u``'s dimension."""
+    u = np.asarray(u, dtype=float)
+    return project_values(g, [u], GridLevel(n, dim=u.size))[0]
+
+
 def random_sparse(rng, spread=2.0, max_index=8):
     size = int(rng.integers(1, 4))
     idx = rng.choice(np.arange(1, max_index + 1), size=size, replace=False)
@@ -33,33 +46,33 @@ def random_sparse(rng, spread=2.0, max_index=8):
 
 class TestGridInterpolant:
     def test_identity_reproduced_inside(self):
-        assert grid_interpolant_at(lambda u: float(u[0]), np.array([0.4]), 1) == 0.4
+        assert grid_value(LipFunction(lambda u: float(u[0])), np.array([0.4]), 1) == 0.4
 
     def test_point_outside_is_clamped_to_node(self):
-        assert grid_interpolant_at(lambda u: float(u[0]), np.array([3.0]), 1) == 1.0
+        assert grid_value(LipFunction(lambda u: float(u[0])), np.array([3.0]), 1) == 1.0
 
     def test_piecewise_linear_with_grid_breakpoint(self):
-        assert grid_interpolant_at(lambda u: abs(float(u[0])), np.array([-0.5]), 1) == 0.5
+        assert grid_value(LipFunction(lambda u: abs(float(u[0]))), np.array([-0.5]), 1) == 0.5
 
 
 class TestProjectionExamples:
     def test_sequence_mode_drops_tail_coordinates(self):
         f = coordinate_function(1)
         x = sparse([(1, 0.4), (2, 7.0), (3, -2.0)])
-        assert lip_projection_at(f, x, GridLevel(1)) == 0.4
+        assert project_values(f, [x], GridLevel(1))[0] == 0.4
 
     def test_origin_always_maps_to_zero(self):
         for f in (coordinate_function(2), l1_norm_function(), max_coordinate_function()):
             for n in (1, 3, 5):
-                assert lip_projection_at(f, FiniteSupportPoint.zero(), GridLevel(n)) == 0.0
+                assert project_values(f, [FiniteSupportPoint.zero()], GridLevel(n))[0] == 0.0
 
     def test_grid_point_is_reproduced(self):
         f = LipFunction(lambda x: x.coord(1) + x.coord(2), declared_lip=1.0)
         x = sparse([(1, 0.25), (2, 0.25)])
-        assert lip_projection_at(f, x, GridLevel(2)) == 0.5
+        assert project_values(f, [x], GridLevel(2))[0] == 0.5
 
     def test_coordinate_mode_norm_example(self):
-        value = lip_projection_at(l1_norm_function(), (0.25, -0.25), GridLevel(2, dim=2))
+        value = project_values(l1_norm_function(), [(0.25, -0.25)], GridLevel(2, dim=2))[0]
         assert value == 0.5
         # brute force: the containing cell is [0, .5] x [-.5, 0]; its corner
         # norms are 0, .5, .5, 1 and the offsets are (.5, .5)
@@ -68,8 +81,8 @@ class TestProjectionExamples:
 
     def test_square_function_on_coarse_grid(self):
         f = LipFunction(lambda u: float(np.asarray(u)[0]) ** 2, declared_lip=2.0)
-        assert lip_projection_at(f, (0.5,), GridLevel(1, dim=1)) == 0.5
-        assert lip_projection_at(f, (0.0,), GridLevel(1, dim=1)) == 0.0
+        assert project_values(f, [(0.5,)], GridLevel(1, dim=1))[0] == 0.5
+        assert project_values(f, [(0.0,)], GridLevel(1, dim=1))[0] == 0.0
 
     def test_modes_agree_on_embedded_points(self):
         rng = np.random.default_rng(1)
@@ -82,8 +95,8 @@ class TestProjectionExamples:
             for n in range(dim, 6):
                 for _ in range(10):
                     u = rng.uniform(-3, 3, size=dim)
-                    a = lip_projection_at(f_coords, u, GridLevel(n, dim=dim))
-                    b = lip_projection_at(f_seq, embed_finite(u), GridLevel(n))
+                    a = project_values(f_coords, [u], GridLevel(n, dim=dim))[0]
+                    b = project_values(f_seq, [embed_finite(u)], GridLevel(n))[0]
                     assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -94,7 +107,7 @@ class TestMaterializedProjection:
         proj = lip_projection(f, GridLevel(2))
         xs = [random_sparse(rng) for _ in range(20)]
         many = proj.eval_many(xs)
-        assert np.array_equal(many, [lip_projection_at(f, x, GridLevel(2)) for x in xs])
+        assert np.array_equal(many, [project_values(f, [x], GridLevel(2))[0] for x in xs])
         assert len(proj.table) > 0
         assert proj.declared_lip == f.declared_lip
 
@@ -200,9 +213,9 @@ class TestBoundaryAffinity:
                 cell = Hypercube(center=tuple(low + s / 2), edge=s)
                 for a, b in sample_axis_segments(cell, 15, rng):
                     mid = 0.5 * (a + b)
-                    va = grid_interpolant_at(g, a, 1)
-                    vb = grid_interpolant_at(g, b, 1)
-                    vm = grid_interpolant_at(g, mid, 1)
+                    va = grid_value(g, a, 1)
+                    vb = grid_value(g, b, 1)
+                    vm = grid_value(g, mid, 1)
                     worst = max(worst, abs(vm - 0.5 * (va + vb)))
         assert worst <= 1e-10
 
@@ -242,3 +255,97 @@ class TestFunctionFactories:
             GridLevel(21)
         with pytest.raises(ValueError):
             GridLevel(3, dim=17)
+
+
+class _RecordingFunction(LipFunction):
+    """The l1 norm, remembering every batch passed to ``eval_many``."""
+
+    def __init__(self):
+        super().__init__(lambda x: x.norm1(), declared_lip=1.0)
+        self.batches = []
+
+    def eval_many(self, points):
+        self.batches.append(list(points))
+        return super().eval_many(points)
+
+
+class TestSparseCorners:
+    @pytest.mark.parametrize("s", [0, 1, 2, 3, 5])
+    def test_sequence_mode_evaluates_only_weighted_corners(self, s):
+        # s nonzero leading coordinates in general position, plus a tail
+        rng = np.random.default_rng(40 + s)
+        idx = rng.choice(np.arange(1, 9), size=s, replace=False)
+        x = sparse([(int(i), float(rng.uniform(-3, 3))) for i in idx] + [(11, 0.7)])
+        f = _RecordingFunction()
+        project_values(f, [x], GridLevel(8))
+        assert [len(b) for b in f.batches] == [2**s]
+        assert len(set(f.batches[0])) == 2**s
+
+    def test_triplets_are_weighted_corners_of_the_cell(self):
+        rng = np.random.default_rng(41)
+        level = GridLevel(3, dim=3)
+        us = rng.uniform(-3.9, 3.9, size=(40, 3))
+        us[::4, 1] = 0.25  # on a grid hyperplane: that axis adds no branch
+        us[1::4, 2] = 7.0  # clamped onto the cube's face: no branch either
+        rows, keys, weights = cell_weights(list(us), level)
+        assert keys.dtype == np.int64
+        assert np.all(np.diff(rows) >= 0) and np.all(weights != 0.0)
+        assert np.allclose(np.bincount(rows, weights=weights), 1.0, atol=1e-15)
+        assert np.bincount(rows).tolist() == [4, 4, 8, 8] * 10
+        corners = lattice_coords(keys, level.n)
+        clamped = np.clip(us, -4.0, 4.0)[rows]
+        assert np.all(np.abs(corners - clamped) <= 2.0 ** (1 - level.n))
+        assert np.array_equal(corners / 2.0 ** (1 - level.n), np.round(corners / 2.0 ** (1 - level.n)))
+
+    def test_table_is_keyed_by_lattice_indices(self):
+        proj = lip_projection(l1_norm_function(), GridLevel(2, dim=2))
+        proj.eval_many([np.array([0.3, -0.5])])
+        assert all(isinstance(i, int) for key in proj.table for i in key)
+        assert len(proj.table) == 2
+
+
+class TestRecursiveOracle:
+    """project_values against the staged blend on the located cube."""
+
+    @staticmethod
+    def oracle(f, x, n, dim):
+        half = 2.0 ** (n - 1)
+        u = np.clip(x.leading(n) if dim is None else np.asarray(x, dtype=float), -half, half)
+        corner = (lambda v: f(embed_finite(v))) if dim is None else f
+        data = VertexData.from_function(locate_cube(u, n).cube(), corner)
+        return interpolate_recursive(data, u)
+
+    @staticmethod
+    def points(rng, n, dim, dyadic):
+        half = 2.0 ** (n - 1)
+        draw = (lambda k: rng.integers(-(2 ** (2 * n)), 2 ** (2 * n) + 1, size=k) * 2.0 ** -(n + 1)
+                if dyadic else rng.uniform(-1.2 * half, 1.2 * half, size=k))
+        if dim is not None:
+            return [draw(dim) for _ in range(6)]
+        out = []
+        for _ in range(6):
+            idx = rng.choice(np.arange(1, n + 3), size=min(3, n + 2), replace=False)
+            out.append(sparse(zip(map(int, idx), draw(len(idx)).tolist())))
+        return out
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("dim", [None, 2, 3])
+    def test_exact_on_dyadic_points(self, n, dim):
+        # dyadic points and dyadic corner values: every sum is exact
+        rng = np.random.default_rng(50 + n)
+        level = GridLevel(n, dim)
+        for f in (l1_norm_function(), max_coordinate_function()):
+            xs = self.points(rng, n, dim, dyadic=True)
+            got = project_values(f, xs, level)
+            assert got.tolist() == [self.oracle(f, x, n, dim) for x in xs]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("dim", [None, 2, 3])
+    def test_close_on_random_points(self, n, dim):
+        rng = np.random.default_rng(60 + n)
+        f = random_lattice_function(rng, dim=dim)
+        xs = self.points(rng, n, dim, dyadic=False)
+        got = project_values(f, xs, GridLevel(n, dim))
+        for value, x in zip(got, xs):
+            expect = self.oracle(f, x, n, dim)
+            assert abs(value - expect) <= 1e-12 * max(1.0, abs(expect))
