@@ -79,13 +79,21 @@ def _io_flags(cmd, default_format):
     cmd.add_argument("--output", help="write here (atomically) instead of stdout")
 
 
-def _read_json(path):
+def _load(path, build):
+    """``build`` applied to the JSON in ``path``; a missing key or a value of
+    the wrong shape or type is an input error (ValueError) naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        obj = json.load(fh)
+    try:
+        return build(obj)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc.args[0]!r}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _load_molecule(path) -> freespace.Molecule:
-    return freespace.Molecule.from_json(_read_json(path))
+    return _load(path, freespace.Molecule.from_json)
 
 
 def _parse_point(obj, dim):
@@ -105,10 +113,12 @@ def _parse_point(obj, dim):
 
 
 def _load_points(path, dim):
-    obj = _read_json(path)
-    if isinstance(obj, dict):
-        obj = obj["points"]
-    return [_parse_point(p, dim) for p in obj]
+    def build(obj):
+        if isinstance(obj, dict):
+            obj = obj["points"]
+        return [_parse_point(p, dim) for p in obj]
+
+    return _load(path, build)
 
 
 def _encode_point(p):
@@ -119,14 +129,15 @@ def _encode_point(p):
 
 def _resolve_function(args) -> operators.LipFunction:
     if args.function_file:
-        obj = _read_json(args.function_file)
-        pts = tuple(
-            tuple(np.asarray(p, float)) if args.dim is not None else _parse_point(p, None)
-            for p in obj["points"]
-        )
-        table = TabulatedFunction(points=pts, values=tuple(obj["values"]),
-                                  origin=int(obj.get("origin", 0)))
-        return operators.tabulated_lip_function(table)
+        def build(obj):
+            pts = tuple(
+                tuple(np.asarray(p, float)) if args.dim is not None else _parse_point(p, None)
+                for p in obj["points"]
+            )
+            return TabulatedFunction(points=pts, values=tuple(obj["values"]),
+                                     origin=int(obj.get("origin", 0)))
+
+        return operators.tabulated_lip_function(_load(args.function_file, build))
     name = args.function
     if name == "identity-coordinate":
         return operators.coordinate_function(1)
@@ -197,7 +208,7 @@ def _cmd_verify(args):
 
 
 def _cmd_bap(args):
-    space = extension.FinitePointedMetricSpace.from_json(_read_json(args.input))
+    space = _load(args.input, extension.FinitePointedMetricSpace.from_json)
     if args.function == "origin-distance":
         values = [float(space.dist[space.origin, i]) for i in range(space.size)]
     else:
@@ -270,7 +281,7 @@ def main(argv=None) -> int:
     try:
         payload, table, code = _DISPATCH[args.command](args)
         _emit(_render(payload, table, args.format), args.output)
-    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SimplexError, np.linalg.LinAlgError) as exc:

@@ -34,9 +34,9 @@ SCHEMES = ("inv-dist", "shepard-p")
 class FinitePointedMetricSpace:
     """A finite metric space with a distinguished origin.
 
-    The distance matrix is validated on construction: symmetry, zero
-    diagonal, positivity off the diagonal, and the triangle inequality (the
-    first violating triple is named in the error).
+    The distance matrix is validated on construction: finite entries,
+    symmetry, zero diagonal, positivity off the diagonal, and the triangle
+    inequality (the first violating pair or triple is named in the error).
     """
 
     labels: tuple
@@ -52,6 +52,9 @@ class FinitePointedMetricSpace:
             raise ValueError("need at least one point")
         if not (0 <= self.origin < k):
             raise ValueError("origin index out of range")
+        if not np.all(np.isfinite(d)):
+            i, j = (int(v) for v in np.argwhere(~np.isfinite(d))[0])
+            raise ValueError(f"distance between points ({i}, {j}) is not finite: {d[i, j]}")
         scale = max(1.0, float(np.max(d)) if k else 1.0)
         if np.max(np.abs(d - d.T)) > 1e-12 * scale:
             raise ValueError("distance matrix is not symmetric")
@@ -82,7 +85,8 @@ class FinitePointedMetricSpace:
     @classmethod
     def from_l1_points(cls, points, origin: int = 0, labels=None) -> "FinitePointedMetricSpace":
         pts = np.asarray(points, dtype=float)
-        d = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
+        with np.errstate(over="ignore", invalid="ignore"):  # validation names the pair
+            d = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
         if labels is None:
             labels = tuple(range(len(pts)))
         return cls(labels=tuple(labels), dist=d, origin=origin)
@@ -249,6 +253,11 @@ def approximation_operator(f: TabulatedFunction, subset: Iterable[int],
     return extend(restricted, part)
 
 
+# Largest (pair, point, point) array of one block of the doubling sweep: a
+# block takes this many // k**2 (radius, variant) pairs.
+_SWEEP_BLOCK_ELEMENTS = 1 << 16
+
+
 def doubling_estimate(space: FinitePointedMetricSpace) -> int:
     """Greedy upper estimate of the doubling constant.
 
@@ -259,37 +268,59 @@ def doubling_estimate(space: FinitePointedMetricSpace) -> int:
     variant, so all limiting open-ball configurations are seen without
     epsilon fudging.  Greedy covers can overshoot the optimal cover, so this
     is an upper estimate of the true constant.
+
+    The sweep runs in blocks of (radius, variant) pairs, each pair with all
+    centers at once, and the greedy takes one step on every ball of a block
+    together; the configurations, counts and tie rule are those of a loop
+    over the balls one by one.  A pair whose member and cover matrices equal
+    those of the pair before it is skipped, since it gives the same counts.
+    Each array of a block has at most ``max(_SWEEP_BLOCK_ELEMENTS, k**2)``
+    entries, whatever the number of radii.
     """
     k = space.size
     if k == 1:
         return 1
     d = space.dist
-    values = sorted(set(float(v) for v in d[np.triu_indices(k, 1)]))
-    radii = sorted(set(values) | set(2.0 * v for v in values))
+    values = np.unique(d[np.triu_indices(k, 1)])
+    radii = np.repeat(np.unique(np.concatenate([values, 2.0 * values])), 2)
+    closed = np.tile([False, True], radii.size // 2)
+    step = max(1, _SWEEP_BLOCK_ELEMENTS // (k * k))
     best = 1
-    seen: set[tuple] = set()
-    for center in range(k):
-        for r in radii:
-            for closed in (False, True):
-                row = d[center]
-                members = np.nonzero(row <= r if closed else row < r)[0]
-                key = (center, closed, members.tobytes(), r / 2.0)
-                if key in seen or members.size == 0:
-                    continue
-                seen.add(key)
-                half = r / 2.0
-                within = d[np.ix_(members, members)]
-                covers = within <= half if closed else within < half
-                uncovered = np.ones(members.size, dtype=bool)
-                count = 0
-                while np.any(uncovered):
-                    gains = (covers & uncovered[None, :]).sum(axis=1)
-                    gains[~uncovered] = -1  # centers must be uncovered points
-                    q = int(np.argmax(gains))  # argmax ties break to smallest index
-                    count += 1
-                    uncovered &= ~covers[q]
-                best = max(best, count)
+    for start in range(0, radii.size, step):
+        lo = max(start - 1, 0)  # overlap one pair to compare across blocks
+        r = radii[lo:start + step, None, None]
+        shut = closed[lo:start + step, None, None]
+        half = r / 2.0
+        members = np.where(shut, d <= r, d < r)  # [pair, center, j]: j in the ball
+        covers = np.where(shut, d <= half, d < half)  # [pair, i, j]: j in the half ball at i
+        fresh = np.ones(r.shape[0], dtype=bool)
+        fresh[1:] = np.any((members[1:] != members[:-1]) | (covers[1:] != covers[:-1]),
+                           axis=(1, 2))
+        fresh[:start - lo] = False
+        best = max(best, _greedy_rounds(members[fresh], covers[fresh]))
     return best
+
+
+def _greedy_rounds(uncovered: np.ndarray, covers: np.ndarray) -> int:
+    """Largest greedy cover count over the balls ``uncovered[pair, center]``.
+
+    Every ball of a pair shares the pair's cover matrix, so the gains of one
+    step are one batched product; its 0/1 terms sum exactly in float32.  A
+    ball's count is the number of steps before it is covered, so the largest
+    count is the number of steps until every ball is covered.
+    """
+    covers_t = covers.transpose(0, 2, 1).astype(np.float32)
+    rounds = 0
+    while True:
+        live = uncovered.any(axis=(1, 2))
+        if not live.any():
+            return rounds
+        uncovered, covers, covers_t = uncovered[live], covers[live], covers_t[live]
+        rounds += 1
+        gains = uncovered.astype(np.float32) @ covers_t  # [pair, center, i]
+        gains[~uncovered] = -1  # centers must be uncovered points
+        pick = np.argmax(gains, axis=2)  # argmax ties break to smallest index
+        uncovered &= ~np.take_along_axis(covers, pick[:, :, None], axis=1)
 
 
 def farthest_point_chain(space: FinitePointedMetricSpace) -> list[tuple[int, ...]]:

@@ -276,6 +276,16 @@ class TestBap:
         for row in rows:
             assert np.isfinite(float(row[1]))
 
+    def test_non_finite_distance_exits_2_naming_pair(self, tmp_path, capsys):
+        nan = float("nan")
+        space = write_json(
+            tmp_path / "space.json",
+            {"points": [0, 1, 2], "dist": [[0.0, 1.0, nan], [1.0, 0.0, 1.0], [nan, 1.0, 0.0]]},
+        )
+        code, out, err = run(capsys, ["bap", "--input", space])
+        assert code == 2
+        assert out == "" and "(0, 2) is not finite" in err
+
     def test_json_format(self, tmp_path, capsys):
         space = write_json(
             tmp_path / "space.json", {"embed_l1": [[0.0], [1.0], [3.0]], "origin": 0}
@@ -285,6 +295,34 @@ class TestBap:
         payload = json.loads(out)
         assert payload["doubling_estimate"] >= 1
         assert payload["rows"][-1]["max_err"] == 0.0
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("argv, obj, key", [
+        (["bap"], {"points": [0, 1]}, "dist"),
+        (["project", "--n", "2"], {"pts": [[0.5]]}, "points"),
+        (["project", "--n", "2"], [{"index": 1}], "coords"),
+    ])
+    def test_missing_key_exits_2_naming_it(self, tmp_path, capsys, argv, obj, key):
+        path = write_json(tmp_path / "in.json", obj)
+        code, out, err = run(capsys, [*argv, "--input", path])
+        assert code == 2
+        assert out == "" and f"missing key '{key}'" in err
+
+    def test_malformed_point_exits_2(self, tmp_path, capsys):
+        path = write_json(tmp_path / "in.json", [{"coords": 5}])
+        code, out, err = run(capsys, ["project", "--input", path, "--n", "2"])
+        assert code == 2
+        assert out == "" and "in.json" in err
+
+    def test_type_error_in_a_command_is_not_an_input_error(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(lipfree.extension, "chain_table", broken)
+        space = write_json(tmp_path / "space.json", {"embed_l1": [[0.0], [1.0]], "origin": 0})
+        with pytest.raises(TypeError, match="unsupported operand"):
+            main(["bap", "--input", space])
 
 
 class TestOutputs:

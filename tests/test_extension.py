@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from lipfree import extension
 from lipfree.extension import (
     FinitePointedMetricSpace,
     approximation_operator,
@@ -40,6 +43,22 @@ class TestSpaceValidation:
         d = np.zeros((2, 2))
         with pytest.raises(ValueError, match="non-positive"):
             FinitePointedMetricSpace(labels=(0, 1), dist=d)
+
+    def test_nan_distance_named(self):
+        nan = float("nan")
+        d = np.array([[0.0, 1.0, nan], [1.0, 0.0, 1.0], [nan, 1.0, 0.0]])
+        with pytest.raises(ValueError, match=r"\(0, 2\) is not finite"):
+            FinitePointedMetricSpace(labels=(0, 1, 2), dist=d)
+
+    def test_infinite_coordinate_rejected_as_non_finite(self):
+        with pytest.raises(ValueError, match="not finite"):
+            FinitePointedMetricSpace.from_json({"embed_l1": [[0.0], [float("inf")]]})
+
+    def test_overflowing_coordinates_rejected_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"\(0, 1\) is not finite: inf"):
+                FinitePointedMetricSpace.from_l1_points([[1e308, 0.0], [-1e308, 1.0]])
 
     def test_embedding_constructor(self):
         space = FinitePointedMetricSpace.from_l1_points([[0, 0], [1, 2]])
@@ -278,7 +297,79 @@ class TestApproximationOperator:
         assert errs[-1] <= errs[0]
 
 
+def looped_doubling_estimate(space):
+    """The doubling sweep as one Python loop per ball configuration."""
+    k = space.size
+    if k == 1:
+        return 1
+    d = space.dist
+    values = sorted(set(float(v) for v in d[np.triu_indices(k, 1)]))
+    radii = sorted(set(values) | set(2.0 * v for v in values))
+    best = 1
+    seen: set[tuple] = set()
+    for center in range(k):
+        for r in radii:
+            for closed in (False, True):
+                row = d[center]
+                members = np.nonzero(row <= r if closed else row < r)[0]
+                key = (center, closed, members.tobytes(), r / 2.0)
+                if key in seen or members.size == 0:
+                    continue
+                seen.add(key)
+                half = r / 2.0
+                within = d[np.ix_(members, members)]
+                covers = within <= half if closed else within < half
+                uncovered = np.ones(members.size, dtype=bool)
+                count = 0
+                while np.any(uncovered):
+                    gains = (covers & uncovered[None, :]).sum(axis=1)
+                    gains[~uncovered] = -1  # centers must be uncovered points
+                    q = int(np.argmax(gains))  # argmax ties break to smallest index
+                    count += 1
+                    uncovered &= ~covers[q]
+                best = max(best, count)
+    return best
+
+
+def sweep_spaces(seed, count):
+    """Seeded spaces of at most 13 points: random, lattice, line, uniform, nearly symmetric."""
+    rng = np.random.default_rng(seed)
+    spaces = [FinitePointedMetricSpace(labels=("o",), dist=np.zeros((1, 1)), origin=0)]
+    for i in range(count - 1):
+        k = 10 + (i // 10) % 4 if i % 10 == 0 else int(rng.integers(2, 10))
+        dim = int(rng.integers(1, 4))
+        kind = i % 6
+        if kind == 0:
+            spaces.append(FinitePointedMetricSpace.from_l1_points(rng.uniform(-3, 3, size=(k, dim))))
+        elif kind in (1, 2):  # integer and half-integer lattice points: many tied distances
+            pts = np.unique(rng.integers(-2, 3, size=(k, dim)), axis=0) / kind
+            spaces.append(FinitePointedMetricSpace.from_l1_points(pts))
+        elif kind == 3:
+            spaces.append(line_space(k, step=float(rng.choice([1.0, 0.5, 0.3]))))
+        elif kind == 4:
+            dist = (np.ones((k, k)) - np.eye(k)) * float(rng.uniform(0.5, 2.0))
+            spaces.append(FinitePointedMetricSpace(labels=tuple(range(k)), dist=dist))
+        else:  # l1 lattice distances, nudged above the diagonal within the symmetry tolerance
+            dist = FinitePointedMetricSpace.from_l1_points(
+                np.unique(rng.integers(-2, 3, size=(k, dim)), axis=0)).dist
+            dist = dist + np.triu(np.full(dist.shape, 1e-14), 1)
+            spaces.append(FinitePointedMetricSpace(labels=tuple(range(len(dist))), dist=dist))
+    return spaces
+
+
 class TestDoubling:
+    def test_matches_looped_sweep(self):
+        spaces = sweep_spaces(0, 210)
+        assert {s.size for s in spaces} == set(range(1, 14))
+        for space in spaces:
+            assert doubling_estimate(space) == looped_doubling_estimate(space)
+
+    @pytest.mark.parametrize("budget", [1, 50])
+    def test_tiny_blocks_change_nothing(self, budget, monkeypatch):
+        monkeypatch.setattr(extension, "_SWEEP_BLOCK_ELEMENTS", budget)
+        for space in sweep_spaces(1, 30):
+            assert doubling_estimate(space) == looped_doubling_estimate(space)
+
     def test_single_point(self):
         space = FinitePointedMetricSpace(labels=("o",), dist=np.zeros((1, 1)), origin=0)
         assert doubling_estimate(space) == 1
