@@ -74,6 +74,7 @@ from .operators import (
     ProjectedLipFunction,
     commuting_check,
     convergence_check,
+    convergence_checks,
     coordinate_function,
     l1_norm_function,
     lip_function,

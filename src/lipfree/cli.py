@@ -80,15 +80,15 @@ def _io_flags(cmd, default_format):
 
 
 def _load(path, build):
-    """``build`` applied to the JSON in ``path``; a missing key or a value of
-    the wrong shape or type is an input error (ValueError) naming the file."""
+    """``build`` applied to the JSON in ``path``; a missing key or an invalid
+    value is an input error (ValueError) naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     try:
         return build(obj)
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc.args[0]!r}") from exc
-    except (TypeError, AttributeError) as exc:
+    except (ValueError, TypeError, AttributeError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
@@ -100,6 +100,8 @@ def _parse_point(obj, dim):
     if isinstance(obj, dict):
         point = FiniteSupportPoint.from_json(obj)
         if dim is not None:
+            if point.support and point.support[-1] > dim:
+                raise ValueError(f"point {obj} has an index beyond dimension {dim}")
             return np.asarray(point.leading(dim))
         return point
     if dim is not None:
@@ -130,10 +132,8 @@ def _encode_point(p):
 def _resolve_function(args) -> operators.LipFunction:
     if args.function_file:
         def build(obj):
-            pts = tuple(
-                tuple(np.asarray(p, float)) if args.dim is not None else _parse_point(p, None)
-                for p in obj["points"]
-            )
+            parsed = (_parse_point(p, args.dim) for p in obj["points"])
+            pts = tuple(p if args.dim is None else tuple(p) for p in parsed)
             return TabulatedFunction(points=pts, values=tuple(obj["values"]),
                                      origin=int(obj.get("origin", 0)))
 
@@ -164,18 +164,17 @@ def _cmd_norm(args):
 def _cmd_project(args):
     points = _load_points(args.input, args.dim)
     f = _resolve_function(args)
-    rows = []
-    for p in points:
-        chk = operators.convergence_check(f, p, args.n, dim=args.dim, tol=args.tol)
-        rows.append(
-            {
-                "point": _encode_point(p),
-                "value": chk.value,
-                "exact": chk.exact,
-                "error": chk.error,
-                "bound": chk.bound,
-            }
-        )
+    checks = operators.convergence_checks(f, points, args.n, dim=args.dim, tol=args.tol)
+    rows = [
+        {
+            "point": _encode_point(p),
+            "value": chk.value,
+            "exact": chk.exact,
+            "error": chk.error,
+            "bound": chk.bound,
+        }
+        for p, chk in zip(points, checks)
+    ]
     payload = {"function": f.label, "n": args.n, "rows": rows}
     table = {
         "columns": ["point", "value", "exact", "error", "bound"],

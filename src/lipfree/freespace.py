@@ -34,7 +34,7 @@ import numpy as np
 from scipy import optimize
 
 from .extension import FinitePointedMetricSpace
-from .geometry import FiniteSupportPoint, l1_distance
+from .geometry import FiniteSupportPoint, l1_distance, l1_distances
 from .lp import SimplexError, solve_box_lp
 from .operators import GridLevel, cell_weights, lattice_coords
 
@@ -86,7 +86,10 @@ class Molecule:
     def on_rn(cls, pairs: Iterable[tuple[object, float]], dim: int | None = None) -> "Molecule":
         terms = []
         for p, a in pairs:
-            pt = tuple(float(v) for v in np.asarray(p, dtype=float).reshape(-1))
+            arr = np.asarray(p, dtype=float)
+            if arr.ndim != 1:
+                raise ValueError(f"point {p!r} is not a flat list of coordinates")
+            pt = tuple(float(v) for v in arr)
             if dim is None:
                 dim = len(pt)
             if len(pt) != dim:
@@ -276,14 +279,20 @@ def check_certificate(cert: NormCertificate, mu: Molecule, tol: float = 1e-9) ->
 
 
 def _distance_matrix(mu: Molecule) -> np.ndarray:
-    """Distances over origin + support, origin first."""
+    """Distances over origin + support, origin first.
+
+    Entry ``[i, j]`` with ``i < j`` is the distance from point ``i`` to point
+    ``j``, mirrored below the diagonal.
+    """
     pts = [mu.origin_point()] + list(mu.support)
-    k = len(pts)
-    d = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            d[i, j] = d[j, i] = mu.point_distance(pts[i], pts[j])
-    return d
+    if mu.kind == "finite":
+        d = mu.space.dist[np.ix_(pts, pts)]
+    elif len(pts) > 1:
+        d = l1_distances(pts, pts)
+    else:
+        return np.zeros((1, 1))
+    upper = np.triu(d, 1)
+    return upper + upper.T
 
 
 def _chain_reach(d: np.ndarray) -> np.ndarray:

@@ -367,3 +367,82 @@ def l1_distance(p, q) -> float:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return float(np.sum(np.abs(a - b)))
+
+
+#: Element budget of one block of :func:`l1_distances`: a block of rows of
+#: ``a`` against a block of rows of ``b`` holds at most this many coordinate
+#: differences (or, for sparse points, this many pair accumulators).
+_L1_BLOCK_ELEMENTS = 1 << 16
+
+
+def l1_distances(a, b) -> np.ndarray:
+    """Matrix of :func:`l1_distance` over all pairs: ``[i, j]`` is
+    ``l1_distance(a[i], b[j])``, bit for bit.
+
+    ``a`` and ``b`` hold equal-length coordinate rows, or finitely supported
+    points (a coordinate row among them is embedded).  Coordinate rows sum
+    ``|a_i - b_j|`` along the last axis exactly as ``np.sum`` does on one
+    pair.  Sparse points keep the scalar order: one running sum over the
+    support of ``a[i]`` and one over the rest of ``b[j]``'s, each in index
+    order, added at the end; columns are the indices that occur, so a large
+    index costs one column.  Work runs in blocks of at most
+    :data:`_L1_BLOCK_ELEMENTS` elements.
+    """
+    a, b = list(a), list(b)
+    out = np.zeros((len(a), len(b)))
+    if not a or not b:
+        return out
+    if any(issubclass(t, FiniteSupportPoint) for t in set(map(type, a + b))):
+        a = [p if isinstance(p, FiniteSupportPoint) else embed_finite(p) for p in a]
+        b = [q if isinstance(q, FiniteSupportPoint) else embed_finite(q) for q in b]
+        width, block = 1, _sparse_l1_block
+    else:
+        a, b = _coordinate_rows(a), _coordinate_rows(b)
+        if a.shape[1] != b.shape[1]:
+            raise ValueError(f"dimension mismatch: {a.shape[1:]} vs {b.shape[1:]}")
+        width, block = max(a.shape[1], 1), _dense_l1_block
+    cols = min(len(b), max(1, _L1_BLOCK_ELEMENTS // width))
+    rows = max(1, _L1_BLOCK_ELEMENTS // (cols * width))
+    for i in range(0, len(a), rows):
+        for j in range(0, len(b), cols):
+            out[i:i + rows, j:j + cols] = block(a[i:i + rows], b[j:j + cols])
+    return out
+
+
+def _coordinate_rows(points) -> np.ndarray:
+    try:
+        rows = np.array(points, dtype=float)
+    except ValueError:
+        rows = None
+    if rows is None or rows.ndim != 2:
+        raise ValueError("expected equal-length coordinate rows")
+    return rows
+
+
+def _dense_l1_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.abs(a[:, None, :] - b[None, :, :]).sum(-1)
+
+
+def _sparse_l1_block(ps, qs) -> np.ndarray:
+    """:func:`l1_distance` over sparse pairs, one column (index) at a time."""
+    by_index: dict[int, tuple[list, list, list, list]] = {}
+    for side, pts in ((0, ps), (2, qs)):
+        for r, p in enumerate(pts):
+            for idx, v in p.items:
+                entry = by_index.setdefault(idx, ([], [], [], []))
+                entry[side].append(r)
+                entry[side + 1].append(v)
+    first = np.zeros((len(ps), len(qs)))  # over the support of ps[i]
+    rest = np.zeros((len(ps), len(qs)))  # over the rest of the support of qs[j]
+    in_p = np.zeros(len(ps), dtype=bool)
+    for idx in sorted(by_index):
+        p_rows, p_vals, q_rows, q_vals = by_index[idx]
+        y = np.zeros(len(qs))
+        y[q_rows] = q_vals
+        if p_rows:
+            first[p_rows] += np.abs(np.array(p_vals)[:, None] - y[None, :])
+        if q_rows:
+            in_p[p_rows] = True
+            rest[:, q_rows] += np.where(in_p[:, None], 0.0, np.abs(q_vals))
+            in_p[p_rows] = False
+    return first + rest

@@ -19,6 +19,7 @@ restriction, so blending never inflates Lipschitz bounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
@@ -50,7 +51,8 @@ class TabulatedFunction:
 
     ``points`` may be coordinate tuples, finitely supported sequences, or
     integer labels into a metric space; ``points[origin]`` is the
-    distinguished base point and its value must be exactly zero.
+    distinguished base point and its value must be exactly zero.  Values
+    must be finite.
     """
 
     points: tuple
@@ -68,7 +70,11 @@ class TabulatedFunction:
             raise ValueError("value at the origin must be exactly 0")
         if len(set(self.points)) != len(self.points):
             raise ValueError("points must be pairwise distinct")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        values = tuple(float(v) for v in self.values)
+        for pos, v in enumerate(values):
+            if not math.isfinite(v):
+                raise ValueError(f"value {v} at point {pos} is not finite")
+        object.__setattr__(self, "values", values)
 
     def value_at(self, point) -> float:
         try:

@@ -33,6 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import geometry
 from .geometry import (
     MAX_DIM,
     MAX_LEVEL,
@@ -40,7 +41,7 @@ from .geometry import (
     cell_low_corners,
     clamp_to_cube,
     embed_finite,
-    l1_distance,
+    l1_distances,
 )
 from .interpolation import TabulatedFunction, lip_constant, weights_from_offsets
 
@@ -68,7 +69,8 @@ class LipFunction:
 
     ``declared_lip`` is a promise from the constructor, used in convergence
     estimates; it is validated probabilistically in the test-suite, never
-    enforced here.
+    enforced here.  An evaluator with an ``eval_many`` method of its own is
+    evaluated in batches through it; otherwise one point at a time.
     """
 
     def __init__(self, evaluator: Callable, declared_lip: float | None = None, label: str = ""):
@@ -79,9 +81,12 @@ class LipFunction:
         self.label = label
 
     def __call__(self, x) -> float:
-        return float(self.evaluator(x))
+        return float(self.eval_many([x])[0])
 
     def eval_many(self, points: Sequence) -> np.ndarray:
+        batched = getattr(self.evaluator, "eval_many", None)
+        if batched is not None:
+            return batched(points)
         return np.array([float(self.evaluator(p)) for p in points])
 
     def __repr__(self):
@@ -139,27 +144,45 @@ def max_coordinate_function() -> LipFunction:
     return LipFunction(ev, declared_lip=1.0, label="max-coordinate")
 
 
-def mcshane_extension(points: Sequence, values: Sequence[float], lip: float,
-                      dist=l1_distance) -> Callable:
+def mcshane_extension(points: Sequence, values: Sequence[float], lip: float) -> Callable:
     """The largest ``lip``-Lipschitz minorant interpolation of tabulated data.
 
-    ``f(x) = min_p (v_p + lip * d(p, x))`` agrees with the data wherever the
-    data itself is ``lip``-Lipschitz and never exceeds that constant.
+    ``f(x) = min_p (v_p + lip * d(p, x))`` with the l1 distance agrees with
+    the data wherever the data itself is ``lip``-Lipschitz and never exceeds
+    that constant.  The returned evaluator takes one point, and its
+    ``eval_many`` takes a batch: one :func:`lipfree.geometry.l1_distances`
+    matrix per block of queries, the block sized by the kernel's element
+    budget, so memory stays bounded for any number of anchors and queries.
+    Every value is bit-identical to the scalar minimum over
+    :func:`lipfree.geometry.l1_distance`.
     """
-    pts = list(points)
-    vals = [float(v) for v in values]
-
-    def ev(x):
-        return min(v + lip * dist(p, x) for p, v in zip(pts, vals))
-
-    return ev
+    points = tuple(points)
+    if not points:
+        raise ValueError("the McShane extension needs at least one data point")
+    return _McShane(points, np.array([float(v) for v in values]), float(lip))
 
 
-def tabulated_lip_function(f: TabulatedFunction, dist=l1_distance) -> LipFunction:
+class _McShane:
+    def __init__(self, points: tuple, values: np.ndarray, lip: float):
+        self.points, self.values, self.lip = points, values, lip
+
+    def __call__(self, x) -> float:
+        return float(self.eval_many([x])[0])
+
+    def eval_many(self, points: Sequence) -> np.ndarray:
+        points = list(points)
+        step = max(1, geometry._L1_BLOCK_ELEMENTS // len(self.points))
+        out = np.empty(len(points))
+        for lo in range(0, len(points), step):
+            d = l1_distances(self.points, points[lo:lo + step])
+            out[lo:lo + step] = (self.values[:, None] + self.lip * d).min(axis=0)
+        return out
+
+
+def tabulated_lip_function(f: TabulatedFunction) -> LipFunction:
     """Extend a tabulated function to all of its space at its own constant."""
-    lip = lip_constant(f, dist)
-    ev = mcshane_extension(f.points, f.values, lip, dist)
-    return LipFunction(ev, declared_lip=lip, label="tabulated")
+    lip = lip_constant(f)
+    return LipFunction(mcshane_extension(f.points, f.values, lip), declared_lip=lip, label="tabulated")
 
 
 def random_lattice_function(rng: np.random.Generator, *, dim: int | None = None,
@@ -340,24 +363,37 @@ class ConvergenceCheck:
     ok: bool | None
 
 
-def convergence_check(f, x, n: int, dim: int | None = None, tol: float = 1e-9) -> ConvergenceCheck:
+def convergence_checks(f, points: Sequence, n: int, dim: int | None = None,
+                       tol: float = 1e-9) -> list[ConvergenceCheck]:
+    """:class:`ConvergenceCheck` at each point, from one :func:`project_values`
+    call and one ``f.eval_many`` call for the exact values."""
     if f.declared_lip is None:
         raise ValueError("convergence estimates need a declared Lipschitz bound")
     level = GridLevel(n, dim)
+    points = list(points)
     if dim is None:
-        if not isinstance(x, FiniteSupportPoint):
+        if not all(isinstance(x, FiniteSupportPoint) for x in points):
             raise TypeError("sequence mode expects finitely supported points")
-        tail = x.tail(n)
-        lead = x.leading(n)
+        leads = [x.leading(n) for x in points]
+        tails = [x.tail(n) for x in points]
         cells = n
     else:
-        lead = _as_coords(x)
-        tail = 0.0
+        leads = [_as_coords(x) for x in points]
+        tails = [0.0] * len(points)
         cells = dim
-    clamped = bool(np.max(np.abs(lead), initial=0.0) > 2.0 ** (n - 1))
-    value = float(project_values(f, [x], level)[0])
-    exact = float(f(x))
-    error = abs(value - exact)
-    bound = 2.0 * f.declared_lip * (tail + cells * 2.0 ** (1 - n))
-    ok = None if clamped else bool(error <= bound + tol)
-    return ConvergenceCheck(value=value, exact=exact, error=error, bound=bound, clamped=clamped, ok=ok)
+    values = project_values(f, points, level)
+    exacts = f.eval_many(points)
+    out = []
+    for lead, tail, value, exact in zip(leads, tails, values.tolist(), np.asarray(exacts).tolist()):
+        clamped = bool(np.max(np.abs(lead), initial=0.0) > 2.0 ** (n - 1))
+        error = abs(value - exact)
+        bound = 2.0 * f.declared_lip * (tail + cells * 2.0 ** (1 - n))
+        ok = None if clamped else bool(error <= bound + tol)
+        out.append(ConvergenceCheck(value=value, exact=exact, error=error, bound=bound,
+                                    clamped=clamped, ok=ok))
+    return out
+
+
+def convergence_check(f, x, n: int, dim: int | None = None, tol: float = 1e-9) -> ConvergenceCheck:
+    """:func:`convergence_checks` at one point."""
+    return convergence_checks(f, [x], n, dim, tol)[0]

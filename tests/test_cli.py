@@ -143,6 +143,42 @@ class TestProject:
         assert json.loads(out)["rows"][0]["error"] >= 0.0
 
 
+class TestFunctionFile:
+    """A tabulated function file is validated when it is read, naming the file."""
+
+    def run_with(self, tmp_path, capsys, table):
+        fn = (tmp_path / "fn.json")
+        fn.write_text(table)  # raw text: JSON's NaN and Infinity literals
+        pts = write_json(tmp_path / "pts.json", [[0.5, 0.5]])
+        return run(capsys, ["project", "--input", pts, "--function-file", str(fn), "--n", "2", "--dim", "2"])
+
+    def test_non_finite_value_exits_2(self, tmp_path, capsys):
+        table = '{"points": [[0, 0], [1, 0], [0, 1]], "values": [0, NaN, 1]}'
+        code, out, err = self.run_with(tmp_path, capsys, table)
+        assert code == 2
+        assert out == "" and "fn.json" in err and "not finite" in err
+
+    def test_point_of_wrong_dimension_exits_2(self, tmp_path, capsys):
+        table = '{"points": [[0, 0], [1, 0, 0], [0, 1]], "values": [0, 1, 1]}'
+        code, out, err = self.run_with(tmp_path, capsys, table)
+        assert code == 2
+        assert out == "" and "fn.json" in err and "dimension 2" in err
+
+    def test_non_finite_coordinate_exits_2(self, tmp_path, capsys):
+        table = '{"points": [[0, 0], [Infinity, 0], [0, 1]], "values": [0, 1, 1]}'
+        code, out, err = self.run_with(tmp_path, capsys, table)
+        assert code == 2
+        assert out == "" and "fn.json" in err and "non-finite" in err
+
+    def test_sequence_mode_non_finite_coordinate_exits_2(self, tmp_path, capsys):
+        fn = tmp_path / "fn.json"
+        fn.write_text('{"points": [{"coords": {}}, {"coords": {"2": NaN}}], "values": [0, 1]}')
+        pts = write_json(tmp_path / "pts.json", [{"coords": {"1": 0.5}}])
+        code, out, err = run(capsys, ["project", "--input", pts, "--function-file", str(fn), "--n", "2"])
+        assert code == 2
+        assert out == "" and "fn.json" in err and "not finite" in err
+
+
 class TestFddTable:
     def test_non_dyadic_molecule_error_decays(self, tmp_path, capsys):
         mol = write_json(
@@ -314,6 +350,18 @@ class TestInputErrors:
         code, out, err = run(capsys, ["project", "--input", path, "--n", "2"])
         assert code == 2
         assert out == "" and "in.json" in err
+
+    def test_sparse_point_beyond_dim_exits_2(self, tmp_path, capsys):
+        path = write_json(tmp_path / "in.json", [{"coords": {"1": 0.5}}, {"coords": {"5": 1.0}}])
+        code, out, err = run(capsys, ["project", "--input", path, "--n", "2", "--dim", "2"])
+        assert code == 2
+        assert out == "" and "in.json" in err and "beyond dimension 2" in err
+
+    def test_nested_coordinate_point_exits_2_naming_it(self, tmp_path, capsys):
+        path = write_json(tmp_path / "in.json", {"space": "l1N", "terms": [{"point": [[1]], "coeff": 1}]})
+        code, out, err = run(capsys, ["norm", "--input", path])
+        assert code == 2
+        assert out == "" and "in.json" in err and "[[1]]" in err
 
     def test_type_error_in_a_command_is_not_an_input_error(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from lipfree.extension import FinitePointedMetricSpace
+from lipfree import geometry
 from lipfree.freespace import (
     Molecule,
+    _distance_matrix,
     check_certificate,
     decomposition_report,
     free_norm,
@@ -245,3 +247,50 @@ class TestDiracIsometry:
             i, j = rng.choice(7, size=2, replace=False)
             mu = Molecule.on_space(space, [(int(i), 1.0), (int(j), -1.0)])
             assert free_norm(mu).value == pytest.approx(float(space.dist[i, j]), abs=1e-9)
+
+
+def looped_distance_matrix(mu):
+    """The oracle: one scalar distance per pair ``i < j``, mirrored."""
+    pts = [mu.origin_point()] + list(mu.support)
+    d = np.zeros((len(pts), len(pts)))
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            d[i, j] = d[j, i] = mu.point_distance(pts[i], pts[j])
+    return d
+
+
+def distance_cases(seed):
+    rng = np.random.default_rng(seed)
+    yield random_l1_molecule(rng, size=int(rng.integers(1, 30)), spread=3.0, max_index=12)
+    for dim in (1, 2, 9):
+        pts = rng.normal(size=(int(rng.integers(1, 30)), dim)) * 10.0 ** rng.integers(-3, 4)
+        yield Molecule.on_rn([(tuple(p), float(rng.normal())) for p in pts], dim=dim)
+    base = FinitePointedMetricSpace.from_l1_points(rng.normal(size=(12, 3)))
+    # symmetric only within the space's tolerance: the upper triangle wins
+    nudged = base.dist + np.tril(base.dist, -1) * 1e-14
+    space = FinitePointedMetricSpace(labels=base.labels, dist=nudged, origin=0)
+    yield Molecule.on_space(space, [(int(i), float(rng.normal())) for i in rng.choice(12, size=7)])
+
+
+class TestDistanceMatrix:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_per_pair_loop(self, seed):
+        for mu in distance_cases(500 + seed):
+            assert np.array_equal(_distance_matrix(mu), looped_distance_matrix(mu)), mu.kind
+
+    def test_empty_molecules(self):
+        for mu in (Molecule.on_l1([]), Molecule.on_rn([]), Molecule.on_rn([((0.0, 0.0), 1.0)])):
+            assert _distance_matrix(mu).tolist() == [[0.0]]
+
+    def test_tiny_blocks_change_nothing(self, monkeypatch):
+        cases = list(distance_cases(520))
+        expect = [_distance_matrix(mu) for mu in cases]
+        monkeypatch.setattr(geometry, "_L1_BLOCK_ELEMENTS", 1)
+        for mu, d in zip(cases, expect):
+            assert np.array_equal(_distance_matrix(mu), d)
+
+
+def test_rn_points_must_be_flat():
+    for bad in ([[1.0]], 1.0, [[0.5, 0.5]]):
+        with pytest.raises(ValueError, match="not a flat list"):
+            Molecule.on_rn([(bad, 1.0)])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lipfree import geometry
 from lipfree.geometry import (
     DyadicCubeIndex,
     FiniteSupportPoint,
@@ -9,6 +10,7 @@ from lipfree.geometry import (
     embed_finite,
     grid_point,
     l1_distance,
+    l1_distances,
     locate_cube,
     sign_vectors,
     tiling_vertex_count,
@@ -219,3 +221,92 @@ def test_l1_distance_dispatch():
     assert l1_distance([1, 2], [2, 0]) == 3.0
     with pytest.raises(ValueError):
         l1_distance([1, 2], [1, 2, 3])
+
+
+def pairwise(a, b):
+    """The oracle: one scalar ``l1_distance`` call per pair."""
+    return np.array([[l1_distance(p, q) for q in b] for p in a]).reshape(len(a), len(b))
+
+
+def random_sparse_points(rng, count, index_max, size_max=4):
+    out = []
+    for _ in range(count):
+        size = int(rng.integers(0, size_max + 1))
+        idx = rng.choice(np.arange(1, index_max + 1), size=min(size, index_max), replace=False)
+        scale = 10.0 ** rng.integers(-3, 4, size=len(idx))
+        out.append(FiniteSupportPoint.from_pairs(zip(map(int, idx), (rng.normal(size=len(idx)) * scale).tolist())))
+    return out
+
+
+class TestL1Distances:
+    """The batched kernel equals the scalar distance bit for bit."""
+
+    @pytest.mark.parametrize("dim", range(1, 17))
+    def test_coordinate_rows(self, dim):
+        # from dim 8 on NumPy sums pairwise; the kernel must sum the same way
+        rng = np.random.default_rng(300 + dim)
+        a = rng.normal(size=(9, dim)) * 10.0 ** rng.integers(-4, 5, size=(9, 1))
+        b = [tuple(row) for row in rng.normal(size=(13, dim)) * 1e3]
+        got = l1_distances(a, b)
+        assert got.shape == (9, 13)
+        assert np.array_equal(got, pairwise(a, b))
+        assert np.array_equal(l1_distances(list(a[2:5]), b[3:11]), got[2:5, 3:11])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_sparse_points(self, seed):
+        rng = np.random.default_rng(320 + seed)
+        a = random_sparse_points(rng, int(rng.integers(1, 9)), index_max=12)
+        b = random_sparse_points(rng, int(rng.integers(1, 9)), index_max=12)
+        assert np.array_equal(l1_distances(a, b), pairwise(a, b))
+
+    def test_disjoint_nested_and_overlapping_supports(self):
+        sp = FiniteSupportPoint.from_pairs
+        a = [sp([(1, 0.1), (2, -0.7)]), sp([(3, 1e-3), (7, 2.5)]), sp([(1, 0.3), (2, 0.2), (3, -1.1)]),
+             FiniteSupportPoint.zero()]
+        b = [sp([(4, 0.9), (5, -0.3)]),        # disjoint from every a
+             sp([(2, 0.6)]),                    # nested in a[0] and a[2]
+             sp([(1, 0.1), (2, 0.6), (3, 0.7), (7, -2.4)]),  # contains a[0], a[1], a[2]
+             sp([(2, 1.0), (3, 1e-3), (6, 0.1)]),  # overlapping
+             FiniteSupportPoint.zero()]
+        assert np.array_equal(l1_distances(a, b), pairwise(a, b))
+        assert np.array_equal(l1_distances(b, a), pairwise(b, a))
+
+    def test_indices_beyond_the_level_cost_one_column(self):
+        sp = FiniteSupportPoint.from_pairs
+        a = [sp([(1, 0.5), (10**6, 0.25)]), sp([(3, -1.5)]), sp([(10**30, 2.0)])]
+        b = [sp([(10**6, -0.125), (2, 0.75)]), sp([(1, 0.5), (9, 1.0)]), sp([(10**30, 0.5)])]
+        assert np.array_equal(l1_distances(a, b), pairwise(a, b))
+
+    def test_query_outside_every_anchor_support(self):
+        rng = np.random.default_rng(340)
+        anchors = random_sparse_points(rng, 8, index_max=6)
+        queries = [FiniteSupportPoint.from_pairs([(7, 0.3), (11, -0.9)]),
+                   FiniteSupportPoint.from_pairs([(20, 1e-5)])]
+        assert np.array_equal(l1_distances(anchors, queries), pairwise(anchors, queries))
+
+    def test_coordinate_rows_among_sparse_points_are_embedded(self):
+        p = FiniteSupportPoint.from_pairs([(1, 0.5), (4, 1.0)])
+        a = [p, np.array([0.25, -0.5])]
+        b = [FiniteSupportPoint.from_pairs([(2, 0.75)]), FiniteSupportPoint.zero()]
+        assert np.array_equal(l1_distances(a, b), pairwise(a, b))
+        assert np.array_equal(l1_distances([p], [(1.0, 0.0, 3.0), p]), pairwise([p], [(1.0, 0.0, 3.0), p]))
+
+    def test_empty_sides_and_mismatched_rows(self):
+        assert l1_distances([], [(1.0, 2.0)]).shape == (0, 1)
+        assert l1_distances([FiniteSupportPoint.zero()], []).shape == (1, 0)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            l1_distances([(1.0, 2.0)], [(1.0, 2.0, 3.0)])
+        with pytest.raises(ValueError, match="equal-length"):
+            l1_distances([(1.0, 2.0), (1.0,)], [(1.0, 2.0)])
+
+    @pytest.mark.parametrize("budget", [1, 7])
+    def test_tiny_blocks_change_nothing(self, monkeypatch, budget):
+        rng = np.random.default_rng(350)
+        dense_a, dense_b = rng.normal(size=(6, 11)), rng.normal(size=(5, 11))
+        sparse_a = random_sparse_points(rng, 6, index_max=9)
+        sparse_b = random_sparse_points(rng, 7, index_max=9)
+        expect = l1_distances(dense_a, dense_b), l1_distances(sparse_a, sparse_b)
+        monkeypatch.setattr(geometry, "_L1_BLOCK_ELEMENTS", budget)
+        assert np.array_equal(l1_distances(dense_a, dense_b), expect[0])
+        assert np.array_equal(l1_distances(sparse_a, sparse_b), expect[1])
+        assert np.array_equal(expect[1], pairwise(sparse_a, sparse_b))

@@ -144,6 +144,11 @@ class TestLipConstant:
         f = TabulatedFunction(points=(0, 1), values=(0.0, 3.0))
         assert lip_constant(f, dist=dist) == 1.5
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="value .* at point 1 is not finite"):
+            TabulatedFunction(points=((0.0,), (1.0,), (2.0,)), values=(0.0, bad, 1.0))
+
 
 class TestAffinity:
     def test_affine_data_has_zero_deviation(self):

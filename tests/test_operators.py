@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lipfree import geometry
 from lipfree.geometry import (
     FiniteSupportPoint,
     Hypercube,
@@ -15,12 +16,14 @@ from lipfree.operators import (
     cell_weights,
     commuting_check,
     convergence_check,
+    convergence_checks,
     coordinate_function,
     l1_norm_function,
     lattice_coords,
     lip_function,
     lip_projection,
     max_coordinate_function,
+    mcshane_extension,
     project_values,
     random_lattice_function,
     tabulated_lip_function,
@@ -349,3 +352,83 @@ class TestRecursiveOracle:
         for value, x in zip(got, xs):
             expect = self.oracle(f, x, n, dim)
             assert abs(value - expect) <= 1e-12 * max(1.0, abs(expect))
+
+
+def scalar_mcshane(points, values, lip):
+    """The oracle: the McShane minimum with one ``l1_distance`` call per anchor."""
+
+    def ev(x):
+        return min(v + lip * l1_distance(p, x) for p, v in zip(points, values))
+
+    return ev
+
+
+class TestBatchedMcShane:
+    """The batched McShane evaluator against the scalar loop, bit for bit."""
+
+    @staticmethod
+    def table_and_queries(rng, dim):
+        f = random_lattice_function(rng, dim=dim, anchors=int(rng.integers(1, 12)))
+        level = GridLevel(int(rng.integers(1, 7)), dim)
+        if dim is None:
+            xs = [random_sparse(rng, spread=4.0, max_index=10) for _ in range(20)]
+            xs.append(sparse([(40, 0.5), (10**6, -1.25)]))  # outside every anchor's support
+        else:
+            xs = list(rng.uniform(-5.0, 5.0, size=(20, dim)))
+        _, keys, _ = cell_weights(xs[:1], level)
+        corners = lattice_coords(np.unique(keys, axis=0)[:64], level.n)
+        xs += [embed_finite(c) for c in corners] if dim is None else list(corners)
+        return f, xs
+
+    @pytest.mark.parametrize("dim", [None, 1, 2, 6, 8, 13, 16])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_scalar_loop(self, dim, seed):
+        rng = np.random.default_rng(400 + seed)
+        f, xs = self.table_and_queries(rng, dim)
+        ev = f.evaluator
+        oracle = scalar_mcshane(ev.points, ev.values.tolist(), ev.lip)
+        expect = [oracle(x) for x in xs]
+        assert f.eval_many(xs).tolist() == expect
+        assert [f(x) for x in xs[:5]] == expect[:5]
+
+    def test_tiny_blocks_change_nothing(self, monkeypatch):
+        rng = np.random.default_rng(420)
+        cases = [self.table_and_queries(rng, dim) for dim in (None, 3)]
+        expect = [f.eval_many(xs) for f, xs in cases]
+        monkeypatch.setattr(geometry, "_L1_BLOCK_ELEMENTS", 1)
+        for (f, xs), values in zip(cases, expect):
+            assert np.array_equal(f.eval_many(xs), values)
+        pts = [sparse([(1, 0.75), (3, -0.5)]), sparse([(2, 1.25)]), sparse([(1, -3.0), (9, 0.5)])]
+        checks = convergence_checks(cases[0][0], pts, 3)
+        monkeypatch.setattr(geometry, "_L1_BLOCK_ELEMENTS", 1 << 16)
+        assert checks == convergence_checks(cases[0][0], pts, 3)
+
+    def test_needs_a_data_point(self):
+        with pytest.raises(ValueError, match="at least one"):
+            mcshane_extension([], [], 1.0)
+
+
+class TestConvergenceChecks:
+    @pytest.mark.parametrize("dim", [None, 2, 6])
+    def test_batch_equals_repeated_single_checks(self, dim):
+        rng = np.random.default_rng(430)
+        f = random_lattice_function(rng, dim=dim)
+        if dim is None:
+            xs = [random_sparse(rng, spread=6.0, max_index=12) for _ in range(15)]
+        else:
+            xs = list(rng.uniform(-10.0, 10.0, size=(15, dim)))  # some clamped
+        for n in (1, 3, 5):
+            batch = convergence_checks(f, xs, n, dim=dim)
+            single = [convergence_check(f, x, n, dim=dim) for x in xs]
+            for got, expect in zip(batch, single):
+                for field in ("value", "exact", "error", "bound", "clamped", "ok"):
+                    assert getattr(got, field) == getattr(expect, field), field
+            assert {c.ok for c in batch} - {True, None} == set()
+
+    def test_empty_batch_and_mode_errors(self):
+        f = l1_norm_function()
+        assert convergence_checks(f, [], 3) == []
+        with pytest.raises(TypeError):
+            convergence_checks(f, [sparse([(1, 0.5)]), np.array([0.5])], 3)
+        with pytest.raises(TypeError):
+            convergence_checks(f, [sparse([(1, 0.5)])], 3, dim=1)
