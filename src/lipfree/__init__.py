@@ -47,7 +47,6 @@ from .geometry import (
     Hypercube,
     clamp_to_cube,
     embed_finite,
-    grid_point,
     l1_distance,
     locate_cube,
     sign_vectors,

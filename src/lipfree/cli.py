@@ -39,7 +39,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     norm = sub.add_parser("norm", help="exact norm of a molecule with the dual witness")
     norm.add_argument("--input", required=True, help="molecule JSON file")
-    norm.add_argument("--tol", type=float, default=1e-9)
     _io_flags(norm, default_format="json")
 
     project = sub.add_parser("project", help="grid projection of a function at sample points")
@@ -50,13 +49,11 @@ def _build_parser() -> argparse.ArgumentParser:
     project.add_argument("--n", type=int, required=True, help="projection level")
     project.add_argument("--dim", type=int, help="coordinate mode dimension (default: sequence mode)")
     project.add_argument("--seed", type=int, help="seed (required for random-lattice)")
-    project.add_argument("--tol", type=float, default=1e-9, help="slack for the bound check")
     _io_flags(project, default_format="json")
 
     fdd = sub.add_parser("fdd-table", help="per-level projection table for a molecule")
     fdd.add_argument("--input", required=True, help="molecule JSON file")
     fdd.add_argument("--n-max", type=int, required=True)
-    fdd.add_argument("--tol", type=float, default=1e-7)
     _io_flags(fdd, default_format="csv")
 
     ver = sub.add_parser("verify", help="run the seeded self-verification suites")
@@ -154,7 +151,7 @@ def _resolve_function(args) -> operators.LipFunction:
 
 def _cmd_norm(args):
     mu = _load_molecule(args.input)
-    cert = freespace.free_norm(mu, tol=args.tol)
+    cert = freespace.free_norm(mu)
     payload = cert.to_json(mu)
     rows = [["value", cert.value]]
     rows += [[json.dumps(e["point"]), e["value"]] for e in payload["witness"]]
@@ -164,7 +161,7 @@ def _cmd_norm(args):
 def _cmd_project(args):
     points = _load_points(args.input, args.dim)
     f = _resolve_function(args)
-    checks = operators.convergence_checks(f, points, args.n, dim=args.dim, tol=args.tol)
+    checks = operators.convergence_checks(f, points, args.n, dim=args.dim)
     rows = [
         {
             "point": _encode_point(p),
@@ -185,7 +182,7 @@ def _cmd_project(args):
 
 def _cmd_fdd_table(args):
     mu = _load_molecule(args.input)
-    report = freespace.decomposition_report(mu, args.n_max, norm_tol=args.tol)
+    report = freespace.decomposition_report(mu, args.n_max)
     payload = report.to_json()
     table = {
         "columns": ["n", "norm", "err", "bound", "support_size"],

@@ -25,6 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .geometry import l1_distances
 from .interpolation import TabulatedFunction, lip_constant
 
 SCHEMES = ("inv-dist", "shepard-p")
@@ -84,11 +85,10 @@ class FinitePointedMetricSpace:
 
     @classmethod
     def from_l1_points(cls, points, origin: int = 0, labels=None) -> "FinitePointedMetricSpace":
-        pts = np.asarray(points, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):  # validation names the pair
-            d = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
+            d = l1_distances(points, points)
         if labels is None:
-            labels = tuple(range(len(pts)))
+            labels = tuple(range(len(d)))
         return cls(labels=tuple(labels), dist=d, origin=origin)
 
     def to_json(self) -> dict:
@@ -239,18 +239,10 @@ def gentleness(part: GentlePartition) -> GentlenessEstimate:
     return GentlenessEstimate(k_hat=best, worst_pair=pair)
 
 
-def approximation_operator(f: TabulatedFunction, subset: Iterable[int],
-                           scheme: str = "inv-dist", p: float = 2.0,
-                           space: FinitePointedMetricSpace | None = None) -> TabulatedFunction:
-    """Restrict to the subset, then extend back; fixes the subset pointwise."""
-    if space is None:
-        raise ValueError("the ambient space is required")
-    sub = tuple(sorted(set(int(i) for i in subset)))
-    restricted = restrict(f, sub)
-    if len(sub) == space.size:
-        return TabulatedFunction(points=f.points, values=f.values, origin=f.origin)
-    part = build_partition(space, sub, scheme=scheme, p=p)
-    return extend(restricted, part)
+def approximation_operator(f: TabulatedFunction, part: GentlePartition) -> TabulatedFunction:
+    """Restrict to the partition's subset, then extend back with its weights;
+    fixes the subset pointwise."""
+    return extend(restrict(f, part.subset), part)
 
 
 # Largest (pair, point, point) array of one block of the doubling sweep: a
@@ -359,11 +351,9 @@ def chain_table(space: FinitePointedMetricSpace, f: TabulatedFunction,
     lip_f = lip_constant(f, space.dist)
     rows = []
     for subset in farthest_point_chain(space):
-        sf = approximation_operator(f, subset, scheme=scheme, p=p, space=space)
-        if len(subset) == space.size:
-            k_hat = 0.0
-        else:
-            k_hat = gentleness(build_partition(space, subset, scheme=scheme, p=p)).k_hat
+        part = build_partition(space, subset, scheme=scheme, p=p)
+        sf = approximation_operator(f, part)
+        k_hat = 0.0 if part.vacuous else gentleness(part).k_hat
         lip_sf = lip_constant(sf, space.dist)
         ratio = lip_sf / lip_f if lip_f > 0 else 0.0
         err = float(max(abs(a - b) for a, b in zip(sf.values, f.values)))

@@ -40,6 +40,16 @@ from .operators import GridLevel, cell_weights, lattice_coords
 
 KINDS = ("l1", "l1N", "finite")
 
+#: Tolerance of the norm program (:func:`free_norm`) and of its certificate
+#: check (:func:`check_certificate`).
+NORM_TOL = 1e-9
+
+#: Relative slack of :func:`decomposition_report`'s norm, bound and trend checks.
+FDD_TOL = 1e-7
+
+#: Coefficient tolerance of :func:`decomposition_report`'s lattice check.
+LATTICE_TOL = 1e-10
+
 
 def _as_l1_point(p) -> FiniteSupportPoint:
     if isinstance(p, FiniteSupportPoint):
@@ -80,7 +90,7 @@ class Molecule:
     @classmethod
     def on_l1(cls, pairs: Iterable[tuple[object, float]]) -> "Molecule":
         terms = [(_as_l1_point(p), _coefficient(a)) for p, a in pairs]
-        return cls(kind="l1", terms=_canonical(terms, lambda p: p.is_zero, lambda p: p.items))
+        return cls(kind="l1", terms=())._rebuild(terms)
 
     @classmethod
     def on_rn(cls, pairs: Iterable[tuple[object, float]], dim: int | None = None) -> "Molecule":
@@ -97,8 +107,7 @@ class Molecule:
             if not all(np.isfinite(pt)):
                 raise ValueError(f"point {pt} has a non-finite coordinate")
             terms.append((pt, _coefficient(a)))
-        canon = _canonical(terms, lambda p: all(v == 0.0 for v in p), lambda p: p)
-        return cls(kind="l1N", terms=canon, dim=dim)
+        return cls(kind="l1N", terms=(), dim=dim)._rebuild(terms)
 
     @classmethod
     def on_space(cls, space: FinitePointedMetricSpace,
@@ -109,8 +118,7 @@ class Molecule:
             if not (0 <= i < space.size):
                 raise ValueError(f"point index {i} outside the space")
             terms.append((i, _coefficient(a)))
-        canon = _canonical(terms, lambda i: i == space.origin, lambda i: i)
-        return cls(kind="finite", terms=canon, space=space)
+        return cls(kind="finite", terms=(), space=space)._rebuild(terms)
 
     # -- structure ----------------------------------------------------------
 
@@ -142,17 +150,29 @@ class Molecule:
         return self.space.origin
 
     def _key(self, p):
+        """The key that identifies a point: a sparse point's items, else the point."""
         return p.items if self.kind == "l1" else p
 
-    def _rebuild(self, terms) -> "Molecule":
+    def _is_origin(self, p) -> bool:
         if self.kind == "l1":
-            canon = _canonical(terms, lambda p: p.is_zero, lambda p: p.items)
-            return Molecule(kind="l1", terms=canon)
+            return p.is_zero
         if self.kind == "l1N":
-            canon = _canonical(terms, lambda p: all(v == 0.0 for v in p), lambda p: p)
-            return Molecule(kind="l1N", terms=canon, dim=self.dim)
-        canon = _canonical(terms, lambda i: i == self.space.origin, lambda i: i)
-        return Molecule(kind="finite", terms=canon, space=self.space)
+            return all(v == 0.0 for v in p)
+        return p == self.space.origin
+
+    def _rebuild(self, terms) -> "Molecule":
+        """The canonical molecule of ``terms`` on this molecule's space: terms
+        of equal key merged (the last point kept), zero sums and the origin
+        dropped, sorted by key."""
+        merged: dict = {}
+        points: dict = {}
+        for p, a in terms:
+            k = self._key(p)
+            merged[k] = merged.get(k, 0.0) + float(a)
+            points[k] = p
+        canon = tuple((points[k], merged[k]) for k in sorted(merged)
+                      if merged[k] != 0.0 and not self._is_origin(points[k]))
+        return Molecule(kind=self.kind, terms=canon, dim=self.dim, space=self.space)
 
     def _check_compatible(self, other: "Molecule") -> None:
         if self.kind != other.kind:
@@ -195,7 +215,7 @@ class Molecule:
         return out
 
     @classmethod
-    def from_json(cls, obj: Mapping, space: FinitePointedMetricSpace | None = None) -> "Molecule":
+    def from_json(cls, obj: Mapping) -> "Molecule":
         kind = obj["space"]
         raw = [(t["point"], float(t["coeff"])) for t in obj.get("terms", [])]
         if kind == "l1":
@@ -204,29 +224,10 @@ class Molecule:
             dim = obj.get("dim")
             return cls.on_rn(raw, dim=int(dim) if dim is not None else None)
         if kind == "finite":
-            if space is None:
-                if "metric_space" not in obj:
-                    raise ValueError("finite-space molecules need a metric_space entry")
-                space = FinitePointedMetricSpace.from_json(obj["metric_space"])
-            return cls.on_space(space, raw)
+            if "metric_space" not in obj:
+                raise ValueError("finite-space molecules need a metric_space entry")
+            return cls.on_space(FinitePointedMetricSpace.from_json(obj["metric_space"]), raw)
         raise ValueError(f"unknown molecule kind {kind!r}")
-
-
-def _canonical(terms, is_origin, key) -> tuple:
-    merged: dict = {}
-    points: dict = {}
-    for p, a in terms:
-        k = key(p)
-        merged[k] = merged.get(k, 0.0) + float(a)
-        points[k] = p
-    out = []
-    for k in sorted(merged):
-        a = merged[k]
-        p = points[k]
-        if a == 0.0 or is_origin(p):
-            continue
-        out.append((p, a))
-    return tuple(out)
 
 
 def molecules_close(a: Molecule, b: Molecule, tol: float = 1e-10) -> bool:
@@ -256,26 +257,23 @@ class NormCertificate:
     value: float
     witness: dict
 
-    def to_json(self, mu: Molecule | None = None) -> dict:
-        entries = []
-        for p, v in self.witness.items():
-            if mu is not None:
-                entries.append({"point": mu._encode_point(p), "value": v})
-            else:
-                entries.append({"point": p if not hasattr(p, "to_json") else p.to_json(), "value": v})
+    def to_json(self, mu: Molecule) -> dict:
+        """The value and the witness, its points encoded as in ``mu``'s JSON."""
+        entries = [{"point": mu._encode_point(p), "value": v} for p, v in self.witness.items()]
         return {"value": self.value, "witness": entries}
 
 
-def check_certificate(cert: NormCertificate, mu: Molecule, tol: float = 1e-9) -> bool:
-    """Witness is 1-Lipschitz on support + origin and attains the value."""
+def check_certificate(cert: NormCertificate, mu: Molecule) -> bool:
+    """Witness is 1-Lipschitz on support + origin and attains the value, to
+    :data:`NORM_TOL`."""
     pts = list(cert.witness)
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             d = mu.point_distance(pts[i], pts[j])
-            if abs(cert.witness[pts[i]] - cert.witness[pts[j]]) > d * (1.0 + tol) + tol:
+            if abs(cert.witness[pts[i]] - cert.witness[pts[j]]) > d * (1.0 + NORM_TOL) + NORM_TOL:
                 return False
     paired = sum(a * cert.witness[p] for p, a in mu.terms)
-    return abs(paired - cert.value) <= tol * max(1.0, abs(cert.value))
+    return abs(paired - cert.value) <= NORM_TOL * max(1.0, abs(cert.value))
 
 
 def _distance_matrix(mu: Molecule) -> np.ndarray:
@@ -307,7 +305,7 @@ def _chain_reach(d: np.ndarray) -> np.ndarray:
     return reach
 
 
-def free_norm(mu: Molecule, tol: float = 1e-9) -> NormCertificate:
+def free_norm(mu: Molecule) -> NormCertificate:
     """Exact norm of a molecule with the optimal dual witness.
 
     Maximizes the pairing over functions on ``support + origin`` that vanish
@@ -330,7 +328,7 @@ def free_norm(mu: Molecule, tol: float = 1e-9) -> NormCertificate:
     k = len(pts)
     d = _distance_matrix(mu)
     scale = max(1.0, float(np.max(d)))
-    vtol = tol * scale
+    vtol = NORM_TOL * scale
 
     reach = _chain_reach(d)
     candidates: list[tuple[int, int]] = []
@@ -373,7 +371,7 @@ def free_norm(mu: Molecule, tol: float = 1e-9) -> NormCertificate:
                 b_vec[r] = d[i, j]
         else:
             a_mat, b_vec = None, []
-        result = solve_box_lp(coeffs, a_mat, b_vec, lower, upper, tol=tol, start_at_upper=warm)
+        result = solve_box_lp(coeffs, a_mat, b_vec, lower, upper, tol=NORM_TOL, start_at_upper=warm)
         f = result.x
         warm = f > 0.5 * (lower + upper)
         violated: list[tuple[float, int, int]] = []
@@ -556,16 +554,15 @@ class FddReport:
         }
 
 
-def decomposition_report(mu: Molecule, n_max: int, norm_tol: float = 1e-7,
-                         pair_tol: float = 1e-10) -> FddReport:
+def decomposition_report(mu: Molecule, n_max: int) -> FddReport:
     """Per-level diagnostics of the grid projections on one molecule.
 
     Checks, per level: the projected norm does not exceed the input norm
-    (relative ``norm_tol``); the approximation error respects the duality
+    (relative :data:`FDD_TOL`); the approximation error respects the duality
     bound while no clamp is active; and across levels the projections form a
     commuting lattice (finer following coarser equals coarser, termwise to
-    ``pair_tol``).  The error trend check asks the final error not to exceed
-    the first.
+    :data:`LATTICE_TOL`).  The error trend check asks the final error not to
+    exceed the first.
     """
     base = free_norm(mu).value
     rows = []
@@ -577,7 +574,7 @@ def decomposition_report(mu: Molecule, n_max: int, norm_tol: float = 1e-7,
         err_value = free_norm(proj.minus(mu)).value
         bound = projection_bound(mu, n)
         clamped = term_clamped(mu, n)
-        bound_ok = None if clamped else bool(err_value <= bound + norm_tol * max(1.0, bound))
+        bound_ok = None if clamped else bool(err_value <= bound + FDD_TOL * max(1.0, bound))
         rows.append(
             FddRow(
                 n=n,
@@ -589,14 +586,14 @@ def decomposition_report(mu: Molecule, n_max: int, norm_tol: float = 1e-7,
                 bound_ok=bound_ok,
             )
         )
-    monotone_ok = all(r.norm_value <= base * (1.0 + norm_tol) + norm_tol for r in rows)
-    trend_ok = (not rows) or rows[-1].err_value <= rows[0].err_value + norm_tol
+    monotone_ok = all(r.norm_value <= base * (1.0 + FDD_TOL) + FDD_TOL for r in rows)
+    trend_ok = (not rows) or rows[-1].err_value <= rows[0].err_value + FDD_TOL
     lattice_ok = True
     for m in range(1, n_max + 1):
         for n in range(1, n_max + 1):
             left = molecule_projection(projections[n], m)
             right = projections[min(m, n)]
-            if not molecules_close(left, right, tol=pair_tol):
+            if not molecules_close(left, right, tol=LATTICE_TOL):
                 lattice_ok = False
     return FddReport(
         base_norm=base,

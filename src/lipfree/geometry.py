@@ -24,8 +24,12 @@ MAX_LEVEL = 20
 #: Largest ambient dimension for tilings (a cell has 2**dim corners).
 MAX_DIM = 16
 
-#: Default ceiling on the number of points :func:`tiling_vertices` will build.
-DEFAULT_VERTEX_LIMIT = 4_000_000
+#: Ceiling on the number of points :func:`tiling_vertices` will build.
+VERTEX_LIMIT = 4_000_000
+
+#: How far (relative to the big cube's half-edge) :func:`locate_cube` accepts
+#: a point outside the big cube.
+LOCATE_TOL = 1e-9
 
 
 @lru_cache(maxsize=64)
@@ -42,17 +46,6 @@ def sign_matrix(dim: int) -> np.ndarray:
     m = np.array(sign_vectors(dim), dtype=float).reshape(2**dim, dim)
     m.flags.writeable = False
     return m
-
-
-def sign_string(delta: Iterable[int]) -> str:
-    """Encode a sign vector as a ``'+-...'`` string (JSON key form)."""
-    return "".join("+" if s > 0 else "-" for s in delta)
-
-
-def parse_sign_string(text: str) -> tuple[int, ...]:
-    if not text or any(ch not in "+-" for ch in text):
-        raise ValueError(f"invalid sign string: {text!r}")
-    return tuple(1 if ch == "+" else -1 for ch in text)
 
 
 def _check_signs(delta: tuple[int, ...]) -> None:
@@ -91,22 +84,15 @@ class Hypercube:
         c = np.asarray(self.center, dtype=float)
         return c + 0.5 * self.edge * sign_matrix(self.dim)
 
-    def contains(self, x, tol: float = 0.0) -> bool:
+    def contains(self, x) -> bool:
         diff = np.abs(np.asarray(x, dtype=float) - np.asarray(self.center, dtype=float))
-        return bool(np.max(diff) <= 0.5 * self.edge + tol)
+        return bool(np.max(diff) <= 0.5 * self.edge)
 
     def barycentric(self, x) -> np.ndarray:
         """Per-axis offsets of ``x`` from the low corner, scaled to [0, 1]."""
         x = np.asarray(x, dtype=float)
         c = np.asarray(self.center, dtype=float)
         return (x - c + 0.5 * self.edge) / self.edge
-
-    def to_json(self) -> dict:
-        return {"center": list(self.center), "edge": self.edge}
-
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "Hypercube":
-        return cls(center=tuple(obj["center"]), edge=float(obj["edge"]))
 
 
 @dataclass(frozen=True)
@@ -136,26 +122,17 @@ class DyadicCubeIndex:
     def dim(self) -> int:
         return len(self.eps)
 
-    @property
-    def level(self) -> int:
-        return self.k + 1
-
     def center(self, base=None) -> np.ndarray:
+        """Dyadic grid point ``base + 2**(-k-1) eps + 2**(-k) (eps_i h_i)_i``."""
         base = np.zeros(self.dim) if base is None else np.asarray(base, dtype=float)
-        return grid_point(base, self)
+        if base.shape != (self.dim,):
+            raise ValueError(f"base point has shape {base.shape}, index has dimension {self.dim}")
+        eps = np.asarray(self.eps, dtype=float)
+        h = np.asarray(self.h, dtype=float)
+        return base + 2.0 ** (-self.k - 1) * eps + 2.0 ** (-self.k) * eps * h
 
     def cube(self, base=None) -> Hypercube:
         return Hypercube(center=tuple(self.center(base)), edge=2.0 ** (-self.k))
-
-
-def grid_point(y, idx: DyadicCubeIndex) -> np.ndarray:
-    """Dyadic grid point ``y + 2**(-k-1) eps + 2**(-k) (eps_i h_i)_i``."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (idx.dim,):
-        raise ValueError(f"base point has shape {y.shape}, index has dimension {idx.dim}")
-    eps = np.asarray(idx.eps, dtype=float)
-    h = np.asarray(idx.h, dtype=float)
-    return y + 2.0 ** (-idx.k - 1) * eps + 2.0 ** (-idx.k) * eps * h
 
 
 def clamp_to_cube(x, edge: float) -> np.ndarray:
@@ -193,13 +170,14 @@ def slab_indices(u, level: int) -> np.ndarray:
     return np.clip(j, 0, per_axis - 1)
 
 
-def locate_cube(u, level: int, tol: float = 1e-9) -> DyadicCubeIndex:
+def locate_cube(u, level: int) -> DyadicCubeIndex:
     """Find the level-n cell of the tiling containing ``u``.
 
     Boundary points are resolved deterministically by the half-open slab
     convention of :func:`slab_indices` (in particular a zero coordinate goes
     to the positive side).  Raises if ``u`` lies outside the big cube beyond
-    ``tol`` (relative to the cube's half-edge); callers normally clamp first.
+    :data:`LOCATE_TOL` (relative to the cube's half-edge); callers normally
+    clamp first.
     """
     _check_level(level)
     u = np.asarray(u, dtype=float)
@@ -208,7 +186,7 @@ def locate_cube(u, level: int, tol: float = 1e-9) -> DyadicCubeIndex:
     if u.size > MAX_DIM:
         raise ValueError(f"dimension {u.size} exceeds cap {MAX_DIM}")
     half = 2.0 ** (level - 1)
-    if np.max(np.abs(u)) > half * (1.0 + tol) + tol:
+    if np.max(np.abs(u)) > half * (1.0 + LOCATE_TOL) + LOCATE_TOL:
         raise ValueError(f"point {u.tolist()} lies outside the level-{level} cube of half-edge {half}")
     j = slab_indices(np.clip(u, -half, half), level)
     n_half = 1 << (2 * level - 2)
@@ -241,20 +219,20 @@ def tiling_vertex_count(level: int, dim: int) -> int:
     return ((1 << (2 * level - 1)) + 1) ** dim
 
 
-def tiling_vertices(level: int, dim: int, limit: int = DEFAULT_VERTEX_LIMIT) -> np.ndarray:
+def tiling_vertices(level: int, dim: int) -> np.ndarray:
     """The full vertex grid of the level-n tiling as a (count, dim) array.
 
     This is the uniform grid of spacing ``2**(1-n)`` on the big cube
     ``[-2**(n-1), 2**(n-1)]**dim``.  Raises with the computed cardinality when
-    it would exceed ``limit``.
+    it would exceed :data:`VERTEX_LIMIT`.
     """
     _check_level(level)
     if not (1 <= dim <= MAX_DIM):
         raise ValueError(f"dimension must be in 1..{MAX_DIM}, got {dim}")
     count = tiling_vertex_count(level, dim)
-    if count > limit:
+    if count > VERTEX_LIMIT:
         raise ValueError(
-            f"vertex grid for level={level}, dim={dim} has {count} points, exceeding the limit {limit}"
+            f"vertex grid for level={level}, dim={dim} has {count} points, exceeding the limit {VERTEX_LIMIT}"
         )
     half = 2.0 ** (level - 1)
     s = 2.0 ** (1 - level)

@@ -26,18 +26,19 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import (
-    Hypercube,
-    l1_distance,
-    parse_sign_string,
-    sign_matrix,
-    sign_string,
-    sign_vectors,
-)
+from .geometry import Hypercube, l1_distances, sign_matrix, sign_vectors
 
 # Test-build fault injection: when set, interpolation weights are corrupted
 # (left unnormalized) so that negative-control checks can observe a failure.
 _WEIGHT_FAULT = False
+
+#: How far outside its cube, relative to the edge, a point may lie for
+#: :func:`interpolation_weights`, :func:`interpolate` and
+#: :func:`interpolate_batch`; such points are clipped onto the cube.
+OUTSIDE_TOL = 1e-9
+
+#: Largest midpoint deviation that :func:`check_axis_affinity` passes.
+AFFINITY_TOL = 1e-10
 
 
 @lru_cache(maxsize=64)
@@ -90,29 +91,23 @@ class TabulatedFunction:
 def lip_constant(f: TabulatedFunction, dist=None) -> float:
     """Exact Lipschitz constant of a tabulated function.
 
-    ``dist`` is either a two-argument distance callable (default: l1 on the
-    tabulated points) or a square distance matrix indexed by the integer
-    point labels.  Distinct points at distance zero are rejected.
+    ``dist`` is a square distance matrix indexed by the integer point labels;
+    without it the distances are l1 between the tabulated points.  Distinct
+    points at distance zero are rejected, naming the first such pair.
     """
-    pts, vals = f.points, f.values
+    pts = f.points
     if len(pts) < 2:
         return 0.0
-    if dist is None:
-        metric = l1_distance
-    elif isinstance(dist, np.ndarray):
-        metric = lambda a, b: float(dist[a, b])  # noqa: E731
-    else:
-        metric = dist
-    best = 0.0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = metric(pts[i], pts[j])
-            if d <= 0.0:
-                raise ValueError(f"distinct points {pts[i]!r}, {pts[j]!r} at distance {d}")
-            q = abs(vals[i] - vals[j]) / d
-            if q > best:
-                best = q
-    return best
+    d = l1_distances(pts, pts) if dist is None else np.asarray(dist)[np.ix_(pts, pts)]
+    i, j = np.triu_indices(len(pts), 1)
+    d = d[i, j]
+    zero = np.flatnonzero(d <= 0.0)
+    if zero.size:
+        e = zero[0]
+        raise ValueError(f"distinct points {pts[i[e]]!r}, {pts[j[e]]!r} at distance {d[e]}")
+    vals = np.asarray(f.values)
+    with np.errstate(over="ignore"):  # an overflowing quotient is inf, as in float arithmetic
+        return float(np.max(np.abs(vals[i] - vals[j]) / d))
 
 
 @dataclass(frozen=True)
@@ -174,19 +169,6 @@ class VertexData:
                     best = q
         return best
 
-    def to_json(self) -> dict:
-        order = sign_vectors(self.cube.dim)
-        return {
-            "cube": self.cube.to_json(),
-            "values": {sign_string(d): v for d, v in zip(order, self.values)},
-        }
-
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "VertexData":
-        cube = Hypercube.from_json(obj["cube"])
-        mapping = {parse_sign_string(k): float(v) for k, v in obj["values"].items()}
-        return cls.from_mapping(cube, mapping)
-
 
 def weights_from_offsets(t: np.ndarray) -> np.ndarray:
     """Tensor-product weights from per-axis offsets ``t`` in [0, 1].
@@ -204,31 +186,31 @@ def weights_from_offsets(t: np.ndarray) -> np.ndarray:
     return w
 
 
-def interpolation_weights(cube: Hypercube, x, tol: float = 1e-9) -> np.ndarray:
+def interpolation_weights(cube: Hypercube, x) -> np.ndarray:
     """Barycentric corner weights of ``x`` in ``cube``.
 
     Returns the (2**dim,) weight vector aligned with :func:`sign_vectors`.
-    Raises when ``x`` lies outside the cube beyond ``tol`` (relative to the
-    edge); tiny excursions are clipped so weights stay in the simplex.
+    Raises when ``x`` lies outside the cube beyond :data:`OUTSIDE_TOL`; tiny
+    excursions are clipped so weights stay in the simplex.
     """
     t = cube.barycentric(x)
-    if np.min(t) < -tol or np.max(t) > 1.0 + tol:
+    if np.min(t) < -OUTSIDE_TOL or np.max(t) > 1.0 + OUTSIDE_TOL:
         raise ValueError(f"point {np.asarray(x).tolist()} lies outside cube {cube}")
     t = np.clip(t, 0.0, 1.0)
     return weights_from_offsets(t[None, :])[0]
 
 
-def interpolate(data: VertexData, x, tol: float = 1e-9) -> float:
+def interpolate(data: VertexData, x) -> float:
     """Value at ``x`` of the axis-affine extension of the corner data."""
-    w = interpolation_weights(data.cube, x, tol=tol)
+    w = interpolation_weights(data.cube, x)
     return float(w @ np.asarray(data.values))
 
 
-def interpolate_batch(data: VertexData, xs, tol: float = 1e-9) -> np.ndarray:
+def interpolate_batch(data: VertexData, xs) -> np.ndarray:
     """Vectorized :func:`interpolate` over rows of ``xs``."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     t = (xs - np.asarray(data.cube.center)) / data.cube.edge + 0.5
-    if np.min(t) < -tol or np.max(t) > 1.0 + tol:
+    if np.min(t) < -OUTSIDE_TOL or np.max(t) > 1.0 + OUTSIDE_TOL:
         raise ValueError("some points lie outside the cube")
     w = weights_from_offsets(np.clip(t, 0.0, 1.0))
     return w @ np.asarray(data.values)
@@ -263,11 +245,7 @@ class AffinityReport:
     passed: bool
 
 
-def check_axis_affinity(
-    data: VertexData,
-    segments: Sequence[tuple[np.ndarray, np.ndarray]],
-    tol: float = 1e-10,
-) -> AffinityReport:
+def check_axis_affinity(data: VertexData, segments: Sequence[tuple[np.ndarray, np.ndarray]]) -> AffinityReport:
     """Check midpoint affinity of the interpolant along given segments.
 
     For each segment with endpoints ``a, b`` the deviation
@@ -281,7 +259,7 @@ def check_axis_affinity(
         mid = 0.5 * (a + b)
         dev = abs(interpolate(data, mid) - 0.5 * (interpolate(data, a) + interpolate(data, b)))
         worst = max(worst, dev)
-    return AffinityReport(worst=worst, segments=len(segments), passed=worst <= tol)
+    return AffinityReport(worst=worst, segments=len(segments), passed=worst <= AFFINITY_TOL)
 
 
 def sample_axis_segments(cube: Hypercube, count: int, rng: np.random.Generator):

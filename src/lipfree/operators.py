@@ -45,6 +45,18 @@ from .geometry import (
 )
 from .interpolation import TabulatedFunction, lip_constant, weights_from_offsets
 
+#: Anchors of :func:`random_lattice_function` have coordinates, and take
+#: values, uniform in ``[-LATTICE_SPREAD, LATTICE_SPREAD]``; in sequence mode
+#: their indices lie in ``1 .. LATTICE_INDEX_RANGE``.
+LATTICE_SPREAD = 4.0
+LATTICE_INDEX_RANGE = 6
+
+#: Slack of the convergence bound check in :func:`convergence_checks`.
+BOUND_SLACK = 1e-9
+
+#: Largest deviation that :func:`commuting_check` passes.
+COMMUTE_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class GridLevel:
@@ -186,8 +198,7 @@ def tabulated_lip_function(f: TabulatedFunction) -> LipFunction:
 
 
 def random_lattice_function(rng: np.random.Generator, *, dim: int | None = None,
-                            anchors: int = 8, spread: float = 4.0,
-                            index_range: int = 6) -> LipFunction:
+                            anchors: int = 8) -> LipFunction:
     """A reproducible random Lipschitz function with a known exact bound.
 
     Random anchor points (plus the origin at value zero) get random values;
@@ -199,19 +210,19 @@ def random_lattice_function(rng: np.random.Generator, *, dim: int | None = None,
     while len(pts) < anchors + 1:
         if dim is None:
             size = int(rng.integers(1, 4))
-            idx = rng.choice(np.arange(1, index_range + 1), size=size, replace=False)
+            idx = rng.choice(np.arange(1, LATTICE_INDEX_RANGE + 1), size=size, replace=False)
             p = FiniteSupportPoint.from_pairs(
-                (int(i), float(rng.uniform(-spread, spread))) for i in idx
+                (int(i), float(rng.uniform(-LATTICE_SPREAD, LATTICE_SPREAD))) for i in idx
             )
             key = p.items
         else:
-            p = tuple(float(v) for v in rng.uniform(-spread, spread, size=dim))
+            p = tuple(float(v) for v in rng.uniform(-LATTICE_SPREAD, LATTICE_SPREAD, size=dim))
             key = p
         if key in seen:
             continue
         seen.add(key)
         pts.append(p)
-    vals = [0.0] + [float(rng.uniform(-spread, spread)) for _ in range(anchors)]
+    vals = [0.0] + [float(rng.uniform(-LATTICE_SPREAD, LATTICE_SPREAD)) for _ in range(anchors)]
     table = TabulatedFunction(points=tuple(pts), values=tuple(vals), origin=0)
     lipf = tabulated_lip_function(table)
     lipf.label = "random-lattice"
@@ -307,10 +318,7 @@ class ProjectedLipFunction(LipFunction):
         self.table: dict[tuple[int, ...], float] = {}
         declared = getattr(base, "declared_lip", None)
         label = f"project(n={level.n})[{getattr(base, 'label', '')}]"
-        super().__init__(self._eval_one, declared_lip=declared, label=label)
-
-    def _eval_one(self, x) -> float:
-        return float(project_values(self.base, [x], self.level, cache=self.table)[0])
+        super().__init__(None, declared_lip=declared, label=label)  # evaluated by eval_many only
 
     def eval_many(self, points: Sequence) -> np.ndarray:
         return project_values(self.base, points, self.level, cache=self.table)
@@ -330,8 +338,7 @@ class CommutingReport:
     passed: bool
 
 
-def commuting_check(f, m: int, n: int, samples: Sequence, dim: int | None = None,
-                    tol: float = 1e-10) -> CommutingReport:
+def commuting_check(f, m: int, n: int, samples: Sequence, dim: int | None = None) -> CommutingReport:
     """Compare the composition of two projection levels with the coarser one.
 
     Evaluates both sides at the given sample points; the composition is
@@ -342,7 +349,7 @@ def commuting_check(f, m: int, n: int, samples: Sequence, dim: int | None = None
     direct = lip_projection(f, GridLevel(min(m, n), dim))
     dev = np.abs(composed.eval_many(samples) - direct.eval_many(samples))
     worst = float(np.max(dev)) if len(samples) else 0.0
-    return CommutingReport(m=m, n=n, samples=len(samples), max_dev=worst, passed=worst <= tol)
+    return CommutingReport(m=m, n=n, samples=len(samples), max_dev=worst, passed=worst <= COMMUTE_TOL)
 
 
 @dataclass(frozen=True)
@@ -363,8 +370,7 @@ class ConvergenceCheck:
     ok: bool | None
 
 
-def convergence_checks(f, points: Sequence, n: int, dim: int | None = None,
-                       tol: float = 1e-9) -> list[ConvergenceCheck]:
+def convergence_checks(f, points: Sequence, n: int, dim: int | None = None) -> list[ConvergenceCheck]:
     """:class:`ConvergenceCheck` at each point, from one :func:`project_values`
     call and one ``f.eval_many`` call for the exact values."""
     if f.declared_lip is None:
@@ -388,12 +394,12 @@ def convergence_checks(f, points: Sequence, n: int, dim: int | None = None,
         clamped = bool(np.max(np.abs(lead), initial=0.0) > 2.0 ** (n - 1))
         error = abs(value - exact)
         bound = 2.0 * f.declared_lip * (tail + cells * 2.0 ** (1 - n))
-        ok = None if clamped else bool(error <= bound + tol)
+        ok = None if clamped else bool(error <= bound + BOUND_SLACK)
         out.append(ConvergenceCheck(value=value, exact=exact, error=error, bound=bound,
                                     clamped=clamped, ok=ok))
     return out
 
 
-def convergence_check(f, x, n: int, dim: int | None = None, tol: float = 1e-9) -> ConvergenceCheck:
+def convergence_check(f, x, n: int, dim: int | None = None) -> ConvergenceCheck:
     """:func:`convergence_checks` at one point."""
-    return convergence_checks(f, [x], n, dim, tol)[0]
+    return convergence_checks(f, [x], n, dim)[0]

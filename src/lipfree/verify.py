@@ -468,7 +468,7 @@ def _suite_ext_operator(rng) -> SuiteResult:
     f = extension.space_function(space, values)
     lip_f = interpolation.lip_constant(f, space.dist)
     for subset in extension.farthest_point_chain(space):
-        sf = extension.approximation_operator(f, subset, space=space)
+        sf = extension.approximation_operator(f, extension.build_partition(space, subset))
         for i in subset:
             if sf.value_at(i) != f.value_at(i):
                 return SuiteResult("extension-operator", False, np.inf, "subset values moved")
@@ -495,7 +495,7 @@ def _suite_ext_lip_ratio(rng, cap: float = 10.0) -> SuiteResult:
         subset = sorted(
             {space.origin} | set(map(int, rng.choice(k, size=k // 2, replace=False)))
         )
-        sf = extension.approximation_operator(f, subset, space=space)
+        sf = extension.approximation_operator(f, extension.build_partition(space, subset))
         worst = max(worst, interpolation.lip_constant(sf, space.dist) / lip_f)
     return SuiteResult("extension-lip-ratio", worst <= cap, worst, f"cap {cap}")
 

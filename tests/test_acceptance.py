@@ -329,7 +329,7 @@ def test_criterion_8_extension_harness():
     chain = farthest_point_chain(space)
     worst_slack = -np.inf
     for subset in chain:
-        sf = approximation_operator(f, subset, space=space)
+        sf = approximation_operator(f, build_partition(space, subset))
         for i in subset:
             assert sf.value_at(i) == f.value_at(i)
         err = max(abs(a - b) for a, b in zip(sf.values, f.values))

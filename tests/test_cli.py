@@ -334,6 +334,26 @@ class TestBap:
 
 
 class TestInputErrors:
+    @pytest.mark.parametrize("argv", [
+        ["norm"],
+        ["project", "--n", "2"],
+        ["fdd-table", "--n-max", "2"],
+    ])
+    def test_tol_is_not_a_flag(self, tmp_path, capsys, argv):
+        # the tolerances are fixed: --tol 1 once gave norm 32.11 for 37.10
+        path = write_json(tmp_path / "mol.json", TWO_POINT)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--input", path, "--tol", "1e-9"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("coords", [[1, 2, 3], []])
+    def test_flat_or_empty_embedding_exits_2_naming_file(self, tmp_path, capsys, coords):
+        path = write_json(tmp_path / "space.json", {"embed_l1": coords})
+        code, out, err = run(capsys, ["bap", "--input", path])
+        assert code == 2
+        assert out == "" and "space.json" in err
+
     @pytest.mark.parametrize("argv, obj, key", [
         (["bap"], {"points": [0, 1]}, "dist"),
         (["project", "--n", "2"], {"pts": [[0.5]]}, "points"),

@@ -250,7 +250,7 @@ class TestApproximationOperator:
     def test_full_subset_returns_the_function(self):
         space = line_space(4)
         f = space_function(space, [0.0, 1.0, -1.0, 0.5])
-        sf = approximation_operator(f, range(4), space=space)
+        sf = approximation_operator(f, build_partition(space, range(4)))
         assert sf.values == f.values
 
     def test_fixes_subset_exactly(self):
@@ -260,7 +260,7 @@ class TestApproximationOperator:
         vals[space.origin] = 0.0
         f = space_function(space, vals)
         subset = sorted({space.origin, 1, 3, 8})
-        sf = approximation_operator(f, subset, space=space)
+        sf = approximation_operator(f, build_partition(space, subset))
         for i in subset:
             assert sf.value_at(i) == f.value_at(i)
 
@@ -272,9 +272,9 @@ class TestApproximationOperator:
         f = space_function(space, vals)
         small = sorted({space.origin, 2})
         large = sorted({space.origin, 2, 4, 6})
-        s_large = approximation_operator(f, large, space=space)
-        s_both = approximation_operator(s_large, small, space=space)
-        s_small = approximation_operator(f, small, space=space)
+        s_large = approximation_operator(f, build_partition(space, large))
+        s_both = approximation_operator(s_large, build_partition(space, small))
+        s_small = approximation_operator(f, build_partition(space, small))
         for i in small:
             assert s_both.value_at(i) == s_small.value_at(i) == f.value_at(i)
 
@@ -288,7 +288,7 @@ class TestApproximationOperator:
             max(
                 abs(a - b)
                 for a, b in zip(
-                    approximation_operator(f, subset, space=space).values, f.values
+                    approximation_operator(f, build_partition(space, subset)).values, f.values
                 )
             )
             for subset in farthest_point_chain(space)
@@ -413,3 +413,21 @@ class TestChain:
         assert [r.size for r in rows] == list(range(1, 7))
         assert rows[-1].max_err == 0.0
         assert rows[-1].k_hat == 0.0
+
+    @pytest.mark.parametrize("scheme", extension.SCHEMES)
+    def test_chain_table_builds_each_partition_once(self, monkeypatch, scheme):
+        rng = np.random.default_rng(11)
+        space = random_space(rng, 7)
+        vals = rng.normal(size=7)
+        vals[space.origin] = 0.0
+        f = space_function(space, vals)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return build_partition(*args, **kwargs)
+
+        monkeypatch.setattr(extension, "build_partition", counted)
+        rows = chain_table(space, f, scheme=scheme, p=1.5)
+        assert len(calls) <= len(rows) == 7
+        assert len(calls) == len(set(map(tuple, calls)))

@@ -8,7 +8,6 @@ from lipfree.geometry import (
     Hypercube,
     clamp_to_cube,
     embed_finite,
-    grid_point,
     l1_distance,
     l1_distances,
     locate_cube,
@@ -55,15 +54,15 @@ class TestVertex:
 class TestGridPoint:
     def test_unit_cases(self):
         y0 = np.zeros(1)
-        assert grid_point(y0, DyadicCubeIndex(eps=(1,), h=(0,), k=0)) == pytest.approx([0.5])
+        assert DyadicCubeIndex(eps=(1,), h=(0,), k=0).center(y0) == pytest.approx([0.5])
         # 2**-2 * (-1) + 2**-1 * (-1 * 1) = -0.75, plain arithmetic
-        assert grid_point(y0, DyadicCubeIndex(eps=(-1,), h=(1,), k=1))[0] == -0.75
-        two = grid_point(np.zeros(2), DyadicCubeIndex(eps=(1, -1), h=(0, 0), k=0))
+        assert DyadicCubeIndex(eps=(-1,), h=(1,), k=1).center(y0)[0] == -0.75
+        two = DyadicCubeIndex(eps=(1, -1), h=(0, 0), k=0).center(np.zeros(2))
         assert tuple(two) == (0.5, -0.5)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            grid_point(np.zeros(2), DyadicCubeIndex(eps=(1,), h=(0,), k=0))
+            DyadicCubeIndex(eps=(1,), h=(0,), k=0).center(np.zeros(2))
 
 
 class TestClamp:
@@ -162,7 +161,7 @@ class TestLocateCube:
         idx = locate_cube(u, 2)
         assert idx.eps == (1, -1) and idx.h == (1, 0) and idx.k == 1
         # oracle: scan all 16 cells of that level for containment
-        containing = [c for c in all_cells(2, 2) if c.cube().contains(u, tol=0.0)]
+        containing = [c for c in all_cells(2, 2) if c.cube().contains(u)]
         assert idx in containing
 
     def test_outside_raises(self):
@@ -211,7 +210,7 @@ class TestTilingVertices:
 
     def test_overflow_reports_cardinality(self):
         with pytest.raises(ValueError, match=str(tiling_vertex_count(4, 4))):
-            tiling_vertices(4, 4, limit=1000)
+            tiling_vertices(4, 4)
 
 
 def test_l1_distance_dispatch():
