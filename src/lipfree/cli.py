@@ -26,7 +26,7 @@ import tempfile
 import numpy as np
 
 from . import extension, freespace, operators, verify
-from .geometry import FiniteSupportPoint
+from .geometry import FiniteSupportPoint, check_magnitude
 from .interpolation import TabulatedFunction
 from .lp import SimplexError
 
@@ -107,6 +107,8 @@ def _parse_point(obj, dim):
             raise ValueError(f"expected points of dimension {dim}, got {arr.tolist()}")
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"point {arr.tolist()} has a non-finite coordinate")
+        coords = arr.tolist()
+        check_magnitude(max(coords, key=abs), "coordinate of point {}", coords)
         return arr
     return FiniteSupportPoint.from_dense(obj)
 

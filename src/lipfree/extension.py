@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import l1_distances
+from .geometry import check_magnitude, l1_distances
 from .interpolation import TabulatedFunction, lip_constant
 
 SCHEMES = ("inv-dist", "shepard-p")
@@ -35,9 +35,10 @@ SCHEMES = ("inv-dist", "shepard-p")
 class FinitePointedMetricSpace:
     """A finite metric space with a distinguished origin.
 
-    The distance matrix is validated on construction: finite entries,
-    symmetry, zero diagonal, positivity off the diagonal, and the triangle
-    inequality (the first violating pair or triple is named in the error).
+    The distance matrix is validated on construction: finite entries within
+    :data:`lipfree.geometry.MAX_MAGNITUDE`, symmetry, zero diagonal,
+    positivity off the diagonal, and the triangle inequality (the first
+    violating pair or triple is named in the error).
     """
 
     labels: tuple
@@ -56,6 +57,8 @@ class FinitePointedMetricSpace:
         if not np.all(np.isfinite(d)):
             i, j = (int(v) for v in np.argwhere(~np.isfinite(d))[0])
             raise ValueError(f"distance between points ({i}, {j}) is not finite: {d[i, j]}")
+        i, j = divmod(int(np.argmax(np.abs(d))), k)
+        check_magnitude(d[i, j], "distance between points ({}, {})", i, j)
         scale = max(1.0, float(np.max(d)) if k else 1.0)
         if np.max(np.abs(d - d.T)) > 1e-12 * scale:
             raise ValueError("distance matrix is not symmetric")

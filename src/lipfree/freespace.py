@@ -34,7 +34,7 @@ import numpy as np
 from scipy import optimize
 
 from .extension import FinitePointedMetricSpace
-from .geometry import FiniteSupportPoint, l1_distance, l1_distances
+from .geometry import MAX_LEVEL, FiniteSupportPoint, check_magnitude, l1_distance, l1_distances
 from .lp import SimplexError, solve_box_lp
 from .operators import GridLevel, cell_weights, lattice_coords
 
@@ -65,6 +65,7 @@ def _coefficient(a) -> float:
     a = float(a)
     if not np.isfinite(a):
         raise ValueError(f"coefficient {a} is not finite")
+    check_magnitude(a, "coefficient")
     return a
 
 
@@ -106,6 +107,7 @@ class Molecule:
                 raise ValueError("all points must share one dimension")
             if not all(np.isfinite(pt)):
                 raise ValueError(f"point {pt} has a non-finite coordinate")
+            check_magnitude(max(pt, key=abs, default=0.0), "coordinate of point {}", pt)
             terms.append((pt, _coefficient(a)))
         return cls(kind="l1N", terms=(), dim=dim)._rebuild(terms)
 
@@ -562,8 +564,10 @@ def decomposition_report(mu: Molecule, n_max: int) -> FddReport:
     bound while no clamp is active; and across levels the projections form a
     commuting lattice (finer following coarser equals coarser, termwise to
     :data:`LATTICE_TOL`).  The error trend check asks the final error not to
-    exceed the first.
+    exceed the first.  ``n_max`` must lie in ``1..MAX_LEVEL``.
     """
+    if not (1 <= n_max <= MAX_LEVEL):
+        raise ValueError(f"n_max must be in 1..{MAX_LEVEL}, got {n_max}")
     base = free_norm(mu).value
     rows = []
     projections = {}
@@ -587,7 +591,7 @@ def decomposition_report(mu: Molecule, n_max: int) -> FddReport:
             )
         )
     monotone_ok = all(r.norm_value <= base * (1.0 + FDD_TOL) + FDD_TOL for r in rows)
-    trend_ok = (not rows) or rows[-1].err_value <= rows[0].err_value + FDD_TOL
+    trend_ok = rows[-1].err_value <= rows[0].err_value + FDD_TOL
     lattice_ok = True
     for m in range(1, n_max + 1):
         for n in range(1, n_max + 1):

@@ -31,6 +31,20 @@ VERTEX_LIMIT = 4_000_000
 #: a point outside the big cube.
 LOCATE_TOL = 1e-9
 
+#: Largest magnitude of an input number: a coordinate, a coefficient, a
+#: distance or a tabulated value.  Within it an l1 distance over 16
+#: coordinates (at most 3.2e101), a coordinate scaled by ``2**MAX_LEVEL``,
+#: and sums of products of two such numbers (the norm's pairing ``c.x``, the
+#: squared partition weights) stay far below overflow at 1.8e308.
+MAX_MAGNITUDE = 1e100
+
+
+def check_magnitude(x, what: str, *args) -> None:
+    """Raise a ValueError naming ``what.format(*args)`` and ``x`` when ``|x|``
+    exceeds :data:`MAX_MAGNITUDE`; the message is built only then."""
+    if abs(x) > MAX_MAGNITUDE:
+        raise ValueError(f"{what.format(*args)} is {float(x)!r}, beyond the magnitude bound {MAX_MAGNITUDE:g}")
+
 
 @lru_cache(maxsize=64)
 def sign_vectors(dim: int) -> tuple[tuple[int, ...], ...]:
@@ -247,8 +261,9 @@ class FiniteSupportPoint:
     """A finitely supported real sequence; the computational model of l1.
 
     Stored as sorted ``(index, value)`` pairs with 1-based indices and all
-    zero values dropped, so equal sequences compare and hash equal.  The
-    empty point is the origin.
+    zero values dropped, so equal sequences compare and hash equal.  Values
+    are finite and within :data:`MAX_MAGNITUDE`.  The empty point is the
+    origin.
     """
 
     items: tuple[tuple[int, float], ...] = ()
@@ -260,8 +275,10 @@ class FiniteSupportPoint:
                 raise ValueError(f"indices must be integers >= 1, got {idx!r}")
             if idx <= prev:
                 raise ValueError(f"indices must be strictly increasing, got {idx} after {prev}")
-            if not np.isfinite(val):
-                raise ValueError(f"value at index {idx} is not finite")
+            if not abs(val) <= MAX_MAGNITUDE:  # NaN fails the comparison too
+                if not np.isfinite(val):
+                    raise ValueError(f"value at index {idx} is not finite")
+                check_magnitude(val, "value at index {}", idx)
             if val == 0.0:
                 raise ValueError(f"value at index {idx} is zero; use from_pairs to drop zeros")
             prev = idx

@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import Hypercube, l1_distances, sign_matrix, sign_vectors
+from .geometry import Hypercube, check_magnitude, l1_distances, sign_matrix, sign_vectors
 
 # Test-build fault injection: when set, interpolation weights are corrupted
 # (left unnormalized) so that negative-control checks can observe a failure.
@@ -53,7 +53,7 @@ class TabulatedFunction:
     ``points`` may be coordinate tuples, finitely supported sequences, or
     integer labels into a metric space; ``points[origin]`` is the
     distinguished base point and its value must be exactly zero.  Values
-    must be finite.
+    must be finite and within :data:`lipfree.geometry.MAX_MAGNITUDE`.
     """
 
     points: tuple
@@ -75,6 +75,7 @@ class TabulatedFunction:
         for pos, v in enumerate(values):
             if not math.isfinite(v):
                 raise ValueError(f"value {v} at point {pos} is not finite")
+            check_magnitude(v, "value at point {}", pos)
         object.__setattr__(self, "values", values)
 
     def value_at(self, point) -> float:

@@ -6,6 +6,7 @@ import resource
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +227,22 @@ class TestFddTable:
             # input point spreads over at most one cell's corners
             assert size <= ((2 ** (2 * n - 1)) + 1) ** 2
             assert size <= 2 * 2**2
+
+    @pytest.mark.parametrize("n_max", [0, 21])
+    def test_n_max_outside_levels_exits_2_before_any_norm(self, tmp_path, capsys, monkeypatch, n_max):
+        calls = []
+
+        def counted(mu):
+            calls.append(mu)
+            return free_norm(mu)
+
+        free_norm = lipfree.freespace.free_norm
+        monkeypatch.setattr(lipfree.freespace, "free_norm", counted)
+        mol = write_json(tmp_path / "mol.json", TWO_POINT)
+        code, out, err = run(capsys, ["fdd-table", "--input", mol, "--n-max", str(n_max)])
+        assert code == 2
+        assert out == "" and f"n_max must be in 1..20, got {n_max}" in err
+        assert calls == []
 
     def test_json_format_carries_checks(self, tmp_path, capsys):
         mol = write_json(tmp_path / "mol.json", TWO_POINT)
@@ -453,6 +470,54 @@ class TestNonFinite:
                 code, out, err = run(capsys, ["norm", "--input", path, "--format", fmt])
                 assert code == 2
                 assert out == "" and "error" in err
+
+
+class TestMagnitudeBound:
+    """Inputs beyond the magnitude bound exit 2 naming the file and the value."""
+
+    def check(self, capsys, argv, name, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == "" and name in err and value in err and "magnitude bound" in err
+
+    def test_sequence_point_value(self, tmp_path, capsys):
+        pts = write_json(tmp_path / "in.json", [{"coords": {"2": 1e101}}])
+        self.check(capsys, ["project", "--input", pts, "--n", "2"], "in.json", "1e+101")
+
+    def test_coordinate_point(self, tmp_path, capsys):
+        pts = write_json(tmp_path / "in.json", [[0.5, -1e101]])
+        self.check(capsys, ["project", "--input", pts, "--n", "2", "--dim", "2"], "in.json", "-1e+101")
+
+    def test_molecule_coordinate(self, tmp_path, capsys):
+        mol = {"space": "l1N", "dim": 1,
+               "terms": [{"point": [1e308], "coeff": 1.0}, {"point": [-1e308], "coeff": -1.0}]}
+        path = write_json(tmp_path / "mol.json", mol)
+        self.check(capsys, ["norm", "--input", path], "mol.json", "1e+308")
+
+    def test_molecule_coefficient(self, tmp_path, capsys):
+        mol = {"space": "l1N", "dim": 1, "terms": [{"point": [1.0], "coeff": 1e101}]}
+        path = write_json(tmp_path / "mol.json", mol)
+        self.check(capsys, ["norm", "--input", path], "mol.json", "1e+101")
+
+    def test_metric_space_distance(self, tmp_path, capsys):
+        space = write_json(tmp_path / "space.json", {"points": [0, 1], "dist": [[0, 1e101], [1e101, 0]]})
+        self.check(capsys, ["bap", "--input", space], "space.json", "1e+101")
+
+    def test_tabulated_value(self, tmp_path, capsys):
+        fn = write_json(tmp_path / "fn.json", {"points": [[0, 0], [1, 0], [0, 1]], "values": [0, 1e101, 1]})
+        pts = write_json(tmp_path / "pts.json", [[0.5, 0.5]])
+        argv = ["project", "--input", pts, "--function-file", fn, "--n", "2", "--dim", "2"]
+        self.check(capsys, argv, "fn.json", "1e+101")
+
+    def test_no_runtime_warning_reaches_stderr(self, tmp_path):
+        mol = {"space": "l1", "terms": [{"point": {"coords": {"1": 1e308}}, "coeff": 1.0},
+                                        {"point": {"coords": {"1": -1e308}}, "coeff": -1.0}]}
+        proc, _ = run_module(["norm", "--input", write_json(tmp_path / "mol.json", mol)])
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and "mol.json" in proc.stderr
+        assert "Warning" not in proc.stderr
 
 
 class TestModuleEntry:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lipfree.geometry import Hypercube, sign_vectors
+from lipfree.geometry import FiniteSupportPoint, Hypercube, l1_distance, sign_vectors
 from lipfree.interpolation import (
     TabulatedFunction,
     VertexData,
@@ -148,6 +148,47 @@ class TestLipConstant:
     def test_non_finite_values_rejected(self, bad):
         with pytest.raises(ValueError, match="value .* at point 1 is not finite"):
             TabulatedFunction(points=((0.0,), (1.0,), (2.0,)), values=(0.0, bad, 1.0))
+
+
+def looped_lip_constant(f, metric):
+    """The oracle: one distance quotient per pair, in pair order."""
+    best = 0.0
+    for i in range(len(f.points)):
+        for j in range(i + 1, len(f.points)):
+            d = metric(f.points[i], f.points[j])
+            if d <= 0.0:
+                raise ValueError(f"distinct points {f.points[i]!r}, {f.points[j]!r} at distance {d}")
+            best = max(best, abs(f.values[i] - f.values[j]) / d)
+    return best
+
+
+class TestLipConstantOracle:
+    """The vectorised constant equals the pair loop bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_coordinate_sparse_and_matrix_tables(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        k = int(rng.integers(2, 30))
+        coords = [tuple(v) for v in rng.uniform(-3, 3, size=(k, int(rng.integers(1, 17))))]
+        sparse = [FiniteSupportPoint.from_pairs((int(i), float(rng.normal())) for i in
+                                                rng.choice(40, size=3, replace=False) + 1) for _ in range(k)]
+        vals = (0.0,) + tuple(float(v) for v in rng.normal(size=k - 1) * 10.0 ** rng.integers(-3, 4))
+        for pts in (coords, sparse):
+            f = TabulatedFunction(points=tuple(pts), values=vals, origin=0)
+            assert lip_constant(f) == looped_lip_constant(f, l1_distance)
+        dist = np.abs(rng.normal(size=(k + 5, k + 5))) + 1.0
+        labels = tuple(sorted(int(v) for v in rng.choice(k + 5, size=k, replace=False)))
+        f = TabulatedFunction(points=labels, values=vals, origin=0)
+        assert lip_constant(f, dist) == looped_lip_constant(f, lambda a, b: float(dist[a, b]))
+
+    def test_first_zero_pair_is_named(self):
+        dist = np.ones((4, 4))
+        dist[1, 3] = dist[0, 2] = 0.0
+        f = TabulatedFunction(points=(0, 1, 2, 3), values=(0.0, 1.0, 2.0, 3.0))
+        with pytest.raises(ValueError, match="distinct points 0, 2 at distance 0.0"):
+            lip_constant(f, dist)
+        with pytest.raises(ValueError, match="distinct points 0, 2 at distance 0.0"):
+            looped_lip_constant(f, lambda a, b: float(dist[a, b]))
 
 
 class TestAffinity:
