@@ -68,6 +68,8 @@ from .lp import LpResult, SimplexError, solve_box_lp
 from .operators import (
     CommutingReport,
     ConvergenceCheck,
+    ConvergenceChecks,
+    CornerTable,
     GridLevel,
     LipFunction,
     ProjectedLipFunction,

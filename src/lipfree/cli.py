@@ -132,11 +132,11 @@ def _resolve_function(args) -> operators.LipFunction:
     if args.function_file:
         def build(obj):
             parsed = (_parse_point(p, args.dim) for p in obj["points"])
-            pts = tuple(p if args.dim is None else tuple(p) for p in parsed)
-            return TabulatedFunction(points=pts, values=tuple(obj["values"]),
-                                     origin=int(obj.get("origin", 0)))
+            pts = tuple(p if args.dim is None else tuple(p.tolist()) for p in parsed)
+            return operators.tabulated_lip_function(TabulatedFunction(
+                points=pts, values=tuple(obj["values"]), origin=int(obj.get("origin", 0))))
 
-        return operators.tabulated_lip_function(_load(args.function_file, build))
+        return _load(args.function_file, build)
     name = args.function
     if name == "identity-coordinate":
         return operators.coordinate_function(1)
@@ -164,20 +164,13 @@ def _cmd_project(args):
     points = _load_points(args.input, args.dim)
     f = _resolve_function(args)
     checks = operators.convergence_checks(f, points, args.n, dim=args.dim)
-    rows = [
-        {
-            "point": _encode_point(p),
-            "value": chk.value,
-            "exact": chk.exact,
-            "error": chk.error,
-            "bound": chk.bound,
-        }
-        for p, chk in zip(points, checks)
-    ]
+    names = ("value", "exact", "error", "bound")
+    columns = [getattr(checks, name).tolist() for name in names]
+    rows = [{"point": _encode_point(p), **dict(zip(names, r))} for p, *r in zip(points, *columns)]
     payload = {"function": f.label, "n": args.n, "rows": rows}
     table = {
-        "columns": ["point", "value", "exact", "error", "bound"],
-        "rows": [[json.dumps(r["point"]), r["value"], r["exact"], r["error"], r["bound"]] for r in rows],
+        "columns": ["point", *names],
+        "rows": [[json.dumps(r["point"]), *c] for r, *c in zip(rows, *columns)],
     }
     return payload, table, 0
 

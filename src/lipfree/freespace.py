@@ -34,7 +34,7 @@ import numpy as np
 from scipy import optimize
 
 from .extension import FinitePointedMetricSpace
-from .geometry import MAX_LEVEL, FiniteSupportPoint, check_magnitude, l1_distance, l1_distances
+from .geometry import MAX_LEVEL, FiniteSupportPoint, check_magnitude, embed_rows, l1_distance, l1_distances
 from .lp import SimplexError, solve_box_lp
 from .operators import GridLevel, cell_weights, lattice_coords
 
@@ -494,7 +494,7 @@ def molecule_projection(mu: Molecule, n: int) -> Molecule:
     mass = np.asarray(mu.coefficients)[rows] * weights
     coords = lattice_coords(keys, n)
     if mu.kind == "l1":
-        points = [FiniteSupportPoint.from_dense(c) for c in coords]
+        points = embed_rows(coords)
     else:
         points = [tuple(c) for c in coords.tolist()]
     return mu._rebuild(list(zip(points, mass.tolist())))

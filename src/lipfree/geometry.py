@@ -345,6 +345,17 @@ def embed_finite(values) -> FiniteSupportPoint:
     return FiniteSupportPoint.from_dense(values)
 
 
+def embed_rows(coords) -> list[FiniteSupportPoint]:
+    """:func:`embed_finite` of each row of a 2-d array, from one scan for the
+    nonzero entries."""
+    coords = np.asarray(coords, dtype=float)
+    rows, cols = np.nonzero(coords)
+    items = [[] for _ in range(len(coords))]
+    for r, i, v in zip(rows.tolist(), (cols + 1).tolist(), coords[rows, cols].tolist()):
+        items[r].append((i, v))
+    return [FiniteSupportPoint(items=tuple(pairs)) for pairs in items]
+
+
 def l1_distance(p, q) -> float:
     """l1 distance between two points given sparsely or densely."""
     if isinstance(p, FiniteSupportPoint) or isinstance(q, FiniteSupportPoint):
@@ -366,7 +377,7 @@ def l1_distance(p, q) -> float:
 
 #: Element budget of one block of :func:`l1_distances`: a block of rows of
 #: ``a`` against a block of rows of ``b`` holds at most this many coordinate
-#: differences (or, for sparse points, this many pair accumulators).
+#: differences (or, for sparse points, this many running-sum terms).
 _L1_BLOCK_ELEMENTS = 1 << 16
 
 
@@ -379,9 +390,9 @@ def l1_distances(a, b) -> np.ndarray:
     ``|a_i - b_j|`` along the last axis exactly as ``np.sum`` does on one
     pair.  Sparse points keep the scalar order: one running sum over the
     support of ``a[i]`` and one over the rest of ``b[j]``'s, each in index
-    order, added at the end; columns are the indices that occur, so a large
-    index costs one column.  Work runs in blocks of at most
-    :data:`_L1_BLOCK_ELEMENTS` elements.
+    order, added at the end; the work per pair follows the two supports, so
+    a large index costs no more than a small one.  Work runs in blocks of at
+    most :data:`_L1_BLOCK_ELEMENTS` elements.
     """
     a, b = list(a), list(b)
     out = np.zeros((len(a), len(b)))
@@ -390,7 +401,7 @@ def l1_distances(a, b) -> np.ndarray:
     if any(issubclass(t, FiniteSupportPoint) for t in set(map(type, a + b))):
         a = [p if isinstance(p, FiniteSupportPoint) else embed_finite(p) for p in a]
         b = [q if isinstance(q, FiniteSupportPoint) else embed_finite(q) for q in b]
-        width, block = 1, _sparse_l1_block
+        width, block = 2 * max(1, *(len(p.items) for p in a + b)), _sparse_l1_block
     else:
         a, b = _coordinate_rows(a), _coordinate_rows(b)
         if a.shape[1] != b.shape[1]:
@@ -419,25 +430,39 @@ def _dense_l1_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _sparse_l1_block(ps, qs) -> np.ndarray:
-    """:func:`l1_distance` over sparse pairs, one column (index) at a time."""
-    by_index: dict[int, tuple[list, list, list, list]] = {}
-    for side, pts in ((0, ps), (2, qs)):
-        for r, p in enumerate(pts):
-            for idx, v in p.items:
-                entry = by_index.setdefault(idx, ([], [], [], []))
-                entry[side].append(r)
-                entry[side + 1].append(v)
-    first = np.zeros((len(ps), len(qs)))  # over the support of ps[i]
-    rest = np.zeros((len(ps), len(qs)))  # over the rest of the support of qs[j]
-    in_p = np.zeros(len(ps), dtype=bool)
-    for idx in sorted(by_index):
-        p_rows, p_vals, q_rows, q_vals = by_index[idx]
-        y = np.zeros(len(qs))
-        y[q_rows] = q_vals
-        if p_rows:
-            first[p_rows] += np.abs(np.array(p_vals)[:, None] - y[None, :])
-        if q_rows:
-            in_p[p_rows] = True
-            rest[:, q_rows] += np.where(in_p[:, None], 0.0, np.abs(q_vals))
-            in_p[p_rows] = False
-    return first + rest
+    """:func:`l1_distance` over sparse pairs, from their support entries.
+
+    ``terms[e, i, j]`` holds two running-sum terms: ``a[i]``'s ``e``-th
+    support entry against ``b[j]`` there, and ``b[j]``'s ``e``-th entry when
+    ``a[i]`` lacks its index; both are 0 past a support's end.  Entries that
+    share an index are matched through one sort of ``b``'s entries by index
+    rank, so the work follows the supports.  The sums over ``e`` add in
+    index order, as the scalar does: NumPy adds in plain order along an axis
+    that is not the fast one in memory, and the last axis, of length 2,
+    keeps it so even for a single pair.
+    """
+    index = sorted({i for p in (*ps, *qs) for i, _ in p.items})
+    rank = {i: r for r, i in enumerate(index)}
+
+    def entries(pts):
+        """Index rank, row, position in the support and value of every entry."""
+        lens = [len(p.items) for p in pts]
+        rows = np.repeat(np.arange(len(pts)), lens)
+        return (np.array([rank[i] for p in pts for i, _ in p.items], dtype=np.intp), rows,
+                np.arange(len(rows)) - np.repeat(np.cumsum(lens) - lens, lens),
+                np.array([v for p in pts for _, v in p.items], dtype=float))
+
+    (ar, ai, ap, av), (br, bj, bq, bv) = entries(ps), entries(qs)
+    terms = np.zeros((max(1, *(len(p.items) for p in (*ps, *qs))), len(ps), len(qs), 2))
+    terms[ap, ai, :, 0] = np.abs(av)[:, None]
+    terms[bq, :, bj, 1] = np.abs(bv)[:, None]
+    # Pair each entry e of a with every entry f of b of the same index rank.
+    per_rank = np.bincount(br, minlength=len(index))
+    count = per_rank[ar]
+    e = np.repeat(np.arange(len(ar)), count)
+    f = np.argsort(br)[np.repeat((np.cumsum(per_rank) - per_rank)[ar], count)
+                       + np.arange(len(e)) - np.repeat(np.cumsum(count) - count, count)]
+    terms[ap[e], ai[e], bj[f], 0] = np.abs(av[e] - bv[f])
+    terms[bq[f], ai[e], bj[f], 1] = 0.0
+    total = np.add.reduce(terms, axis=0)
+    return total[:, :, 0] + total[:, :, 1]

@@ -94,7 +94,8 @@ def lip_constant(f: TabulatedFunction, dist=None) -> float:
 
     ``dist`` is a square distance matrix indexed by the integer point labels;
     without it the distances are l1 between the tabulated points.  Distinct
-    points at distance zero are rejected, naming the first such pair.
+    points at distance zero, and a difference quotient that overflows, are
+    rejected, naming the first such pair.
     """
     pts = f.points
     if len(pts) < 2:
@@ -107,8 +108,14 @@ def lip_constant(f: TabulatedFunction, dist=None) -> float:
         e = zero[0]
         raise ValueError(f"distinct points {pts[i[e]]!r}, {pts[j[e]]!r} at distance {d[e]}")
     vals = np.asarray(f.values)
-    with np.errstate(over="ignore"):  # an overflowing quotient is inf, as in float arithmetic
-        return float(np.max(np.abs(vals[i] - vals[j]) / d))
+    with np.errstate(over="ignore"):  # checked below
+        quotients = np.abs(vals[i] - vals[j]) / d
+    overflow = np.flatnonzero(~np.isfinite(quotients))
+    if overflow.size:
+        e = overflow[0]
+        raise ValueError(f"the difference quotient of points {pts[i[e]]!r}, {pts[j[e]]!r} "
+                         f"(values {float(vals[i[e]])!r}, {float(vals[j[e]])!r} at distance {float(d[e])!r}) is not finite")
+    return float(np.max(quotients))
 
 
 @dataclass(frozen=True)

@@ -12,24 +12,23 @@ the function's values at the cell corners with the tensor-product weights of
   only controls the grid, not the dimension.
 
 :func:`cell_weights` is the one corner expansion, shared with the molecule
-projection of :mod:`lipfree.freespace`.  It yields sparse ``(row, key,
-weight)`` triplets: a corner is named by its int64 lattice index ``key``
-(coordinates ``key * 2**(1-n) - 2**(n-1)``), and only corners of nonzero
-weight appear.  A point with ``s`` nonzero leading coordinates lies on a grid
-hyperplane along every other axis, so it reaches at most ``2**s`` corners.
+projection of :mod:`lipfree.freespace`: sparse ``(row, key, weight)``
+triplets, a corner named by its int64 lattice index ``key``.  A point with
+``s`` nonzero leading coordinates reaches at most ``2**s`` corners.
 
 The projected function depends on the original only through its values on the
 level-n vertex grid, is linear in the function, does not increase Lipschitz
 constants, and the projections at different levels commute, with the coarser
 level winning.  :class:`ProjectedLipFunction` materializes a projection as a
-first-class function backed by a lazily filled corner-value table keyed by
-lattice-index tuples, so projections can be composed and paired exactly.
+first-class function backed by a lazily filled :class:`CornerTable` (sorted
+int64 lattice-key rows plus values), so projections can be composed and
+paired exactly.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -40,7 +39,7 @@ from .geometry import (
     FiniteSupportPoint,
     cell_low_corners,
     clamp_to_cube,
-    embed_finite,
+    embed_rows,
     l1_distances,
 )
 from .interpolation import TabulatedFunction, lip_constant, weights_from_offsets
@@ -115,45 +114,31 @@ def lip_function(evaluator: Callable, declared_lip: float | None = None, *, dim:
     return LipFunction(evaluator, declared_lip, label)
 
 
-def _as_coords(x) -> np.ndarray:
-    if isinstance(x, FiniteSupportPoint):
-        raise TypeError("expected a coordinate vector, got a sparse sequence point")
-    return np.asarray(x, dtype=float)
+def _unit_lip(label: str, on_sparse: Callable, on_coords: Callable) -> LipFunction:
+    """A 1-Lipschitz builtin: ``on_sparse`` evaluates finitely supported
+    sequences, ``on_coords`` coordinate vectors."""
+    def ev(x):
+        return on_sparse(x) if isinstance(x, FiniteSupportPoint) else on_coords(np.asarray(x, dtype=float))
+
+    return LipFunction(ev, declared_lip=1.0, label=label)
 
 
 def coordinate_function(index: int = 1) -> LipFunction:
     """f(x) = x_index; 1-Lipschitz on l1."""
     if index < 1:
         raise ValueError("coordinate indices start at 1")
-
-    def ev(x):
-        if isinstance(x, FiniteSupportPoint):
-            return x.coord(index)
-        return float(_as_coords(x)[index - 1])
-
-    return LipFunction(ev, declared_lip=1.0, label=f"coordinate-{index}")
+    return _unit_lip(f"coordinate-{index}", lambda x: x.coord(index), lambda u: float(u[index - 1]))
 
 
 def l1_norm_function() -> LipFunction:
     """f(x) = sum_i |x_i|; 1-Lipschitz, the canonical norm test function."""
-
-    def ev(x):
-        if isinstance(x, FiniteSupportPoint):
-            return x.norm1()
-        return float(np.sum(np.abs(_as_coords(x))))
-
-    return LipFunction(ev, declared_lip=1.0, label="l1-norm")
+    return _unit_lip("l1-norm", FiniteSupportPoint.norm1, lambda u: float(np.sum(np.abs(u))))
 
 
 def max_coordinate_function() -> LipFunction:
     """f(x) = max(0, max_i x_i); 1-Lipschitz, kinked off the grid."""
-
-    def ev(x):
-        if isinstance(x, FiniteSupportPoint):
-            return max(0.0, max((v for _, v in x.items), default=0.0))
-        return max(0.0, float(np.max(_as_coords(x))))
-
-    return LipFunction(ev, declared_lip=1.0, label="max-coordinate")
+    return _unit_lip("max-coordinate", lambda x: max(0.0, max((v for _, v in x.items), default=0.0)),
+                     lambda u: max(0.0, float(np.max(u))))
 
 
 def mcshane_extension(points: Sequence, values: Sequence[float], lip: float) -> Callable:
@@ -206,40 +191,30 @@ def random_lattice_function(rng: np.random.Generator, *, dim: int | None = None,
     function is its tight Lipschitz extension.
     """
     pts: list = [FiniteSupportPoint.zero() if dim is None else tuple(np.zeros(dim))]
-    seen = {pts[0] if dim is not None else pts[0].items}
     while len(pts) < anchors + 1:
         if dim is None:
-            size = int(rng.integers(1, 4))
-            idx = rng.choice(np.arange(1, LATTICE_INDEX_RANGE + 1), size=size, replace=False)
-            p = FiniteSupportPoint.from_pairs(
-                (int(i), float(rng.uniform(-LATTICE_SPREAD, LATTICE_SPREAD))) for i in idx
-            )
-            key = p.items
+            idx = rng.choice(np.arange(1, LATTICE_INDEX_RANGE + 1), size=int(rng.integers(1, 4)), replace=False)
+            p = FiniteSupportPoint.from_pairs((int(i), float(rng.uniform(-LATTICE_SPREAD, LATTICE_SPREAD)))
+                                              for i in idx)
         else:
             p = tuple(float(v) for v in rng.uniform(-LATTICE_SPREAD, LATTICE_SPREAD, size=dim))
-            key = p
-        if key in seen:
-            continue
-        seen.add(key)
-        pts.append(p)
+        if p not in pts:
+            pts.append(p)
     vals = [0.0] + [float(rng.uniform(-LATTICE_SPREAD, LATTICE_SPREAD)) for _ in range(anchors)]
-    table = TabulatedFunction(points=tuple(pts), values=tuple(vals), origin=0)
-    lipf = tabulated_lip_function(table)
+    lipf = tabulated_lip_function(TabulatedFunction(points=tuple(pts), values=tuple(vals), origin=0))
     lipf.label = "random-lattice"
     return lipf
 
 
 def _stack_points(points: Sequence, level: GridLevel) -> np.ndarray:
-    n, dim = level.n, level.dim
-    if dim is None:
-        return np.array([p.leading(n) for p in points], dtype=float).reshape(len(points), n)
-    rows = []
-    for p in points:
-        u = _as_coords(p)
-        if u.shape != (dim,):
-            raise ValueError(f"expected points of dimension {dim}, got shape {u.shape}")
-        rows.append(u)
-    return np.array(rows, dtype=float).reshape(len(points), dim)
+    d, sparse = level.cell_dim, level.dim is None
+    if any(isinstance(p, FiniteSupportPoint) != sparse for p in points):
+        raise TypeError("sequence mode expects finitely supported points, coordinate mode vectors")
+    rows = [p.leading(d) if sparse else np.asarray(p, dtype=float) for p in points]
+    for u in rows:
+        if u.shape != (d,):
+            raise ValueError(f"expected points of dimension {d}, got shape {u.shape}")
+    return np.array(rows, dtype=float).reshape(len(points), d)
 
 
 def lattice_coords(keys, n: int) -> np.ndarray:
@@ -281,41 +256,56 @@ def cell_weights(points: Sequence, level: GridLevel):
     return rows, keys, weights
 
 
-def project_values(f, points: Sequence, level: GridLevel, cache: dict | None = None) -> np.ndarray:
+class CornerTable:
+    """Values of a function at lattice corners: distinct int64 key rows in
+    lexicographic order, and the value at each."""
+
+    def __init__(self, dim: int):
+        self.keys, self.values = np.zeros((0, dim), dtype=np.int64), np.zeros(0)
+
+
+def project_values(f, points: Sequence, level: GridLevel, cache: CornerTable | None = None) -> np.ndarray:
     """Projected values of ``f`` at a batch of points.
 
-    Each distinct weighted corner is passed to ``f.eval_many`` once, in one
-    batch; ``cache`` maps lattice-index tuples to corner values and spares
-    the corners it already holds.
+    One stable sort of the packed key rows, ``cache``'s followed by the
+    batch's, gives the distinct weighted corners in key order, each led by
+    its cached row when it has one.  The others are passed to ``f.eval_many``
+    once, in one batch, and ``cache`` becomes the merged table.
     """
     if not len(points):
         return np.zeros(0)
     rows, keys, weights = cell_weights(points, level)
-    corners, inverse = np.unique(keys, axis=0, return_inverse=True)
-    table = {} if cache is None else cache
-    corner_keys = [tuple(k) for k in corners.tolist()]
-    new = [i for i, k in enumerate(corner_keys) if k not in table]
-    if new:
-        coords = lattice_coords(corners[new], level.n)
-        pts = [embed_finite(c) for c in coords] if level.dim is None else list(coords)
-        table.update(zip((corner_keys[i] for i in new), map(float, f.eval_many(pts))))
-    values = np.array([table[k] for k in corner_keys])
-    return np.bincount(rows, weights=weights * values[inverse.reshape(-1)], minlength=len(points))
+    table = CornerTable(level.cell_dim) if cache is None else cache
+    known, merged = len(table.values), np.concatenate([table.keys, keys])
+    # One void scalar per big-endian key row: as keys are nonnegative, byte
+    # order is the rows' lexicographic order.
+    packed = merged.astype(">i8").view(np.dtype((np.void, 8 * merged.shape[1]))).reshape(-1)
+    order = np.argsort(packed, kind="stable")
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = packed[order[1:]] != packed[order[:-1]]
+    lead = order[first]  # the first row of each distinct corner
+    values = np.concatenate([table.values, np.zeros(len(keys))])[lead]
+    new = lead >= known
+    if new.any():
+        coords = lattice_coords(merged[lead[new]], level.n)
+        values[new] = f.eval_many(embed_rows(coords) if level.dim is None else coords)
+    table.keys, table.values = merged[lead], values
+    corner_of = np.empty(len(order), dtype=np.intp)
+    corner_of[order] = np.cumsum(first) - 1
+    return np.bincount(rows, weights=weights * values[corner_of[known:]], minlength=len(points))
 
 
 class ProjectedLipFunction(LipFunction):
     """A materialized projection: finite corner-value table plus the pipeline.
 
-    The table fills lazily (only weighted corners of visited cells are ever
-    computed) and is keyed by integer lattice-index tuples, so composing
-    projections and forming pairings is exact and cheap.  Not safe for
-    concurrent use while the table is still being filled.
+    The :class:`CornerTable` fills lazily (only weighted corners of visited
+    cells are ever computed), so composing projections and forming pairings
+    is exact and cheap.  Not safe for concurrent use while the table is
+    still being filled.
     """
 
     def __init__(self, base, level: GridLevel):
-        self.base = base
-        self.level = level
-        self.table: dict[tuple[int, ...], float] = {}
+        self.base, self.level, self.table = base, level, CornerTable(level.cell_dim)
         declared = getattr(base, "declared_lip", None)
         label = f"project(n={level.n})[{getattr(base, 'label', '')}]"
         super().__init__(None, declared_lip=declared, label=label)  # evaluated by eval_many only
@@ -344,11 +334,9 @@ def commuting_check(f, m: int, n: int, samples: Sequence, dim: int | None = None
     Evaluates both sides at the given sample points; the composition is
     materialized, so this also exercises projections of projections.
     """
-    inner = lip_projection(f, GridLevel(n, dim))
-    composed = lip_projection(inner, GridLevel(m, dim))
+    composed = lip_projection(lip_projection(f, GridLevel(n, dim)), GridLevel(m, dim))
     direct = lip_projection(f, GridLevel(min(m, n), dim))
-    dev = np.abs(composed.eval_many(samples) - direct.eval_many(samples))
-    worst = float(np.max(dev)) if len(samples) else 0.0
+    worst = float(np.max(np.abs(composed.eval_many(samples) - direct.eval_many(samples)), initial=0.0))
     return CommutingReport(m=m, n=n, samples=len(samples), max_dev=worst, passed=worst <= COMMUTE_TOL)
 
 
@@ -370,34 +358,46 @@ class ConvergenceCheck:
     ok: bool | None
 
 
-def convergence_checks(f, points: Sequence, n: int, dim: int | None = None) -> list[ConvergenceCheck]:
-    """:class:`ConvergenceCheck` at each point, from one :func:`project_values`
-    call and one ``f.eval_many`` call for the exact values."""
+@dataclass(frozen=True, eq=False)
+class ConvergenceChecks(Sequence):
+    """:class:`ConvergenceCheck` columns over a batch; item ``i`` is the
+    one-point view.  ``ok`` is the bound test at every point, read as None
+    by the view where ``clamped``."""
+
+    value: np.ndarray
+    exact: np.ndarray
+    error: np.ndarray
+    bound: np.ndarray
+    clamped: np.ndarray
+    ok: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.value)
+
+    def __getitem__(self, i) -> ConvergenceCheck:
+        value, exact, error, bound, clamped, ok = (column[i].item() for column in vars(self).values())
+        return ConvergenceCheck(value, exact, error, bound, clamped, None if clamped else ok)
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
+
+
+def convergence_checks(f, points: Sequence, n: int, dim: int | None = None) -> ConvergenceChecks:
+    """:class:`ConvergenceCheck` columns at a batch of points, from one
+    :func:`project_values` call and one ``f.eval_many`` call for the exact
+    values."""
     if f.declared_lip is None:
         raise ValueError("convergence estimates need a declared Lipschitz bound")
-    level = GridLevel(n, dim)
-    points = list(points)
-    if dim is None:
-        if not all(isinstance(x, FiniteSupportPoint) for x in points):
-            raise TypeError("sequence mode expects finitely supported points")
-        leads = [x.leading(n) for x in points]
-        tails = [x.tail(n) for x in points]
-        cells = n
-    else:
-        leads = [_as_coords(x) for x in points]
-        tails = [0.0] * len(points)
-        cells = dim
-    values = project_values(f, points, level)
-    exacts = f.eval_many(points)
-    out = []
-    for lead, tail, value, exact in zip(leads, tails, values.tolist(), np.asarray(exacts).tolist()):
-        clamped = bool(np.max(np.abs(lead), initial=0.0) > 2.0 ** (n - 1))
-        error = abs(value - exact)
-        bound = 2.0 * f.declared_lip * (tail + cells * 2.0 ** (1 - n))
-        ok = None if clamped else bool(error <= bound + BOUND_SLACK)
-        out.append(ConvergenceCheck(value=value, exact=exact, error=error, bound=bound,
-                                    clamped=clamped, ok=ok))
-    return out
+    level, points = GridLevel(n, dim), list(points)
+    leads = _stack_points(points, level)  # raises TypeError on a point of the other mode
+    tails = np.array([x.tail(n) for x in points]) if dim is None else np.zeros(len(points))
+    value = project_values(f, points, level)
+    exact = np.asarray(f.eval_many(points), dtype=float)
+    error = np.abs(value - exact)
+    bound = 2.0 * f.declared_lip * (tails + level.cell_dim * 2.0 ** (1 - n))
+    return ConvergenceChecks(value=value, exact=exact, error=error, bound=bound,
+                             clamped=np.abs(leads).max(axis=1, initial=0.0) > 2.0 ** (n - 1),
+                             ok=error <= bound + BOUND_SLACK)
 
 
 def convergence_check(f, x, n: int, dim: int | None = None) -> ConvergenceCheck:

@@ -1,0 +1,70 @@
+"""Oracles for the sorted corner table and the padded sparse l1 kernel.
+
+These are the straightforward forms that :func:`lipfree.operators.project_values`
+and :func:`lipfree.geometry._sparse_l1_block` replaced, kept so the vectorised
+code can be checked against them bit for bit:
+
+* :func:`dict_project_values` finds the distinct corners with
+  ``np.unique(axis=0)`` and caches corner values in a dict keyed by
+  lattice-index tuples;
+* :func:`loop_sparse_l1_block` advances the two running sums of every pair
+  one occurring index at a time.
+"""
+
+import numpy as np
+
+from lipfree.geometry import embed_finite
+from lipfree.operators import LipFunction, cell_weights, lattice_coords
+
+
+def dict_project_values(f, points, level, cache=None):
+    """Projected values of ``f``; ``cache`` maps lattice-index tuples to values."""
+    if not len(points):
+        return np.zeros(0)
+    rows, keys, weights = cell_weights(points, level)
+    corners, inverse = np.unique(keys, axis=0, return_inverse=True)
+    table = {} if cache is None else cache
+    corner_keys = [tuple(k) for k in corners.tolist()]
+    new = [i for i, k in enumerate(corner_keys) if k not in table]
+    if new:
+        coords = lattice_coords(corners[new], level.n)
+        pts = [embed_finite(c) for c in coords] if level.dim is None else list(coords)
+        table.update(zip((corner_keys[i] for i in new), map(float, f.eval_many(pts))))
+    values = np.array([table[k] for k in corner_keys])
+    return np.bincount(rows, weights=weights * values[inverse.reshape(-1)], minlength=len(points))
+
+
+class DictProjection(LipFunction):
+    """A materialized projection over :func:`dict_project_values`."""
+
+    def __init__(self, base, level):
+        super().__init__(None, declared_lip=getattr(base, "declared_lip", None))
+        self.base, self.level, self.table = base, level, {}
+
+    def eval_many(self, points):
+        return dict_project_values(self.base, points, self.level, cache=self.table)
+
+
+def loop_sparse_l1_block(ps, qs):
+    """l1 distances over sparse pairs, one column (index) at a time."""
+    by_index = {}
+    for side, pts in ((0, ps), (2, qs)):
+        for r, p in enumerate(pts):
+            for idx, v in p.items:
+                entry = by_index.setdefault(idx, ([], [], [], []))
+                entry[side].append(r)
+                entry[side + 1].append(v)
+    first = np.zeros((len(ps), len(qs)))  # over the support of ps[i]
+    rest = np.zeros((len(ps), len(qs)))  # over the rest of the support of qs[j]
+    in_p = np.zeros(len(ps), dtype=bool)
+    for idx in sorted(by_index):
+        p_rows, p_vals, q_rows, q_vals = by_index[idx]
+        y = np.zeros(len(qs))
+        y[q_rows] = q_vals
+        if p_rows:
+            first[p_rows] += np.abs(np.array(p_vals)[:, None] - y[None, :])
+        if q_rows:
+            in_p[p_rows] = True
+            rest[:, q_rows] += np.where(in_p[:, None], 0.0, np.abs(q_vals))
+            in_p[p_rows] = False
+    return first + rest

@@ -179,6 +179,13 @@ class TestFunctionFile:
         assert code == 2
         assert out == "" and "fn.json" in err and "not finite" in err
 
+    def test_overflowing_lip_constant_exits_2_naming_the_pair(self, tmp_path, capsys):
+        fn = write_json(tmp_path / "fn.json", {"points": [[0, 0], [1e-300, 0], [0, 1]], "values": [0, 1e10, 1]})
+        pts = write_json(tmp_path / "pts.json", [[0.5, 0.5]])
+        code, out, err = run(capsys, ["project", "--dim", "2", "--n", "3", "--function-file", fn, "--input", pts])
+        assert code == 2
+        assert out == "" and "fn.json" in err and "(0.0, 0.0), (1e-300, 0.0)" in err and "not finite" in err
+
 
 class TestFddTable:
     def test_non_dyadic_molecule_error_decays(self, tmp_path, capsys):

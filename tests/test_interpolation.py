@@ -190,6 +190,16 @@ class TestLipConstantOracle:
         with pytest.raises(ValueError, match="distinct points 0, 2 at distance 0.0"):
             looped_lip_constant(f, lambda a, b: float(dist[a, b]))
 
+    def test_first_overflowing_quotient_is_named(self):
+        dist = np.ones((4, 4))
+        dist[1, 3] = dist[1, 2] = 1e-300
+        f = TabulatedFunction(points=(0, 1, 2, 3), values=(0.0, 1e10, 2.0, 3.0))
+        with pytest.raises(ValueError, match=r"points 1, 2 \(values 10000000000.0, 2.0 at distance 1e-300\) is not finite"):
+            lip_constant(f, dist)
+        coords = TabulatedFunction(points=((0.0,), (1e-300,), (1.0,)), values=(0.0, -1e10, 1.0))
+        with pytest.raises(ValueError, match=r"points \(0.0,\), \(1e-300,\) .* is not finite"):
+            lip_constant(coords)
+
 
 class TestAffinity:
     def test_affine_data_has_zero_deviation(self):

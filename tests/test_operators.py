@@ -111,7 +111,7 @@ class TestMaterializedProjection:
         xs = [random_sparse(rng) for _ in range(20)]
         many = proj.eval_many(xs)
         assert np.array_equal(many, [project_values(f, [x], GridLevel(2))[0] for x in xs])
-        assert len(proj.table) > 0
+        assert len(proj.table.values) > 0
         assert proj.declared_lip == f.declared_lip
 
     def test_projection_of_projection(self):
@@ -303,8 +303,8 @@ class TestSparseCorners:
     def test_table_is_keyed_by_lattice_indices(self):
         proj = lip_projection(l1_norm_function(), GridLevel(2, dim=2))
         proj.eval_many([np.array([0.3, -0.5])])
-        assert all(isinstance(i, int) for key in proj.table for i in key)
-        assert len(proj.table) == 2
+        assert proj.table.keys.dtype == np.int64
+        assert proj.table.keys.shape == (2, 2) and len(proj.table.values) == 2
 
 
 class TestRecursiveOracle:
