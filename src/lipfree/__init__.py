@@ -5,9 +5,9 @@ Modules:
 * :mod:`lipfree.geometry` - dyadic hypercube tilings, clamps, sparse l1 points
 * :mod:`lipfree.interpolation` - multilinear corner interpolation on cubes
 * :mod:`lipfree.operators` - finite-rank projections of Lipschitz functions
-* :mod:`lipfree.freespace` - molecules, exact norms by LP, grid projections
+* :mod:`lipfree.freespace` - molecules, exact norms (relay pruning plus one
+  HiGHS solve), grid projections
 * :mod:`lipfree.extension` - restrict/extend operators on finite metric spaces
-* :mod:`lipfree.lp` - the box-constrained simplex backing the norm programs
 * :mod:`lipfree.verify` - seeded self-verification suites
 * :mod:`lipfree.cli` - the ``lipfree`` command line
 """
@@ -31,6 +31,7 @@ from .freespace import (
     FddReport,
     Molecule,
     NormCertificate,
+    SolverError,
     check_certificate,
     decomposition_report,
     free_norm,
@@ -64,7 +65,6 @@ from .interpolation import (
     interpolation_weights,
     lip_constant,
 )
-from .lp import LpResult, SimplexError, solve_box_lp
 from .operators import (
     CommutingReport,
     ConvergenceCheck,

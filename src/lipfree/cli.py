@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -28,11 +29,11 @@ import numpy as np
 from . import extension, freespace, operators, verify
 from .geometry import FiniteSupportPoint, check_magnitude
 from .interpolation import TabulatedFunction
-from .lp import SimplexError
 
 _BUILTIN_FUNCTIONS = ("identity-coordinate", "l1-norm", "max-coordinate", "random-lattice")
 
 
+@functools.cache  # built once per process; parse_args returns a fresh namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lipfree")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -267,15 +268,14 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         payload, table, code = _DISPATCH[args.command](args)
         _emit(_render(payload, table, args.format), args.output)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SimplexError, np.linalg.LinAlgError) as exc:
+    except freespace.SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
     return code

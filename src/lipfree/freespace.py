@@ -12,11 +12,11 @@ functions vanishing at the origin.  Over the finite set ``support + origin``
 that supremum is a linear program, and tight Lipschitz extension beyond the
 support preserves the constant, so the finite program computes the norm in
 the full space exactly.  :func:`free_norm` solves the function-side program
-with the package's own simplex (the optimal witness function falls out of
-the solution); :func:`transport_norm` solves the mass-transport side with an
-independent solver and serves as an oracle; :func:`line_norm` evaluates the
+by relay pruning plus one HiGHS solve (the optimal witness function falls
+out of the solution); :func:`transport_norm` solves the mass-transport side,
+also with HiGHS, and serves as an oracle; :func:`line_norm` evaluates the
 closed-form total-variation expression available for molecules on the real
-line.
+line, with no LP solver.
 
 The grid projection :func:`molecule_projection` pushes each point's mass onto
 the weighted corners of its tiling cell through the same sparse corner
@@ -27,21 +27,20 @@ molecule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, sparse
 
 from .extension import FinitePointedMetricSpace
 from .geometry import MAX_LEVEL, FiniteSupportPoint, check_magnitude, embed_rows, l1_distance, l1_distances
-from .lp import SimplexError, solve_box_lp
 from .operators import GridLevel, cell_weights, lattice_coords
 
 KINDS = ("l1", "l1N", "finite")
 
-#: Tolerance of the norm program (:func:`free_norm`) and of its certificate
-#: check (:func:`check_certificate`).
+#: Relative tolerance of the certificate check (:func:`check_certificate`).
 NORM_TOL = 1e-9
 
 #: Relative slack of :func:`decomposition_report`'s norm, bound and trend checks.
@@ -266,16 +265,30 @@ class NormCertificate:
 
 
 def check_certificate(cert: NormCertificate, mu: Molecule) -> bool:
-    """Witness is 1-Lipschitz on support + origin and attains the value, to
-    :data:`NORM_TOL`."""
+    """Witness is 1-Lipschitz on its points and attains the value, to
+    :data:`NORM_TOL` relative.  The absolute slacks are :data:`NORM_TOL`
+    times the largest distance (times the total mass for the value), capped
+    at :data:`NORM_TOL`, so the check is as strict at every scale."""
     pts = list(cert.witness)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = mu.point_distance(pts[i], pts[j])
-            if abs(cert.witness[pts[i]] - cert.witness[pts[j]]) > d * (1.0 + NORM_TOL) + NORM_TOL:
-                return False
+    d = _distances(mu, pts)
+    f = np.array([cert.witness[p] for p in pts])
+    dmax = float(np.max(d, initial=0.0))
+    steep = np.abs(f[:, None] - f[None, :]) > d * (1.0 + NORM_TOL) + NORM_TOL * min(1.0, dmax)
+    if np.any(np.triu(steep, 1)):
+        return False
     paired = sum(a * cert.witness[p] for p, a in mu.terms)
-    return abs(paired - cert.value) <= NORM_TOL * max(1.0, abs(cert.value))
+    mass = sum(abs(a) for _, a in mu.terms)
+    return abs(paired - cert.value) <= NORM_TOL * max(min(1.0, dmax * mass), abs(cert.value))
+
+
+def _distances(mu: Molecule, pts: list) -> np.ndarray:
+    """Distances between points of ``mu``'s space; ``l1N`` points go to
+    :func:`l1_distances` as one array."""
+    if mu.kind == "finite":
+        return mu.space.dist[np.ix_(pts, pts)]
+    if mu.kind == "l1N":
+        pts = np.array(pts, dtype=float)
+    return l1_distances(pts, pts)
 
 
 def _distance_matrix(mu: Molecule) -> np.ndarray:
@@ -285,13 +298,9 @@ def _distance_matrix(mu: Molecule) -> np.ndarray:
     ``j``, mirrored below the diagonal.
     """
     pts = [mu.origin_point()] + list(mu.support)
-    if mu.kind == "finite":
-        d = mu.space.dist[np.ix_(pts, pts)]
-    elif len(pts) > 1:
-        d = l1_distances(pts, pts)
-    else:
+    if len(pts) == 1:
         return np.zeros((1, 1))
-    upper = np.triu(d, 1)
+    upper = np.triu(_distances(mu, pts), 1)
     return upper + upper.T
 
 
@@ -307,101 +316,65 @@ def _chain_reach(d: np.ndarray) -> np.ndarray:
     return reach
 
 
+class SolverError(RuntimeError):
+    """The LP solver did not solve a norm or transport program."""
+
+
+@dataclass
+class LpResult:
+    x: np.ndarray
+    #: Simplex iterations; not reported by ``milp``, so always 0.
+    iterations: int
+
+
+def solve_box_lp(c, pairs, b, lower, upper) -> LpResult:
+    """Maximize ``c . x`` subject to ``-b[r] <= x[i] - x[j] <= b[r]`` for each
+    row ``r = (i, j)`` of the ``(m, 2)`` index array ``pairs`` and to
+    ``lower <= x <= upper``: one HiGHS solve through ``scipy.optimize.milp``
+    with no integrality."""
+    m = len(pairs)
+    rows = sparse.csr_array((np.tile([1.0, -1.0], m), pairs.ravel(), np.arange(0, 2 * m + 1, 2)),
+                            shape=(m, len(c)))
+    res = optimize.milp(-np.asarray(c, dtype=float), constraints=optimize.LinearConstraint(rows, -b, b),
+                        bounds=optimize.Bounds(lower, upper))
+    if not res.success:
+        raise SolverError(res.message)
+    return LpResult(x=res.x, iterations=0)
+
+
+def _power_of_two_above(v: float) -> float:
+    """The least power of two strictly above ``v > 0``."""
+    return 2.0 ** math.frexp(v)[1]
+
+
 def free_norm(mu: Molecule) -> NormCertificate:
     """Exact norm of a molecule with the optimal dual witness.
 
     Maximizes the pairing over functions on ``support + origin`` that vanish
-    at the origin and have all difference quotients at most one.  Constraints
-    are generated lazily: pairs with an exact relay through a third point are
-    implied by shorter pairs and enter only if violated, so the working
-    program stays near the size of the active set.  Origin constraints become
-    the variable bounds, making the all-lower start feasible by the triangle
-    inequality.
+    at the origin and have all difference quotients at most one: relay
+    pruning plus one HiGHS solve.  A pair with an exact relay through a third
+    point is implied by shorter pairs and is dropped; every other pair is one
+    row ``-d_ij <= f_i - f_j <= d_ij``, and the distances to the origin are
+    the variable bounds.  HiGHS takes bounds of ``1e20`` or more as infinite
+    and ignores small reduced costs, so the distances are divided by a power
+    of two ``2^e >= max d`` and the coefficients by one above their largest
+    magnitude; both divisions are exact, and the witness ``x`` is multiplied
+    back.
     """
     if mu.is_zero:
-        witness = {}
         origin = mu.origin_point()
-        if origin is not None:
-            witness[origin] = 0.0
-        return NormCertificate(value=0.0, witness=witness)
+        return NormCertificate(value=0.0, witness={} if origin is None else {origin: 0.0})
 
-    pts = list(mu.support)
     coeffs = np.asarray(mu.coefficients)
-    k = len(pts)
     d = _distance_matrix(mu)
-    scale = max(1.0, float(np.max(d)))
-    vtol = NORM_TOL * scale
-
-    reach = _chain_reach(d)
-    candidates: list[tuple[int, int]] = []
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            if reach[i, j] > d[i, j] * (1.0 + 1e-12):
-                candidates.append((i, j))
-
-    lower = -d[0, 1:]
-    upper = d[0, 1:].copy()
-
-    rows: list[tuple[int, int]] = []
-    present: set[tuple[int, int]] = set()
-
-    def add_row(i: int, j: int) -> None:
-        if (i, j) not in present:
-            present.add((i, j))
-            rows.append((i, j))
-
-    # Seed with each point's nearest candidate partner.
-    by_point: dict[int, list[tuple[float, int, int]]] = {}
-    for i, j in candidates:
-        by_point.setdefault(i, []).append((d[i, j], i, j))
-        by_point.setdefault(j, []).append((d[i, j], i, j))
-    for i in sorted(by_point):
-        _, a, b = min(by_point[i])
-        add_row(a, b)
-        add_row(b, a)
-
-    result = None
-    warm = None
-    max_rounds = 4 * k + 16
-    for round_no in range(max_rounds):
-        if rows:
-            a_mat = np.zeros((len(rows), k))
-            b_vec = np.empty(len(rows))
-            for r, (i, j) in enumerate(rows):
-                a_mat[r, i - 1] = 1.0
-                a_mat[r, j - 1] = -1.0
-                b_vec[r] = d[i, j]
-        else:
-            a_mat, b_vec = None, []
-        result = solve_box_lp(coeffs, a_mat, b_vec, lower, upper, tol=NORM_TOL, start_at_upper=warm)
-        f = result.x
-        warm = f > 0.5 * (lower + upper)
-        violated: list[tuple[float, int, int]] = []
-        for i, j in candidates:
-            gap = f[i - 1] - f[j - 1]
-            if gap > d[i, j] + vtol:
-                violated.append((gap - d[i, j], i, j))
-            elif -gap > d[i, j] + vtol:
-                violated.append((-gap - d[i, j], j, i))
-        if not violated:
-            break
-        if rows and round_no < 10:
-            # Drop rows that came out slack; they re-enter if ever violated.
-            slack = b_vec - a_mat @ f
-            kept = [rows[r] for r in range(len(rows)) if slack[r] <= vtol + 1e-7 * scale]
-            rows = kept
-            present = set(rows)
-        violated.sort(key=lambda t: (-t[0], t[1], t[2]))
-        for _, i, j in violated[: max(4 * k, 64)]:
-            add_row(i, j)
-    else:
-        raise SimplexError("constraint generation did not converge")
-
-    value = max(float(result.objective), 0.0)
+    i, j = np.nonzero(np.triu(_chain_reach(d) > d * (1.0 + 1e-12), 1)[1:, 1:])
+    scale = _power_of_two_above(float(np.max(d)))
+    result = solve_box_lp(coeffs / _power_of_two_above(float(np.max(np.abs(coeffs)))),
+                          np.column_stack([i, j]), d[i + 1, j + 1] / scale, -d[0, 1:] / scale, d[0, 1:] / scale)
+    x = result.x * scale
     witness = {mu.origin_point(): 0.0}
-    for p, v in zip(pts, result.x):
-        witness[p] = float(v)
-    return NormCertificate(value=value, witness=witness)
+    witness.update(zip(mu.support, x.tolist()))
+    return NormCertificate(value=max(float(coeffs @ x), 0.0), witness=witness)
 
 
 def transport_norm(mu: Molecule) -> float:
@@ -409,34 +382,26 @@ def transport_norm(mu: Molecule) -> float:
 
     Balances the molecule by letting the origin absorb the net mass, then
     minimizes the cost of moving the positive part onto the negative part.
-    Solved with SciPy's LP solver; used as an oracle against
+    Solved with HiGHS (``linprog``) after dividing distances and masses by
+    powers of two, as in :func:`free_norm`; used as an oracle against
     :func:`free_norm`.
     """
     if mu.is_zero:
         return 0.0
-    masses: list[tuple[object, float]] = list(mu.terms)
-    masses.append((mu.origin_point(), -mu.total_mass()))
+    masses = list(mu.terms) + [(mu.origin_point(), -mu.total_mass())]
     pos = [(p, a) for p, a in masses if a > 0.0]
     neg = [(p, -a) for p, a in masses if a < 0.0]
     if not pos or not neg:
         return 0.0
-    np_, nn = len(pos), len(neg)
-    cost = np.empty(np_ * nn)
-    for i, (p, _) in enumerate(pos):
-        for j, (q, _) in enumerate(neg):
-            cost[i * nn + j] = mu.point_distance(p, q)
-    a_eq = np.zeros((np_ + nn - 1, np_ * nn))
-    b_eq = np.empty(np_ + nn - 1)
-    for i in range(np_):
-        a_eq[i, i * nn : (i + 1) * nn] = 1.0
-        b_eq[i] = pos[i][1]
-    for j in range(nn - 1):  # the last balance row is redundant
-        a_eq[np_ + j, j::nn] = 1.0
-        b_eq[np_ + j] = neg[j][1]
-    res = optimize.linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    cost = np.array([mu.point_distance(p, q) for p, _ in pos for q, _ in neg])
+    supply = np.array([a for _, a in pos + neg])
+    scale, mass = _power_of_two_above(float(np.max(cost))), _power_of_two_above(float(np.max(supply)))
+    # One balance row per point, sources first; the last row is redundant.
+    a_eq = np.vstack([np.kron(np.eye(len(pos)), np.ones(len(neg))), np.kron(np.ones(len(pos)), np.eye(len(neg)))])
+    res = optimize.linprog(cost / scale, A_eq=a_eq[:-1], b_eq=supply[:-1] / mass, bounds=(0, None), method="highs")
     if not res.success:
-        raise SimplexError(f"transport oracle failed: {res.message}")
-    return float(res.fun)
+        raise SolverError(f"transport oracle failed: {res.message}")
+    return float(res.fun) * scale * mass
 
 
 def line_norm(mu: Molecule) -> float:

@@ -392,13 +392,14 @@ def l1_distances(a, b) -> np.ndarray:
     support of ``a[i]`` and one over the rest of ``b[j]``'s, each in index
     order, added at the end; the work per pair follows the two supports, so
     a large index costs no more than a small one.  Work runs in blocks of at
-    most :data:`_L1_BLOCK_ELEMENTS` elements.
+    most :data:`_L1_BLOCK_ELEMENTS` elements.  A 2-d array is used as it is.
     """
-    a, b = list(a), list(b)
+    a, b = (p if isinstance(p, np.ndarray) and p.ndim == 2 else list(p) for p in (a, b))
     out = np.zeros((len(a), len(b)))
-    if not a or not b:
+    if not len(a) or not len(b):
         return out
-    if any(issubclass(t, FiniteSupportPoint) for t in set(map(type, a + b))):
+    listed = [p for side in (a, b) if isinstance(side, list) for p in side]
+    if any(issubclass(t, FiniteSupportPoint) for t in set(map(type, listed))):
         a = [p if isinstance(p, FiniteSupportPoint) else embed_finite(p) for p in a]
         b = [q if isinstance(q, FiniteSupportPoint) else embed_finite(q) for q in b]
         width, block = 2 * max(1, *(len(p.items) for p in a + b)), _sparse_l1_block
@@ -417,7 +418,7 @@ def l1_distances(a, b) -> np.ndarray:
 
 def _coordinate_rows(points) -> np.ndarray:
     try:
-        rows = np.array(points, dtype=float)
+        rows = np.asarray(points, dtype=float)
     except ValueError:
         rows = None
     if rows is None or rows.ndim != 2:

@@ -167,7 +167,7 @@ class _McShane:
         return float(self.eval_many([x])[0])
 
     def eval_many(self, points: Sequence) -> np.ndarray:
-        points = list(points)
+        points = points if isinstance(points, np.ndarray) else list(points)
         step = max(1, geometry._L1_BLOCK_ELEMENTS // len(self.points))
         out = np.empty(len(points))
         for lo in range(0, len(points), step):

@@ -1,6 +1,13 @@
-"""Dense primal simplex for box-constrained linear programs.
+"""The norm oracle: a dense primal simplex inside a constraint-generation loop.
 
-Solves
+This is the norm solver ``lipfree.freespace.free_norm`` used before it became
+relay pruning plus one HiGHS solve; it shares no solver with that path.
+:func:`oracle_free_norm` builds its distances pair by pair with
+``Molecule.point_distance`` and checks every pair, pruned or not, so it also
+checks the relay pruning.  Its violation tolerance is absolute
+(``NORM_TOL * max(1, largest distance)``), so compare with it at unit scale.
+
+:func:`solve_box_lp` solves
 
     maximize    c . x
     subject to  A x <= b,    l <= x <= u.
@@ -14,7 +21,7 @@ index, so cycling is impossible.  A hard iteration cap guards against
 numerical stall on top of that.
 
 The solver starts from the all-lower-bound point and therefore requires
-``A l <= b``.  The Lipschitz dual programs built by :mod:`lipfree.freespace`
+``A l <= b``.  The Lipschitz dual programs of :func:`oracle_free_norm`
 always satisfy this (it is the triangle inequality), so no phase-1 is needed
 or implemented.
 """
@@ -24,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from lipfree.freespace import NORM_TOL, Molecule
 
 _AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
 
@@ -200,3 +209,89 @@ def solve_box_lp(c, A, b, lower, upper, *, tol: float = 1e-9, max_iter: int | No
 
     x = values[:n].copy()
     return LpResult(x=x, objective=float(c @ x), iterations=iters)
+
+
+def oracle_free_norm(mu: Molecule) -> tuple[float, dict]:
+    """The norm of ``mu`` and the witness on ``origin + support``.
+
+    Maximizes the pairing over functions on ``support + origin`` that vanish
+    at the origin and have all difference quotients at most one.  Pair
+    constraints are generated lazily and enter only if violated, so the
+    working program stays near the size of the active set.  Origin
+    constraints become the variable bounds, making the all-lower start
+    feasible by the triangle inequality.
+    """
+    pts = [mu.origin_point()] + list(mu.support)
+    if mu.is_zero:
+        return 0.0, {} if pts[0] is None else {pts[0]: 0.0}
+    coeffs = np.asarray(mu.coefficients)
+    k = len(pts) - 1
+    d = np.zeros((k + 1, k + 1))
+    for i in range(k + 1):
+        for j in range(i + 1, k + 1):
+            d[i, j] = d[j, i] = mu.point_distance(pts[i], pts[j])
+    scale = max(1.0, float(np.max(d)))
+    vtol = NORM_TOL * scale
+    candidates = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
+
+    lower = -d[0, 1:]
+    upper = d[0, 1:].copy()
+
+    rows: list[tuple[int, int]] = []
+    present: set[tuple[int, int]] = set()
+
+    def add_row(i: int, j: int) -> None:
+        if (i, j) not in present:
+            present.add((i, j))
+            rows.append((i, j))
+
+    # Seed with each point's nearest partner.
+    by_point: dict[int, list[tuple[float, int, int]]] = {}
+    for i, j in candidates:
+        by_point.setdefault(i, []).append((d[i, j], i, j))
+        by_point.setdefault(j, []).append((d[i, j], i, j))
+    for i in sorted(by_point):
+        _, a, b = min(by_point[i])
+        add_row(a, b)
+        add_row(b, a)
+
+    result = None
+    warm = None
+    max_rounds = 4 * k + 16
+    for round_no in range(max_rounds):
+        if rows:
+            a_mat = np.zeros((len(rows), k))
+            b_vec = np.empty(len(rows))
+            for r, (i, j) in enumerate(rows):
+                a_mat[r, i - 1] = 1.0
+                a_mat[r, j - 1] = -1.0
+                b_vec[r] = d[i, j]
+        else:
+            a_mat, b_vec = None, []
+        result = solve_box_lp(coeffs, a_mat, b_vec, lower, upper, tol=NORM_TOL, start_at_upper=warm)
+        f = result.x
+        warm = f > 0.5 * (lower + upper)
+        violated: list[tuple[float, int, int]] = []
+        for i, j in candidates:
+            gap = f[i - 1] - f[j - 1]
+            if gap > d[i, j] + vtol:
+                violated.append((gap - d[i, j], i, j))
+            elif -gap > d[i, j] + vtol:
+                violated.append((-gap - d[i, j], j, i))
+        if not violated:
+            break
+        if rows and round_no < 10:
+            # Drop rows that came out slack; they re-enter if ever violated.
+            slack = b_vec - a_mat @ f
+            kept = [rows[r] for r in range(len(rows)) if slack[r] <= vtol + 1e-7 * scale]
+            rows = kept
+            present = set(rows)
+        violated.sort(key=lambda t: (-t[0], t[1], t[2]))
+        for _, i, j in violated[: max(4 * k, 64)]:
+            add_row(i, j)
+    else:
+        raise SimplexError("constraint generation did not converge")
+
+    witness = {pts[0]: 0.0}
+    witness.update(zip(pts[1:], result.x.tolist()))
+    return max(float(result.objective), 0.0), witness

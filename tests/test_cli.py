@@ -79,6 +79,23 @@ class TestNorm:
         code, _, _ = run(capsys, ["norm", "--input", "/nonexistent.json"])
         assert code == 2
 
+    def test_huge_coordinates_exit_0_with_the_scaled_value(self, tmp_path, capsys):
+        # HiGHS takes bounds of 1e20 or more as infinite; the program is scaled first
+        big = {**TWO_POINT, "terms": [{**t, "point": [1e25 * v for v in t["point"]]} for t in TWO_POINT["terms"]]}
+        code, out, err = run(capsys, ["norm", "--input", write_json(tmp_path / "mol.json", big)])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["value"] == pytest.approx(2e25, rel=1e-12)
+
+    def test_failing_solver_exits_3(self, tmp_path, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            return lipfree.freespace.optimize.OptimizeResult(
+                success=False, status=4, message="numerical difficulties", x=None, fun=None)
+
+        monkeypatch.setattr(lipfree.freespace.optimize, "milp", failing)
+        code, out, err = run(capsys, ["norm", "--input", write_json(tmp_path / "mol.json", TWO_POINT)])
+        assert code == 3
+        assert out == "" and err == "solver error: numerical difficulties\n"
+
     def test_csv_format(self, tmp_path, capsys):
         path = write_json(tmp_path / "mol.json", TWO_POINT)
         code, out, _ = run(capsys, ["norm", "--input", path, "--format", "csv"])
@@ -426,6 +443,20 @@ class TestOutputs:
         assert out == ""
         assert json.loads(target.read_text())["value"] == pytest.approx(2.0, abs=1e-9)
         assert not (tmp_path / "out.json.tmp").exists()
+
+    def test_reused_parser_matches_a_fresh_one(self, tmp_path, capsys):
+        from lipfree.cli import _build_parser
+
+        space = write_json(tmp_path / "space.json", {"embed_l1": [[0.0, 0.0], [1.0, 0.5], [-0.5, 2.0]], "origin": 0})
+        norm = ["norm", "--input", write_json(tmp_path / "mol.json", TWO_POINT), "--format", "csv"]
+        bap = ["bap", "--input", space, "--scheme", "shepard-p"]
+        fresh = {}
+        for argv in (norm, bap):
+            _build_parser.cache_clear()
+            fresh[argv[0]] = run(capsys, argv)
+        assert _build_parser() is _build_parser()
+        for argv in (norm, bap, norm):
+            assert run(capsys, argv) == fresh[argv[0]]
 
     def test_round_trip_through_own_parsers(self, tmp_path, capsys):
         from lipfree.freespace import Molecule, free_norm

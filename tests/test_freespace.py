@@ -3,8 +3,10 @@ import pytest
 
 from lipfree.extension import FinitePointedMetricSpace
 from lipfree import geometry
+from norm_oracle import oracle_free_norm
 from lipfree.freespace import (
     Molecule,
+    NormCertificate,
     _distance_matrix,
     check_certificate,
     decomposition_report,
@@ -294,3 +296,76 @@ def test_rn_points_must_be_flat():
     for bad in ([[1.0]], 1.0, [[0.5, 0.5]]):
         with pytest.raises(ValueError, match="not a flat list"):
             Molecule.on_rn([(bad, 1.0)])
+
+
+def oracle_cases(seed):
+    """Seeded unit-scale molecules of up to 40 terms: ``l1``, ``l1N`` in
+    dimensions 1, 2 and 6, and ``finite``."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 41, size=5).tolist()
+    yield random_l1_molecule(rng, size=sizes[0], spread=3.0, max_index=8)
+    for dim, k in zip((1, 2, 6), sizes[1:]):
+        pts = rng.uniform(-3, 3, size=(k, dim))
+        yield Molecule.on_rn([(tuple(p), float(rng.normal())) for p in pts], dim=dim)
+    space = FinitePointedMetricSpace.from_l1_points(rng.uniform(-2, 2, size=(41, 3)))
+    yield Molecule.on_space(space, [(int(i), float(rng.normal())) for i in rng.choice(41, size=sizes[4])])
+
+
+def plane_molecule(seed, scale=1.0, mass=1.0):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 13))
+    pts, coeffs = rng.uniform(-2, 2, size=(k, 2)), rng.normal(size=k)
+    return Molecule.on_rn([(p * scale, mass * float(a)) for p, a in zip(pts, coeffs)], dim=2)
+
+
+class TestAgainstTheSimplexOracle:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_values_agree_and_witnesses_certify(self, seed):
+        for mu in oracle_cases(700 + seed):
+            cert = free_norm(mu)
+            value, witness = oracle_free_norm(mu)
+            assert cert.value == pytest.approx(value, rel=1e-9, abs=0.0), (mu.kind, mu.dim, len(mu.terms))
+            assert list(cert.witness) == list(witness)
+            assert check_certificate(cert, mu)
+            assert check_certificate(NormCertificate(value, witness), mu)
+
+
+class TestScaleSafety:
+    """The norm is 1-homogeneous in the points and linear in the coefficients
+    at every scale, and the certificate check is as strict at every scale."""
+
+    @pytest.mark.parametrize("scale", [2.0**-100, 1e-30, 1e25, 1e60])
+    def test_scaled_points_scale_the_norm(self, scale):
+        for seed in range(40):
+            mu = plane_molecule(seed, scale=scale)
+            expect = scale * transport_norm(plane_molecule(seed))
+            cert = free_norm(mu)
+            assert cert.value == pytest.approx(expect, rel=1e-9, abs=0.0)
+            assert check_certificate(cert, mu)
+            assert transport_norm(mu) == pytest.approx(expect, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("mass", [2.0**-100, 1e-30, 1e60])
+    def test_scaled_coefficients_scale_the_norm(self, mass):
+        for seed in range(10):
+            mu = plane_molecule(seed, mass=mass)
+            expect = mass * transport_norm(plane_molecule(seed))
+            assert free_norm(mu).value == pytest.approx(expect, rel=1e-9, abs=0.0)
+            assert transport_norm(mu) == pytest.approx(expect, rel=1e-9, abs=0.0)
+
+    def test_absolute_slack_witnesses_are_rejected(self):
+        # the oracle's violation tolerance is absolute, so at 2^-100 its
+        # witnesses are steeper than 1-Lipschitz and their values too large
+        wrong = 0
+        for seed in range(40):
+            mu = plane_molecule(seed, scale=2.0**-100)
+            value, witness = oracle_free_norm(mu)
+            if value != pytest.approx(free_norm(mu).value, rel=1e-9, abs=0.0):
+                wrong += 1
+                assert not check_certificate(NormCertificate(value, witness), mu), seed
+        assert wrong >= 30
+
+    def test_inflated_value_is_rejected_at_small_scale(self):
+        mu = plane_molecule(3, scale=2.0**-100)
+        cert = free_norm(mu)
+        assert check_certificate(cert, mu)
+        assert not check_certificate(NormCertificate(2.0 * cert.value, cert.witness), mu)

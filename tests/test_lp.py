@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from lipfree.lp import SimplexError, solve_box_lp
+from norm_oracle import SimplexError, solve_box_lp
 
 
 def scipy_value(c, A, b, lower, upper):
