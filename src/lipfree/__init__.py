@@ -69,7 +69,6 @@ from .operators import (
     CommutingReport,
     ConvergenceCheck,
     ConvergenceChecks,
-    CornerTable,
     GridLevel,
     LipFunction,
     ProjectedLipFunction,

@@ -156,9 +156,13 @@ def _cmd_norm(args):
     mu = _load_molecule(args.input)
     cert = freespace.free_norm(mu)
     payload = cert.to_json(mu)
-    rows = [["value", cert.value]]
-    rows += [[json.dumps(e["point"]), e["value"]] for e in payload["witness"]]
-    return payload, {"columns": ["point", "value"], "rows": rows}, 0
+
+    def table():
+        rows = [["value", cert.value]]
+        rows += [[json.dumps(e["point"]), e["value"]] for e in payload["witness"]]
+        return {"columns": ["point", "value"], "rows": rows}
+
+    return payload, table, 0
 
 
 def _cmd_project(args):
@@ -169,10 +173,11 @@ def _cmd_project(args):
     columns = [getattr(checks, name).tolist() for name in names]
     rows = [{"point": _encode_point(p), **dict(zip(names, r))} for p, *r in zip(points, *columns)]
     payload = {"function": f.label, "n": args.n, "rows": rows}
-    table = {
-        "columns": ["point", *names],
-        "rows": [[json.dumps(r["point"]), *c] for r, *c in zip(rows, *columns)],
-    }
+
+    def table():
+        return {"columns": ["point", *names],
+                "rows": [[json.dumps(r["point"]), *c] for r, *c in zip(rows, *columns)]}
+
     return payload, table, 0
 
 
@@ -180,22 +185,22 @@ def _cmd_fdd_table(args):
     mu = _load_molecule(args.input)
     report = freespace.decomposition_report(mu, args.n_max)
     payload = report.to_json()
-    table = {
-        "columns": ["n", "norm", "err", "bound", "support_size"],
-        "rows": [
-            [r.n, r.norm_value, r.err_value, r.bound, r.support_size] for r in report.rows
-        ],
-    }
+
+    def table():
+        return {"columns": ["n", "norm", "err", "bound", "support_size"],
+                "rows": [[r.n, r.norm_value, r.err_value, r.bound, r.support_size] for r in report.rows]}
+
     return payload, table, 0
 
 
 def _cmd_verify(args):
     report = verify.run_verification(seed=args.seed, only=args.suite)
     payload = report.to_json()
-    table = {
-        "columns": ["suite", "passed", "worst_case"],
-        "rows": [[s["name"], s["passed"], s["worst_case"]] for s in payload["suites"]],
-    }
+
+    def table():
+        return {"columns": ["suite", "passed", "worst_case"],
+                "rows": [[s["name"], s["passed"], s["worst_case"]] for s in payload["suites"]]}
+
     return payload, table, 0 if report.passed else 1
 
 
@@ -218,11 +223,12 @@ def _cmd_bap(args):
         "function": args.function,
         "rows": [vars(r) for r in rows],
     }
-    table = {
-        "header": f"# doubling_estimate={doubling} scheme={args.scheme}",
-        "columns": ["n", "k_hat", "lip_ratio", "max_err"],
-        "rows": [[r.size, r.k_hat, r.lip_ratio, r.max_err] for r in rows],
-    }
+
+    def table():
+        return {"header": f"# doubling_estimate={doubling} scheme={args.scheme}",
+                "columns": ["n", "k_hat", "lip_ratio", "max_err"],
+                "rows": [[r.size, r.k_hat, r.lip_ratio, r.max_err] for r in rows]}
+
     return payload, table, 0
 
 
@@ -235,10 +241,12 @@ _DISPATCH = {
 }
 
 
-def _render(payload, table, fmt) -> str:
-    """The output text; non-finite numbers raise ValueError in either format."""
+def _render(payload, make_table, fmt) -> str:
+    """The output text; non-finite numbers raise ValueError in either format.
+    ``make_table`` builds the CSV table, so only ``--format csv`` pays for it."""
     if fmt == "json":
         return json.dumps(payload, indent=2, allow_nan=False)
+    table = make_table()
     if any(isinstance(v, float) and not math.isfinite(v) for row in table["rows"] for v in row):
         raise ValueError("result is not finite")
     buf = io.StringIO()
@@ -270,8 +278,8 @@ def _emit(text: str, output: str | None) -> None:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        payload, table, code = _DISPATCH[args.command](args)
-        _emit(_render(payload, table, args.format), args.output)
+        payload, make_table, code = _DISPATCH[args.command](args)
+        _emit(_render(payload, make_table, args.format), args.output)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

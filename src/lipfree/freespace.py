@@ -40,6 +40,12 @@ from .operators import GridLevel, cell_weights, lattice_coords
 
 KINDS = ("l1", "l1N", "finite")
 
+#: Largest support :func:`free_norm` solves.  The relay matrix costs O(k^3)
+#: time and the distance matrix O(k^2) memory: at k = 512 one norm took
+#: 0.4-0.7 s, at k = 1,024 3.7-5.4 s (random 2-d ``l1N`` molecules and
+#: projected 12-coordinate ``l1`` ones, 2 vCPUs).
+MAX_NORM_SUPPORT = 512
+
 #: Relative tolerance of the certificate check (:func:`check_certificate`).
 NORM_TOL = 1e-9
 
@@ -347,6 +353,12 @@ def _power_of_two_above(v: float) -> float:
     return 2.0 ** math.frexp(v)[1]
 
 
+def _check_norm_size(mu: Molecule, what: str) -> None:
+    if len(mu.terms) > MAX_NORM_SUPPORT:
+        raise ValueError(f"{what} has {len(mu.terms)} support points; "
+                         f"exact norms take at most {MAX_NORM_SUPPORT}")
+
+
 def free_norm(mu: Molecule) -> NormCertificate:
     """Exact norm of a molecule with the optimal dual witness.
 
@@ -359,8 +371,9 @@ def free_norm(mu: Molecule) -> NormCertificate:
     and ignores small reduced costs, so the distances are divided by a power
     of two ``2^e >= max d`` and the coefficients by one above their largest
     magnitude; both divisions are exact, and the witness ``x`` is multiplied
-    back.
+    back.  A support larger than :data:`MAX_NORM_SUPPORT` raises ValueError.
     """
+    _check_norm_size(mu, "the molecule")
     if mu.is_zero:
         origin = mu.origin_point()
         return NormCertificate(value=0.0, witness={} if origin is None else {origin: 0.0})
@@ -513,7 +526,7 @@ class FddReport:
     def to_json(self) -> dict:
         return {
             "base_norm": self.base_norm,
-            "rows": [vars(r) | {"bound_ok": r.bound_ok} for r in self.rows],
+            "rows": [vars(r) for r in self.rows],
             "monotone_ok": self.monotone_ok,
             "trend_ok": self.trend_ok,
             "lattice_ok": self.lattice_ok,
@@ -529,18 +542,23 @@ def decomposition_report(mu: Molecule, n_max: int) -> FddReport:
     bound while no clamp is active; and across levels the projections form a
     commuting lattice (finer following coarser equals coarser, termwise to
     :data:`LATTICE_TOL`).  The error trend check asks the final error not to
-    exceed the first.  ``n_max`` must lie in ``1..MAX_LEVEL``.
+    exceed the first.  ``n_max`` must lie in ``1..MAX_LEVEL``.  Every level
+    is projected and sized before the first norm is solved, so a level beyond
+    :data:`MAX_NORM_SUPPORT` raises ValueError at once.
     """
     if not (1 <= n_max <= MAX_LEVEL):
         raise ValueError(f"n_max must be in 1..{MAX_LEVEL}, got {n_max}")
+    projections, errors = {}, {}
+    for n in range(1, n_max + 1):
+        projections[n] = molecule_projection(mu, n)
+        errors[n] = projections[n].minus(mu)
+        _check_norm_size(projections[n], f"the level-{n} projection")
+        _check_norm_size(errors[n], f"the level-{n} projection error")
     base = free_norm(mu).value
     rows = []
-    projections = {}
-    for n in range(1, n_max + 1):
-        proj = molecule_projection(mu, n)
-        projections[n] = proj
+    for n, proj in projections.items():
         norm_value = free_norm(proj).value
-        err_value = free_norm(proj.minus(mu)).value
+        err_value = free_norm(errors[n]).value
         bound = projection_bound(mu, n)
         clamped = term_clamped(mu, n)
         bound_ok = None if clamped else bool(err_value <= bound + FDD_TOL * max(1.0, bound))

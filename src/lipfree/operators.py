@@ -20,9 +20,8 @@ The projected function depends on the original only through its values on the
 level-n vertex grid, is linear in the function, does not increase Lipschitz
 constants, and the projections at different levels commute, with the coarser
 level winning.  :class:`ProjectedLipFunction` materializes a projection as a
-first-class function backed by a lazily filled :class:`CornerTable` (sorted
-int64 lattice-key rows plus values), so projections can be composed and
-paired exactly.
+first-class function that keeps no state besides the base function and the
+level, so projections can be composed and paired exactly.
 """
 
 from __future__ import annotations
@@ -49,6 +48,13 @@ from .interpolation import TabulatedFunction, lip_constant, weights_from_offsets
 #: their indices lie in ``1 .. LATTICE_INDEX_RANGE``.
 LATTICE_SPREAD = 4.0
 LATTICE_INDEX_RANGE = 6
+
+#: Most weighted corners :func:`cell_weights` expands in one batch; a point
+#: strictly inside its cell along ``a`` axes has ``2**a`` of them.  At this
+#: count a ``project`` run took 5.5 s and 580 MB peak in sequence mode (one
+#: point with 17 free axes) and 0.2 s and 165 MB in coordinate mode (two
+#: 16-d points), on 2 vCPUs; each doubling about doubles both.
+MAX_CORNERS = 2**17
 
 #: Slack of the convergence bound check in :func:`convergence_checks`.
 BOUND_SLACK = 1e-9
@@ -236,7 +242,8 @@ def cell_weights(points: Sequence, level: GridLevel):
     The expansion runs one axis at a time, so an axis whose offset in the
     cell is exactly 0 or 1 adds no branch, and a point strictly inside its
     cell along ``a`` axes gets at most ``2**a`` entries.  Entries are ordered
-    by row, then by key.
+    by row, then by key.  A batch of more than :data:`MAX_CORNERS` such
+    entries raises ValueError before any is made.
     """
     u = clamp_to_cube(_stack_points(points, level), 2.0 ** level.n)
     low = cell_low_corners(u, level.n)
@@ -244,6 +251,10 @@ def cell_weights(points: Sequence, level: GridLevel):
     m, d = u.shape
     # Per point and axis, the low-side and the high-side weight factor.
     factors = weights_from_offsets(((u - low) / s).reshape(m * d, 1)).reshape(m, d, 2)
+    corners = int((1 << np.count_nonzero(factors.all(axis=2), axis=1)).sum())
+    if corners > MAX_CORNERS:
+        raise ValueError(f"the points reach {corners} weighted cell corners at level {level.n}, "
+                         f"more than the {MAX_CORNERS} one projection expands")
     rows = np.arange(m)
     keys = ((low + 2.0 ** (level.n - 1)) / s).astype(np.int64)
     weights = np.ones(m)
@@ -256,62 +267,36 @@ def cell_weights(points: Sequence, level: GridLevel):
     return rows, keys, weights
 
 
-class CornerTable:
-    """Values of a function at lattice corners: distinct int64 key rows in
-    lexicographic order, and the value at each."""
-
-    def __init__(self, dim: int):
-        self.keys, self.values = np.zeros((0, dim), dtype=np.int64), np.zeros(0)
-
-
-def project_values(f, points: Sequence, level: GridLevel, cache: CornerTable | None = None) -> np.ndarray:
-    """Projected values of ``f`` at a batch of points.
-
-    One stable sort of the packed key rows, ``cache``'s followed by the
-    batch's, gives the distinct weighted corners in key order, each led by
-    its cached row when it has one.  The others are passed to ``f.eval_many``
-    once, in one batch, and ``cache`` becomes the merged table.
-    """
+def project_values(f, points: Sequence, level: GridLevel) -> np.ndarray:
+    """Projected values of ``f`` at a batch of points: one ``np.unique`` over
+    the packed key rows gives the distinct weighted corners in key order,
+    ``f.eval_many`` gets them in one batch, and one ``bincount`` sums each
+    point's weighted corner values."""
     if not len(points):
         return np.zeros(0)
     rows, keys, weights = cell_weights(points, level)
-    table = CornerTable(level.cell_dim) if cache is None else cache
-    known, merged = len(table.values), np.concatenate([table.keys, keys])
     # One void scalar per big-endian key row: as keys are nonnegative, byte
     # order is the rows' lexicographic order.
-    packed = merged.astype(">i8").view(np.dtype((np.void, 8 * merged.shape[1]))).reshape(-1)
-    order = np.argsort(packed, kind="stable")
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = packed[order[1:]] != packed[order[:-1]]
-    lead = order[first]  # the first row of each distinct corner
-    values = np.concatenate([table.values, np.zeros(len(keys))])[lead]
-    new = lead >= known
-    if new.any():
-        coords = lattice_coords(merged[lead[new]], level.n)
-        values[new] = f.eval_many(embed_rows(coords) if level.dim is None else coords)
-    table.keys, table.values = merged[lead], values
-    corner_of = np.empty(len(order), dtype=np.intp)
-    corner_of[order] = np.cumsum(first) - 1
-    return np.bincount(rows, weights=weights * values[corner_of[known:]], minlength=len(points))
+    packed = keys.astype(">i8").view(np.dtype((np.void, 8 * keys.shape[1]))).reshape(-1)
+    distinct, corner_of = np.unique(packed, return_inverse=True)
+    coords = lattice_coords(distinct.view(">i8").reshape(len(distinct), -1), level.n)
+    values = np.asarray(f.eval_many(embed_rows(coords) if level.dim is None else coords), dtype=float)
+    return np.bincount(rows, weights=weights * values[corner_of], minlength=len(points))
 
 
 class ProjectedLipFunction(LipFunction):
-    """A materialized projection: finite corner-value table plus the pipeline.
-
-    The :class:`CornerTable` fills lazily (only weighted corners of visited
-    cells are ever computed), so composing projections and forming pairings
-    is exact and cheap.  Not safe for concurrent use while the table is
-    still being filled.
-    """
+    """A materialized projection holding only ``base`` and ``level``: each
+    ``eval_many`` call evaluates ``base`` once at the distinct weighted
+    corners of its own batch, so one instance can be shared across threads."""
 
     def __init__(self, base, level: GridLevel):
-        self.base, self.level, self.table = base, level, CornerTable(level.cell_dim)
+        self.base, self.level = base, level
         declared = getattr(base, "declared_lip", None)
         label = f"project(n={level.n})[{getattr(base, 'label', '')}]"
         super().__init__(None, declared_lip=declared, label=label)  # evaluated by eval_many only
 
     def eval_many(self, points: Sequence) -> np.ndarray:
-        return project_values(self.base, points, self.level, cache=self.table)
+        return project_values(self.base, points, self.level)
 
 
 def lip_projection(f, level: GridLevel) -> ProjectedLipFunction:
@@ -359,10 +344,9 @@ class ConvergenceCheck:
 
 
 @dataclass(frozen=True, eq=False)
-class ConvergenceChecks(Sequence):
-    """:class:`ConvergenceCheck` columns over a batch; item ``i`` is the
-    one-point view.  ``ok`` is the bound test at every point, read as None
-    by the view where ``clamped``."""
+class ConvergenceChecks:
+    """:class:`ConvergenceCheck` columns over a batch; ``ok`` is the bound
+    test at every point, clamped or not."""
 
     value: np.ndarray
     exact: np.ndarray
@@ -370,16 +354,6 @@ class ConvergenceChecks(Sequence):
     bound: np.ndarray
     clamped: np.ndarray
     ok: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.value)
-
-    def __getitem__(self, i) -> ConvergenceCheck:
-        value, exact, error, bound, clamped, ok = (column[i].item() for column in vars(self).values())
-        return ConvergenceCheck(value, exact, error, bound, clamped, None if clamped else ok)
-
-    def __eq__(self, other):
-        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
 
 
 def convergence_checks(f, points: Sequence, n: int, dim: int | None = None) -> ConvergenceChecks:
@@ -401,5 +375,7 @@ def convergence_checks(f, points: Sequence, n: int, dim: int | None = None) -> C
 
 
 def convergence_check(f, x, n: int, dim: int | None = None) -> ConvergenceCheck:
-    """:func:`convergence_checks` at one point."""
-    return convergence_checks(f, [x], n, dim)[0]
+    """:func:`convergence_checks` at one point; ``ok`` is None where it is clamped."""
+    checks = convergence_checks(f, [x], n, dim)
+    value, exact, error, bound, clamped, ok = (column[0].item() for column in vars(checks).values())
+    return ConvergenceCheck(value, exact, error, bound, clamped, None if clamped else ok)

@@ -62,9 +62,10 @@ def _random_vertex_data(rng, dim) -> interpolation.VertexData:
     return interpolation.VertexData(cube=cube, values=tuple(rng.normal(size=2**dim)))
 
 
-def _point_in(rng, cube):
+def _point_in(rng, cube, count=None):
+    """A point uniform in ``cube``, or ``count`` of them as rows of one draw."""
     c = np.asarray(cube.center)
-    return c + rng.uniform(-0.5, 0.5, size=cube.dim) * cube.edge
+    return c + rng.uniform(-0.5, 0.5, size=cube.dim if count is None else (count, cube.dim)) * cube.edge
 
 
 def _random_sparse(rng, spread=2.0, max_index=6) -> geometry.FiniteSupportPoint:
@@ -183,8 +184,8 @@ def _suite_interp_lip_constant(rng) -> SuiteResult:
         for _ in range(10):
             data = _random_vertex_data(rng, dim)
             corner_lip = data.corner_lip()
-            xs = np.array([_point_in(rng, data.cube) for _ in range(1500)])
-            ys = np.array([_point_in(rng, data.cube) for _ in range(1500)])
+            xs = _point_in(rng, data.cube, 1500)
+            ys = _point_in(rng, data.cube, 1500)
             fx = interpolation.interpolate_batch(data, xs)
             fy = interpolation.interpolate_batch(data, ys)
             gaps = np.abs(fx - fy) - corner_lip * np.abs(xs - ys).sum(axis=1) * (1 + 1e-9)

@@ -1,12 +1,12 @@
-"""Oracles for the sorted corner table and the padded sparse l1 kernel.
+"""Oracles for the corner deduplication and the padded sparse l1 kernel.
 
 These are the straightforward forms that :func:`lipfree.operators.project_values`
 and :func:`lipfree.geometry._sparse_l1_block` replaced, kept so the vectorised
 code can be checked against them bit for bit:
 
 * :func:`dict_project_values` finds the distinct corners with
-  ``np.unique(axis=0)`` and caches corner values in a dict keyed by
-  lattice-index tuples;
+  ``np.unique(axis=0)`` and looks each weighted corner's value up in a dict
+  keyed by lattice-index tuples, built afresh on every call;
 * :func:`loop_sparse_l1_block` advances the two running sums of every pair
   one occurring index at a time.
 """
@@ -17,21 +17,18 @@ from lipfree.geometry import embed_finite
 from lipfree.operators import LipFunction, cell_weights, lattice_coords
 
 
-def dict_project_values(f, points, level, cache=None):
-    """Projected values of ``f``; ``cache`` maps lattice-index tuples to values."""
+def dict_project_values(f, points, level):
+    """Projected values of ``f``; within the call, corner values sit in a dict
+    keyed by lattice-index tuples, and nothing is kept between calls."""
     if not len(points):
         return np.zeros(0)
     rows, keys, weights = cell_weights(points, level)
-    corners, inverse = np.unique(keys, axis=0, return_inverse=True)
-    table = {} if cache is None else cache
-    corner_keys = [tuple(k) for k in corners.tolist()]
-    new = [i for i, k in enumerate(corner_keys) if k not in table]
-    if new:
-        coords = lattice_coords(corners[new], level.n)
-        pts = [embed_finite(c) for c in coords] if level.dim is None else list(coords)
-        table.update(zip((corner_keys[i] for i in new), map(float, f.eval_many(pts))))
-    values = np.array([table[k] for k in corner_keys])
-    return np.bincount(rows, weights=weights * values[inverse.reshape(-1)], minlength=len(points))
+    corners = np.unique(keys, axis=0)
+    coords = lattice_coords(corners, level.n)
+    pts = [embed_finite(c) for c in coords] if level.dim is None else list(coords)
+    table = dict(zip(map(tuple, corners.tolist()), map(float, f.eval_many(pts))))
+    values = np.array([table[k] for k in map(tuple, keys.tolist())])
+    return np.bincount(rows, weights=weights * values, minlength=len(points))
 
 
 class DictProjection(LipFunction):
@@ -39,10 +36,10 @@ class DictProjection(LipFunction):
 
     def __init__(self, base, level):
         super().__init__(None, declared_lip=getattr(base, "declared_lip", None))
-        self.base, self.level, self.table = base, level, {}
+        self.base, self.level = base, level
 
     def eval_many(self, points):
-        return dict_project_values(self.base, points, self.level, cache=self.table)
+        return dict_project_values(self.base, points, self.level)
 
 
 def loop_sparse_l1_block(ps, qs):

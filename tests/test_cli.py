@@ -588,6 +588,35 @@ class TestModuleEntry:
             assert len(json.loads(out.read_text())["rows"]) == rows
 
 
+class TestBlowUpsRefused:
+    """Inputs within the caps whose corner count or norm size explodes exit 2,
+    naming the count, before they exhaust memory or run for minutes."""
+
+    COORDS = [0.01 + 0.98 * ((i * 0.618034) % 1.0) for i in range(20)]  # all off the grid
+
+    def check(self, argv, count):
+        proc, elapsed = run_module(argv, cap_bytes=1536 * 2**20, timeout=30)
+        assert proc.returncode == 2, proc.stderr[-2000:]
+        assert proc.stdout == "" and proc.stderr.startswith("error: ") and str(count) in proc.stderr
+        assert elapsed < 10.0
+
+    def test_64_points_with_every_axis_free_in_16_dimensions(self, tmp_path):
+        pts = np.random.default_rng(3).uniform(-0.9, 0.9, size=(64, 16)).tolist()
+        argv = ["project", "--input", write_json(tmp_path / "pts.json", pts), "--dim", "16", "--n", "2",
+                "--function", "random-lattice", "--seed", "3"]
+        self.check(argv, 64 * 2**16)
+
+    def test_twenty_free_coordinates_at_level_20(self, tmp_path):
+        point = {"coords": {str(i + 1): v for i, v in enumerate(self.COORDS)}}
+        self.check(["project", "--input", write_json(tmp_path / "pts.json", [point]), "--n", "20"], 2**20)
+
+    def test_fdd_levels_beyond_the_norm_size(self, tmp_path):
+        point = {"coords": {str(i + 1): v for i, v in enumerate(self.COORDS[:12])}}
+        mol = write_json(tmp_path / "mol.json", {"space": "l1", "terms": [{"point": point, "coeff": 1.0}]})
+        # level 9 spreads the point over 2**9 corners; its error molecule adds the point itself
+        self.check(["fdd-table", "--input", mol, "--n-max", "12"], 2**9 + 1)
+
+
 class TestEmitFailure:
     def test_failed_replace_leaves_no_file(self, tmp_path, capsys, monkeypatch):
         mol = write_json(tmp_path / "mol.json", TWO_POINT)

@@ -1,7 +1,7 @@
-"""The sorted corner table and the padded sparse kernel against their oracles.
+"""The corner deduplication and the padded sparse kernel against their oracles.
 
-Every comparison is exact: the same values, the same corners passed to
-``eval_many`` in the same batches, and the same cached table.
+Every comparison is exact: the same values, and the same corners passed to
+``eval_many`` in the same batches.
 """
 
 import os
@@ -18,7 +18,14 @@ import lipfree
 from corner_oracles import DictProjection, dict_project_values, loop_sparse_l1_block
 from lipfree import geometry
 from lipfree.geometry import FiniteSupportPoint, l1_distances
-from lipfree.operators import GridLevel, LipFunction, lip_projection, project_values, random_lattice_function
+from lipfree.operators import (
+    GridLevel,
+    LipFunction,
+    cell_weights,
+    lip_projection,
+    project_values,
+    random_lattice_function,
+)
 
 
 class Recording(LipFunction):
@@ -61,10 +68,6 @@ def assert_same(f, xs, level):
     return got
 
 
-def table_items(proj):
-    return list(zip(map(tuple, proj.table.keys.tolist()), proj.table.values.tolist()))
-
-
 class TestAgainstTheDictTable:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_sequence_mode(self, n):
@@ -85,9 +88,10 @@ class TestAgainstTheDictTable:
         rng = np.random.default_rng(730)
         f = random_lattice_function(rng, dim=16)
         x = rng.uniform(-0.95, 0.95, size=16)  # in one cell, all 2**16 corners weighted
-        proj, oracle = lip_projection(f, GridLevel(1, 16)), DictProjection(f, GridLevel(1, 16))
+        new_f, old_f = Recording(f), Recording(f)
+        proj, oracle = lip_projection(new_f, GridLevel(1, 16)), DictProjection(old_f, GridLevel(1, 16))
         assert proj.eval_many([x]).tolist() == oracle.eval_many([x]).tolist()
-        assert len(proj.table.values) == 2**16 and table_items(proj) == sorted(oracle.table.items())
+        assert [len(b) for b in new_f.batches] == [2**16] and new_f.batches == old_f.batches
 
     def test_clamped_points(self):
         rng = np.random.default_rng(740)
@@ -99,6 +103,7 @@ class TestAgainstTheDictTable:
 
     @pytest.mark.parametrize("dim", [None, 2, 6])
     def test_repeated_and_overlapping_batches_share_one_table(self, dim):
+        # Nothing is shared between calls: each evaluates its own distinct corners.
         rng = np.random.default_rng(750 + (dim or 0))
         f = random_lattice_function(rng, dim=dim)
         level = GridLevel(3, dim)
@@ -106,11 +111,12 @@ class TestAgainstTheDictTable:
         new_f, old_f = Recording(f), Recording(f)
         proj, oracle = lip_projection(new_f, level), DictProjection(old_f, level)
         batches = [pool[:10], pool[:10], pool[5:20], pool[25:] + pool[:3] + pool[25:], pool[18:30]]
-        for batch in batches:  # all misses, all hits, then hits and misses in one call
+        for batch in batches:  # fresh, repeated, overlapping, and a batch repeating points within itself
             assert proj.eval_many(batch).tolist() == oracle.eval_many(batch).tolist()
-            assert table_items(proj) == sorted(oracle.table.items())
+            _, keys, _ = cell_weights(batch, level)
+            assert len(new_f.batches[-1]) == len(np.unique(keys, axis=0))
         assert new_f.batches == old_f.batches
-        assert len(new_f.batches) == 4  # the second batch was all hits
+        assert len(new_f.batches) == 5 and new_f.batches[1] == new_f.batches[0]
 
     @pytest.mark.parametrize("dim", [None, 2])
     def test_projection_of_a_projection(self, dim):
@@ -118,20 +124,20 @@ class TestAgainstTheDictTable:
         f = random_lattice_function(rng, dim=dim)
         xs = sparse_points(rng, 30, 7, 5.0) if dim is None else dense_points(rng, 30, dim, 3)
         for inner, outer in ((4, 2), (2, 4), (3, 3)):
-            got = lip_projection(lip_projection(f, GridLevel(inner, dim)), GridLevel(outer, dim))
-            expect = DictProjection(DictProjection(f, GridLevel(inner, dim)), GridLevel(outer, dim))
+            new_f, old_f = Recording(f), Recording(f)
+            got = lip_projection(lip_projection(new_f, GridLevel(inner, dim)), GridLevel(outer, dim))
+            expect = DictProjection(DictProjection(old_f, GridLevel(inner, dim)), GridLevel(outer, dim))
             assert got.eval_many(xs).tolist() == expect.eval_many(xs).tolist()
-            assert table_items(got) == sorted(expect.table.items())
-            assert table_items(got.base) == sorted(expect.base.table.items())
+            assert len(new_f.batches) == 1 and new_f.batches == old_f.batches
 
     def test_empty_batch(self):
         f = random_lattice_function(np.random.default_rng(770), dim=2)
-        proj = lip_projection(f, GridLevel(2, 2))
+        recording = Recording(f)
+        proj = lip_projection(recording, GridLevel(2, 2))
         assert project_values(f, [], GridLevel(2, 2)).shape == (0,)
-        assert proj.eval_many([]).shape == (0,)
-        assert proj.table.keys.shape == (0, 2) and proj.table.values.shape == (0,)
+        assert proj.eval_many([]).shape == (0,) and recording.batches == []
         proj.eval_many([np.array([0.3, 0.1])])
-        assert proj.eval_many([]).shape == (0,) and len(proj.table.values) == 4
+        assert proj.eval_many([]).shape == (0,) and [len(b) for b in recording.batches] == [4]
 
 
 class TestAgainstTheIndexLoop:

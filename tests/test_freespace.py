@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from lipfree.extension import FinitePointedMetricSpace
-from lipfree import geometry
+from lipfree import freespace, geometry
 from norm_oracle import oracle_free_norm
 from lipfree.freespace import (
+    MAX_NORM_SUPPORT,
     Molecule,
     NormCertificate,
     _distance_matrix,
@@ -231,6 +232,22 @@ class TestDecompositionReport:
     def test_bound_column_matches_formula(self):
         mu = Molecule.on_l1([(sparse([(1, 0.4), (3, 0.2)]), 2.0)])
         assert projection_bound(mu, 2) == pytest.approx(2.0 * 2.0 * (0.2 + 2 * 0.5))
+
+
+class TestNormSize:
+    def test_free_norm_refuses_a_support_beyond_the_cap(self):
+        pts = np.random.default_rng(5).uniform(-4.0, 4.0, size=(MAX_NORM_SUPPORT + 1, 2))
+        with pytest.raises(ValueError, match=f"{MAX_NORM_SUPPORT + 1} support points"):
+            free_norm(Molecule.on_rn([(p, 1.0) for p in pts]))
+
+    def test_report_sizes_every_level_before_solving(self, monkeypatch):
+        # 10 free coordinates: level 9 reaches 512 corners, and its error molecule 513 points
+        point = sparse([(i, 0.01 + 0.98 * ((i * 0.618034) % 1.0)) for i in range(1, 11)])
+        solved = []
+        monkeypatch.setattr(freespace, "solve_box_lp", lambda *args: solved.append(args))
+        with pytest.raises(ValueError, match="level-9 projection error has 513"):
+            decomposition_report(Molecule.on_l1([(point, 1.0)]), 12)
+        assert solved == []
 
 
 class TestDiracIsometry:
