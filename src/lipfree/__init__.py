@@ -43,8 +43,8 @@ from .freespace import (
     transport_norm,
 )
 from .geometry import (
-    DyadicCubeIndex,
     FiniteSupportPoint,
+    GridCell,
     Hypercube,
     clamp_to_cube,
     embed_finite,

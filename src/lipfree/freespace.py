@@ -35,8 +35,9 @@ import numpy as np
 from scipy import optimize, sparse
 
 from .extension import FinitePointedMetricSpace
-from .geometry import MAX_LEVEL, FiniteSupportPoint, check_magnitude, embed_rows, l1_distance, l1_distances
-from .operators import GridLevel, cell_weights, lattice_coords
+from .geometry import (MAX_LEVEL, FiniteSupportPoint, check_magnitude, embed_rows, l1_distance, l1_distances,
+                       lattice_coords)
+from .operators import GridLevel, cell_weights
 
 KINDS = ("l1", "l1N", "finite")
 

@@ -2,10 +2,13 @@
 
 Everything in this module is organized around the level-n tiling: the big
 cube of edge ``2**n`` centered at the origin of R^d is split into cells of
-edge ``2**(1 - n)``.  Cell centers, vertices and the uniform vertex grid are
-all integer multiples of ``2**(-n)``, so for levels up to :data:`MAX_LEVEL`
-every coordinate produced here is exactly representable as a 64-bit float and
-equality tests on grid data are exact (no rational arithmetic needed).
+edge ``2**(1 - n)``.  Grid data has one name, the int64 lattice key: key
+``j`` on an axis is the coordinate ``j * 2**(1-n) - 2**(n-1)``
+(:func:`lattice_coords`), so the vertices are keys ``0 .. 2**(2n-1)`` per
+axis and a cell is named by the key of its low corner
+(:func:`cell_low_corners`, :class:`GridCell`).  Coordinates made from keys
+are integer multiples of ``2**(-n)``, exact as 64-bit floats for levels up
+to :data:`MAX_LEVEL`, so equality tests on grid data are exact.
 """
 
 from __future__ import annotations
@@ -62,11 +65,6 @@ def sign_matrix(dim: int) -> np.ndarray:
     return m
 
 
-def _check_signs(delta: tuple[int, ...]) -> None:
-    if any(s not in (-1, 1) for s in delta):
-        raise ValueError(f"sign vector entries must be -1 or +1, got {delta}")
-
-
 @dataclass(frozen=True)
 class Hypercube:
     """Axis-aligned cube: all points within ``edge / 2`` of ``center`` in sup norm."""
@@ -90,7 +88,8 @@ class Hypercube:
         """The corner ``center + (edge / 2) * delta``."""
         if len(delta) != self.dim:
             raise ValueError(f"sign vector length {len(delta)} != dimension {self.dim}")
-        _check_signs(tuple(delta))
+        if any(s not in (-1, 1) for s in delta):
+            raise ValueError(f"sign vector entries must be -1 or +1, got {tuple(delta)}")
         return np.asarray(self.center, dtype=float) + 0.5 * self.edge * np.asarray(delta, dtype=float)
 
     def vertices(self) -> np.ndarray:
@@ -107,46 +106,6 @@ class Hypercube:
         x = np.asarray(x, dtype=float)
         c = np.asarray(self.center, dtype=float)
         return (x - c + 0.5 * self.edge) / self.edge
-
-
-@dataclass(frozen=True)
-class DyadicCubeIndex:
-    """Address ``(eps, h, k)`` of a cell in the dyadic tiling.
-
-    The cell has edge ``2**(-k)`` and center
-    ``2**(-k-1) * eps + 2**(-k) * (eps_1 h_1, ..., eps_d h_d)`` relative to the
-    grid base point.  In the level-n tiling of the big cube, ``k = n - 1`` and
-    each ``h_i`` ranges over ``0 .. 2**(2n-2) - 1``.
-    """
-
-    eps: tuple[int, ...]
-    h: tuple[int, ...]
-    k: int
-
-    def __post_init__(self):
-        _check_signs(self.eps)
-        if len(self.eps) != len(self.h):
-            raise ValueError("eps and h must have equal length")
-        if any(hi < 0 for hi in self.h):
-            raise ValueError("h entries must be nonnegative")
-        if self.k < 0:
-            raise ValueError("scale k must be nonnegative")
-
-    @property
-    def dim(self) -> int:
-        return len(self.eps)
-
-    def center(self, base=None) -> np.ndarray:
-        """Dyadic grid point ``base + 2**(-k-1) eps + 2**(-k) (eps_i h_i)_i``."""
-        base = np.zeros(self.dim) if base is None else np.asarray(base, dtype=float)
-        if base.shape != (self.dim,):
-            raise ValueError(f"base point has shape {base.shape}, index has dimension {self.dim}")
-        eps = np.asarray(self.eps, dtype=float)
-        h = np.asarray(self.h, dtype=float)
-        return base + 2.0 ** (-self.k - 1) * eps + 2.0 ** (-self.k) * eps * h
-
-    def cube(self, base=None) -> Hypercube:
-        return Hypercube(center=tuple(self.center(base)), edge=2.0 ** (-self.k))
 
 
 def clamp_to_cube(x, edge: float) -> np.ndarray:
@@ -166,32 +125,58 @@ def _check_level(level: int) -> None:
         raise ValueError(f"level must be in 1..{MAX_LEVEL}, got {level}")
 
 
-def slab_indices(u, level: int) -> np.ndarray:
-    """Global per-axis slab indices of points inside the level-n big cube.
+def lattice_coords(keys, level: int) -> np.ndarray:
+    """Coordinates ``key * 2**(1-n) - 2**(n-1)`` of int64 lattice keys.
 
-    Axis slabs are the half-open intervals ``[j*s - half, (j+1)*s - half)``
-    of width ``s = 2**(1-n)`` covering ``[-half, half]`` with
-    ``half = 2**(n-1)``; the topmost slab also contains its right endpoint.
-    Input of shape (..., d) gives integer output of the same shape with
-    values in ``0 .. 2**(2n-1) - 1``.
+    Key ``j`` on an axis names the level-n grid line at that coordinate, so
+    the vertex grid is keys ``0 .. 2**(2n-1)`` per axis; exact up to
+    :data:`MAX_LEVEL`.
+    """
+    return np.asarray(keys, dtype=np.int64) * 2.0 ** (1 - level) - 2.0 ** (level - 1)
+
+
+def cell_low_corners(u, level: int) -> np.ndarray:
+    """Lattice keys of the low corners of the level-n cells containing the
+    rows of ``u``.
+
+    Points are clamped onto the big cube first.  Axis slab ``j`` is the
+    half-open interval ``[j*s - half, (j+1)*s - half)`` of width
+    ``s = 2**(1-n)``, with ``half = 2**(n-1)``; the topmost slab also holds
+    its right endpoint.  ``u`` of shape (m, d) gives int64 keys of shape
+    (m, d) in ``0 .. 2**(2n-1) - 1``; the cell spans
+    ``[lattice_coords(key), lattice_coords(key + 1)]`` per axis.  A row with
+    a non-finite coordinate raises ValueError naming it.
     """
     _check_level(level)
-    u = np.asarray(u, dtype=float)
+    u = np.atleast_2d(np.asarray(u, dtype=float))
+    bad = np.flatnonzero(~np.isfinite(u).all(axis=1))
+    if bad.size:
+        raise ValueError(f"point {bad[0]} {u[bad[0]].tolist()} has a non-finite coordinate")
     half = 2.0 ** (level - 1)
-    s = 2.0 ** (1 - level)
-    per_axis = 1 << (2 * level - 1)
-    j = np.floor((u + half) / s).astype(np.int64)
-    return np.clip(j, 0, per_axis - 1)
+    j = np.floor((np.clip(u, -half, half) + half) / 2.0 ** (1 - level)).astype(np.int64)
+    return np.minimum(j, (1 << (2 * level - 1)) - 1)
 
 
-def locate_cube(u, level: int) -> DyadicCubeIndex:
-    """Find the level-n cell of the tiling containing ``u``.
+@dataclass(frozen=True)
+class GridCell:
+    """The level-n tiling cell whose low corner has lattice key ``key``."""
 
-    Boundary points are resolved deterministically by the half-open slab
-    convention of :func:`slab_indices` (in particular a zero coordinate goes
-    to the positive side).  Raises if ``u`` lies outside the big cube beyond
-    :data:`LOCATE_TOL` (relative to the cube's half-edge); callers normally
-    clamp first.
+    key: tuple[int, ...]
+    level: int
+
+    def cube(self) -> Hypercube:
+        edge = 2.0 ** (1 - self.level)
+        return Hypercube(center=tuple(lattice_coords(self.key, self.level) + 0.5 * edge), edge=edge)
+
+
+def locate_cube(u, level: int) -> GridCell:
+    """The level-n cell of the tiling containing ``u``.
+
+    Boundary points are resolved deterministically by the half-open slabs of
+    :func:`cell_low_corners` (in particular a zero coordinate goes to the
+    positive side).  Raises if ``u`` has a non-finite coordinate, or lies
+    outside the big cube beyond :data:`LOCATE_TOL` (relative to the cube's
+    half-edge); callers normally clamp first.
     """
     _check_level(level)
     u = np.asarray(u, dtype=float)
@@ -202,34 +187,14 @@ def locate_cube(u, level: int) -> DyadicCubeIndex:
     half = 2.0 ** (level - 1)
     if np.max(np.abs(u)) > half * (1.0 + LOCATE_TOL) + LOCATE_TOL:
         raise ValueError(f"point {u.tolist()} lies outside the level-{level} cube of half-edge {half}")
-    j = slab_indices(np.clip(u, -half, half), level)
-    n_half = 1 << (2 * level - 2)
-    eps = tuple(1 if ji >= n_half else -1 for ji in j)
-    h = tuple(int(ji - n_half) if ji >= n_half else int(n_half - 1 - ji) for ji in j)
-    return DyadicCubeIndex(eps=eps, h=h, k=level - 1)
-
-
-def cell_low_corners(u, level: int) -> np.ndarray:
-    """Low corners of the level-n cells containing each row of ``u``.
-
-    Vectorized companion of :func:`locate_cube` for batched interpolation:
-    ``u`` of shape (m, d) gives (m, d) low corners; the cell spans
-    ``[corner, corner + 2**(1-n)]`` per axis.  Points are clamped onto the
-    big cube first.
-    """
-    _check_level(level)
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    half = 2.0 ** (level - 1)
-    s = 2.0 ** (1 - level)
-    j = slab_indices(np.clip(u, -half, half), level)
-    return j * s - half
+    return GridCell(key=tuple(cell_low_corners(u, level)[0].tolist()), level=level)
 
 
 def tiling_vertex_count(level: int, dim: int) -> int:
     """Exact cardinality of the level-n vertex grid: ``(2**(2n-1) + 1)**dim``."""
     _check_level(level)
-    if dim < 1:
-        raise ValueError("dimension must be positive")
+    if not (1 <= dim <= MAX_DIM):
+        raise ValueError(f"dimension must be in 1..{MAX_DIM}, got {dim}")
     return ((1 << (2 * level - 1)) + 1) ** dim
 
 
@@ -237,23 +202,17 @@ def tiling_vertices(level: int, dim: int) -> np.ndarray:
     """The full vertex grid of the level-n tiling as a (count, dim) array.
 
     This is the uniform grid of spacing ``2**(1-n)`` on the big cube
-    ``[-2**(n-1), 2**(n-1)]**dim``.  Raises with the computed cardinality when
-    it would exceed :data:`VERTEX_LIMIT`.
+    ``[-2**(n-1), 2**(n-1)]**dim``: every lattice key, last axis fastest.
+    Raises with the computed cardinality when it would exceed
+    :data:`VERTEX_LIMIT`.
     """
-    _check_level(level)
-    if not (1 <= dim <= MAX_DIM):
-        raise ValueError(f"dimension must be in 1..{MAX_DIM}, got {dim}")
     count = tiling_vertex_count(level, dim)
     if count > VERTEX_LIMIT:
         raise ValueError(
             f"vertex grid for level={level}, dim={dim} has {count} points, exceeding the limit {VERTEX_LIMIT}"
         )
-    half = 2.0 ** (level - 1)
-    s = 2.0 ** (1 - level)
     per_axis = (1 << (2 * level - 1)) + 1
-    axis = -half + s * np.arange(per_axis)
-    grids = np.meshgrid(*([axis] * dim), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    return lattice_coords(np.indices((per_axis,) * dim).reshape(dim, -1).T, level)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -33,17 +32,12 @@ from .geometry import Hypercube, check_magnitude, l1_distances, sign_matrix, sig
 _WEIGHT_FAULT = False
 
 #: How far outside its cube, relative to the edge, a point may lie for
-#: :func:`interpolation_weights`, :func:`interpolate` and
-#: :func:`interpolate_batch`; such points are clipped onto the cube.
+#: :func:`interpolate_batch` and its one-row views; such points are clipped
+#: onto the cube.
 OUTSIDE_TOL = 1e-9
 
 #: Largest midpoint deviation that :func:`check_axis_affinity` passes.
 AFFINITY_TOL = 1e-10
-
-
-@lru_cache(maxsize=64)
-def _sign_index(dim: int) -> dict[tuple[int, ...], int]:
-    return {delta: pos for pos, delta in enumerate(sign_vectors(dim))}
 
 
 @dataclass(frozen=True)
@@ -146,9 +140,6 @@ class VertexData:
     def from_function(cls, cube: Hypercube, fn: Callable) -> "VertexData":
         return cls(cube=cube, values=tuple(float(fn(v)) for v in cube.vertices()))
 
-    def value(self, delta: tuple[int, ...]) -> float:
-        return self.values[_sign_index(self.cube.dim)[tuple(delta)]]
-
     def vertex_restriction(self) -> TabulatedFunction:
         """The corner values as a tabulated function on the corner points.
 
@@ -164,18 +155,11 @@ class VertexData:
 
         Corner pairs differing in ``m`` signs are at l1 distance ``m * edge``.
         """
-        dim = self.cube.dim
-        signs = sign_vectors(dim)
-        vals = self.values
-        edge = self.cube.edge
-        best = 0.0
-        for i in range(len(signs)):
-            for j in range(i + 1, len(signs)):
-                ham = sum(1 for a, b in zip(signs[i], signs[j]) if a != b)
-                q = abs(vals[i] - vals[j]) / (ham * edge)
-                if q > best:
-                    best = q
-        return best
+        signs = sign_matrix(self.cube.dim)
+        i, j = np.triu_indices(len(signs), 1)
+        ham = np.count_nonzero(signs[i] != signs[j], axis=1)
+        vals = np.asarray(self.values)
+        return float(np.max(np.abs(vals[i] - vals[j]) / (ham * self.cube.edge), initial=0.0))
 
 
 def weights_from_offsets(t: np.ndarray) -> np.ndarray:
@@ -194,54 +178,58 @@ def weights_from_offsets(t: np.ndarray) -> np.ndarray:
     return w
 
 
+def _weights(cube: Hypercube, xs) -> np.ndarray:
+    """Rows of :func:`weights_from_offsets` at the :meth:`Hypercube.barycentric`
+    offsets of the rows of ``xs``."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    if xs.ndim != 2 or xs.shape[1] != cube.dim:
+        raise ValueError(f"expected points of dimension {cube.dim}, got shape {xs.shape}")
+    t = cube.barycentric(xs)
+    outside = np.flatnonzero(~((t >= -OUTSIDE_TOL) & (t <= 1.0 + OUTSIDE_TOL)).all(axis=1))
+    if outside.size:  # NaN offsets fail both comparisons
+        raise ValueError(f"point {outside[0]} {xs[outside[0]].tolist()} lies outside cube {cube}")
+    return weights_from_offsets(np.clip(t, 0.0, 1.0))
+
+
 def interpolation_weights(cube: Hypercube, x) -> np.ndarray:
-    """Barycentric corner weights of ``x`` in ``cube``.
+    """Barycentric corner weights of ``x`` in ``cube``: the one row of the
+    weights :func:`interpolate_batch` takes.
 
     Returns the (2**dim,) weight vector aligned with :func:`sign_vectors`.
-    Raises when ``x`` lies outside the cube beyond :data:`OUTSIDE_TOL`; tiny
-    excursions are clipped so weights stay in the simplex.
     """
-    t = cube.barycentric(x)
-    if np.min(t) < -OUTSIDE_TOL or np.max(t) > 1.0 + OUTSIDE_TOL:
-        raise ValueError(f"point {np.asarray(x).tolist()} lies outside cube {cube}")
-    t = np.clip(t, 0.0, 1.0)
-    return weights_from_offsets(t[None, :])[0]
+    return _weights(cube, [x])[0]
 
 
 def interpolate(data: VertexData, x) -> float:
-    """Value at ``x`` of the axis-affine extension of the corner data."""
-    w = interpolation_weights(data.cube, x)
-    return float(w @ np.asarray(data.values))
+    """Value at ``x`` of the axis-affine extension of the corner data: the
+    one row of :func:`interpolate_batch`."""
+    return float(interpolate_batch(data, [x])[0])
 
 
 def interpolate_batch(data: VertexData, xs) -> np.ndarray:
-    """Vectorized :func:`interpolate` over rows of ``xs``."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    t = (xs - np.asarray(data.cube.center)) / data.cube.edge + 0.5
-    if np.min(t) < -OUTSIDE_TOL or np.max(t) > 1.0 + OUTSIDE_TOL:
-        raise ValueError("some points lie outside the cube")
-    w = weights_from_offsets(np.clip(t, 0.0, 1.0))
-    return w @ np.asarray(data.values)
+    """Values of the axis-affine extension at the rows of ``xs``.
+
+    Raises on rows of the wrong dimension, and, naming the first such point
+    and the cube, when a point lies outside the cube beyond
+    :data:`OUTSIDE_TOL` or has a non-finite coordinate; tiny excursions are
+    clipped so weights stay in the simplex.
+    Each row is summed on its own, so a row's value does not depend on the
+    rest of the batch.
+    """
+    return (_weights(data.cube, xs) * np.asarray(data.values)).sum(axis=1)
 
 
 def interpolate_recursive(data: VertexData, x) -> float:
     """Oracle: the staged one-axis-at-a-time blend collapsing axis 1 first.
 
     Kept only for cross-checking :func:`interpolate`; both compute the same
-    function.
+    function.  The corner values, in :func:`sign_vectors` order, form a
+    ``(2,) * dim`` table whose index 0 on an axis is the sign -1.
     """
-    dim = data.cube.dim
-    t = data.cube.barycentric(x)
-    table = {
-        gamma: t[0] * data.value((1,) + gamma) + (1.0 - t[0]) * data.value((-1,) + gamma)
-        for gamma in sign_vectors(dim - 1)
-    }
-    for j in range(2, dim + 1):
-        table = {
-            gamma: t[j - 1] * table[(1,) + gamma] + (1.0 - t[j - 1]) * table[(-1,) + gamma]
-            for gamma in sign_vectors(dim - j)
-        }
-    return float(table[()])
+    table = np.asarray(data.values).reshape((2,) * data.cube.dim)
+    for ti in data.cube.barycentric(x):
+        table = ti * table[1] + (1.0 - ti) * table[0]
+    return float(table)
 
 
 @dataclass(frozen=True)
@@ -260,13 +248,9 @@ def check_axis_affinity(data: VertexData, segments: Sequence[tuple[np.ndarray, n
     ``|f(mid) - (f(a) + f(b)) / 2|`` is computed; axis-parallel segments must
     pass, oblique ones are expected to fail (report only, never raises).
     """
-    worst = 0.0
-    for a, b in segments:
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        mid = 0.5 * (a + b)
-        dev = abs(interpolate(data, mid) - 0.5 * (interpolate(data, a) + interpolate(data, b)))
-        worst = max(worst, dev)
+    a, b = (np.array([seg[k] for seg in segments], dtype=float).reshape(-1, data.cube.dim) for k in (0, 1))
+    fa, fb, fm = (interpolate_batch(data, x) for x in (a, b, 0.5 * (a + b)))
+    worst = float(np.max(np.abs(fm - 0.5 * (fa + fb)), initial=0.0))
     return AffinityReport(worst=worst, segments=len(segments), passed=worst <= AFFINITY_TOL)
 
 

@@ -37,9 +37,9 @@ from .geometry import (
     MAX_LEVEL,
     FiniteSupportPoint,
     cell_low_corners,
-    clamp_to_cube,
     embed_rows,
     l1_distances,
+    lattice_coords,
 )
 from .interpolation import TabulatedFunction, lip_constant, weights_from_offsets
 
@@ -223,40 +223,33 @@ def _stack_points(points: Sequence, level: GridLevel) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(len(points), d)
 
 
-def lattice_coords(keys, n: int) -> np.ndarray:
-    """Corner coordinates ``key * 2**(1-n) - 2**(n-1)`` of int64 lattice keys.
-
-    Key ``j`` on an axis is the low end of slab ``j`` of
-    :func:`lipfree.geometry.slab_indices`, so the level-n vertex grid is keys
-    ``0 .. 2**(2n-1)`` per axis; the conversion is exact.
-    """
-    return np.asarray(keys, dtype=np.int64) * 2.0 ** (1 - n) - 2.0 ** (n - 1)
-
-
 def cell_weights(points: Sequence, level: GridLevel):
     """Clamp, locate and weight a batch of points: sparse corner triplets.
 
     Returns ``(rows, keys, weights)``: point ``rows[e]`` puts weight
     ``weights[e]`` on the cell corner with int64 lattice index ``keys[e]``
-    (see :func:`lattice_coords`).  Only corners of nonzero weight appear.
-    The expansion runs one axis at a time, so an axis whose offset in the
-    cell is exactly 0 or 1 adds no branch, and a point strictly inside its
-    cell along ``a`` axes gets at most ``2**a`` entries.  Entries are ordered
-    by row, then by key.  A batch of more than :data:`MAX_CORNERS` such
-    entries raises ValueError before any is made.
+    (see :func:`lipfree.geometry.lattice_coords`); the keys of each cell's
+    low corner come from :func:`lipfree.geometry.cell_low_corners`.  Only
+    corners of nonzero weight appear.  The expansion runs one axis at a
+    time, so an axis whose offset in the cell is exactly 0 or 1 adds no
+    branch, and a point strictly inside its cell along ``a`` axes gets at
+    most ``2**a`` entries.  Entries are ordered by row, then by key.  A batch
+    of more than :data:`MAX_CORNERS` such entries raises ValueError before
+    any is made.
     """
-    u = clamp_to_cube(_stack_points(points, level), 2.0 ** level.n)
-    low = cell_low_corners(u, level.n)
-    s = 2.0 ** (1 - level.n)
+    u = _stack_points(points, level)
+    keys = cell_low_corners(u, level.n)
     m, d = u.shape
-    # Per point and axis, the low-side and the high-side weight factor.
-    factors = weights_from_offsets(((u - low) / s).reshape(m * d, 1)).reshape(m, d, 2)
+    # Per point and axis, the low-side and the high-side weight factor.  A
+    # coordinate beyond the big cube is beyond its edge cell too, so clipping
+    # its offset onto [0, 1] is the clamp onto the cube.
+    offsets = np.clip((u - lattice_coords(keys, level.n)) / 2.0 ** (1 - level.n), 0.0, 1.0)
+    factors = weights_from_offsets(offsets.reshape(m * d, 1)).reshape(m, d, 2)
     corners = int((1 << np.count_nonzero(factors.all(axis=2), axis=1)).sum())
     if corners > MAX_CORNERS:
         raise ValueError(f"the points reach {corners} weighted cell corners at level {level.n}, "
                          f"more than the {MAX_CORNERS} one projection expands")
     rows = np.arange(m)
-    keys = ((low + 2.0 ** (level.n - 1)) / s).astype(np.int64)
     weights = np.ones(m)
     for axis in range(d):
         branched = (weights[:, None] * factors[rows, axis]).ravel()

@@ -91,33 +91,34 @@ def _suite_geometry_retraction(rng) -> SuiteResult:
     return SuiteResult("geometry-retraction", worst <= 0.0, worst)
 
 
-def _tiling_cells(n: int, dim: int):
-    """``(eps, h, centers)`` of every level-n cell, eps-major as enumerated.
+def _tiling_cells(n: int, dim: int) -> np.ndarray:
+    """Centres of every level-n cell, from the paper's addresses.
 
-    Built directly from the ``(eps, h)`` addresses with the centre formula of
-    :class:`lipfree.geometry.DyadicCubeIndex`, independently of the slab
-    arithmetic that :func:`lipfree.geometry.locate_cube` uses.
+    The cell with signs ``eps`` in {-1, +1}**dim and offsets ``h`` with each
+    ``h_i`` in ``0 .. 2**(2n-2) - 1`` has edge ``2**(-k)``, ``k = n - 1``,
+    and centre ``2**(-k-1) eps + 2**(-k) (eps_1 h_1, ..., eps_d h_d)``.  The
+    enumeration shares no arithmetic with the lattice keys of
+    :mod:`lipfree.geometry`, so it checks :func:`lipfree.geometry.locate_cube`
+    and :func:`lipfree.geometry.tiling_vertices` independently.
     """
     per_axis = 1 << (2 * n - 2)
-    h_grid = np.indices((per_axis,) * dim).reshape(dim, -1).T
-    eps = np.repeat(np.array(geometry.sign_vectors(dim)), len(h_grid), axis=0)
-    h = np.tile(h_grid, (2**dim, 1))
+    h = np.tile(np.indices((per_axis,) * dim).reshape(dim, -1).T, (2**dim, 1))
+    eps = np.repeat(np.array(geometry.sign_vectors(dim)), per_axis**dim, axis=0)
     k = n - 1
-    centers = 2.0 ** (-k - 1) * eps + 2.0 ** (-k) * eps * h
-    return eps, h, centers
+    return 2.0 ** (-k - 1) * eps + 2.0 ** (-k) * eps * h
 
 
 def _suite_geometry_locate(rng) -> SuiteResult:
     for n in (1, 2, 3):
         for dim in (1, 2, 3):
             half = 2.0 ** (n - 1)
-            eps, h, centers = _tiling_cells(n, dim)
+            centers = _tiling_cells(n, dim)
             pts = rng.uniform(-half, half, size=(20, dim))
             for u in pts:
                 inside = np.max(np.abs(centers - u), axis=1) <= 2.0 ** (-n) + 1e-12
-                located = geometry.locate_cube(u, n)
-                hit = inside & np.all(eps == located.eps, axis=1) & np.all(h == located.h, axis=1)
-                if located.k != n - 1 or not hit.any():
+                cube = geometry.locate_cube(u, n).cube()
+                hit = inside & np.all(centers == cube.center, axis=1)
+                if cube.edge != 2.0 ** (1 - n) or not hit.any():
                     return SuiteResult(
                         "geometry-locate", False, np.inf, f"point {u.tolist()} at level {n}"
                     )
@@ -135,7 +136,7 @@ def _suite_geometry_vertex_count(rng) -> SuiteResult:
         for dim in (1, 2, 3):
             grid = geometry.tiling_vertices(n, dim)
             expected = geometry.tiling_vertex_count(n, dim)
-            _, _, centers = _tiling_cells(n, dim)
+            centers = _tiling_cells(n, dim)
             corners = centers[:, None, :] + 2.0 ** (-n) * np.array(geometry.sign_vectors(dim))
             union = _unique_rows(corners.reshape(-1, dim))
             if len(grid) != expected or not np.array_equal(_unique_rows(grid), union):
@@ -192,10 +193,8 @@ def _suite_interp_lip_constant(rng) -> SuiteResult:
             worst = max(worst, float(np.max(gaps)))
             verts = data.cube.vertices()
             vals = interpolation.interpolate_batch(data, verts)
-            best = 0.0
-            for i in range(len(verts)):
-                for j in range(i + 1, len(verts)):
-                    best = max(best, abs(vals[i] - vals[j]) / np.abs(verts[i] - verts[j]).sum())
+            i, j = np.triu_indices(len(verts), 1)
+            best = float(np.max(np.abs(vals[i] - vals[j]) / np.abs(verts[i] - verts[j]).sum(axis=1)))
             worst = max(worst, abs(best - corner_lip))
     return SuiteResult("interp-lip-constant", worst <= 1e-9, worst)
 

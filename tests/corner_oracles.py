@@ -13,8 +13,8 @@ code can be checked against them bit for bit:
 
 import numpy as np
 
-from lipfree.geometry import embed_finite
-from lipfree.operators import LipFunction, cell_weights, lattice_coords
+from lipfree.geometry import embed_finite, lattice_coords
+from lipfree.operators import LipFunction, cell_weights
 
 
 def dict_project_values(f, points, level):

@@ -1,15 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from lipfree import geometry
 from lipfree.geometry import (
-    DyadicCubeIndex,
     FiniteSupportPoint,
+    GridCell,
     Hypercube,
+    cell_low_corners,
     clamp_to_cube,
     embed_finite,
     l1_distance,
     l1_distances,
+    lattice_coords,
     locate_cube,
     sign_vectors,
     tiling_vertex_count,
@@ -18,11 +22,15 @@ from lipfree.geometry import (
 
 
 def all_cells(level, dim):
-    """Every cell of the level-n tiling, by explicit index enumeration."""
+    """Every cell of the level-n tiling, by explicit enumeration of the
+    paper's ``(eps, h)`` addresses: the cell has edge ``2**(-k)``, ``k = n - 1``,
+    and centre ``2**(-k-1) eps + 2**(-k) (eps_i h_i)_i``."""
+    k = level - 1
     out = []
     for eps in sign_vectors(dim):
         for h in np.ndindex(*([1 << (2 * level - 2)] * dim)):
-            out.append(DyadicCubeIndex(eps=eps, h=tuple(int(v) for v in h), k=level - 1))
+            center = 2.0 ** (-k - 1) * np.array(eps) + 2.0 ** (-k) * np.array(eps) * np.array(h)
+            out.append(Hypercube(center=tuple(center), edge=2.0 ** (-k)))
     return out
 
 
@@ -53,16 +61,20 @@ class TestVertex:
 
 class TestGridPoint:
     def test_unit_cases(self):
-        y0 = np.zeros(1)
-        assert DyadicCubeIndex(eps=(1,), h=(0,), k=0).center(y0) == pytest.approx([0.5])
-        # 2**-2 * (-1) + 2**-1 * (-1 * 1) = -0.75, plain arithmetic
-        assert DyadicCubeIndex(eps=(-1,), h=(1,), k=1).center(y0)[0] == -0.75
-        two = DyadicCubeIndex(eps=(1, -1), h=(0, 0), k=0).center(np.zeros(2))
-        assert tuple(two) == (0.5, -0.5)
+        # (eps, h, k) = ((1,), (0,), 0): the level-1 cell with low-corner key 1
+        assert GridCell(key=(1,), level=1).cube().center == (0.5,)
+        # (eps, h, k) = ((-1,), (1,), 1): 2**-2 * (-1) + 2**-1 * (-1 * 1) = -0.75;
+        # its low corner -1.0 is key 2 at level 2
+        assert GridCell(key=(2,), level=2).cube() == Hypercube(center=(-0.75,), edge=0.5)
+        # (eps, h, k) = ((1, -1), (0, 0), 0)
+        assert GridCell(key=(1, 0), level=1).cube().center == (0.5, -0.5)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            DyadicCubeIndex(eps=(1,), h=(0,), k=0).center(np.zeros(2))
+    def test_lattice_coords_are_exact(self):
+        keys = np.array([[0, 1], [7, 8]])
+        assert lattice_coords(keys, 2).tolist() == [[-2.0, -1.5], [1.5, 2.0]]
+        top = 1 << (2 * geometry.MAX_LEVEL - 1)
+        assert lattice_coords([0, top - 1, top], geometry.MAX_LEVEL).tolist() == [
+            -(2.0 ** 19), 2.0 ** 19 - 2.0 ** -19, 2.0 ** 19]
 
 
 class TestClamp:
@@ -133,14 +145,13 @@ class TestSparsePoints:
 
 class TestLocateCube:
     def test_dim1_level1(self):
-        idx = locate_cube(np.array([0.4]), 1)
-        assert (idx.eps, idx.h, idx.k) == ((1,), (0,), 0)
-        cube = idx.cube()
+        cell = locate_cube(np.array([0.4]), 1)
+        assert cell == GridCell(key=(1,), level=1)  # (eps, h, k) = ((1,), (0,), 0)
+        cube = cell.cube()
         assert (tuple(cube.center), cube.edge) == ((0.5,), 1.0)
 
     def test_boundary_tie_break_is_positive_side(self):
-        idx = locate_cube(np.array([0.0]), 1)
-        assert idx.eps == (1,) and idx.h == (0,)
+        assert locate_cube(np.array([0.0]), 1).key == (1,)  # eps = (1,), h = (0,)
 
     def test_boundary_values_agree_across_the_shared_face(self):
         # Interpolating any data through either adjacent cell gives the same
@@ -149,36 +160,44 @@ class TestLocateCube:
 
         g = {(-1.0,): 2.0, (0.0,): -1.0, (1.0,): 5.0}
         left = VertexData.from_mapping(
-            DyadicCubeIndex(eps=(-1,), h=(0,), k=0).cube(), {(-1,): g[(-1.0,)], (1,): g[(0.0,)]}
+            GridCell(key=(0,), level=1).cube(), {(-1,): g[(-1.0,)], (1,): g[(0.0,)]}
         )
         right = VertexData.from_mapping(
-            DyadicCubeIndex(eps=(1,), h=(0,), k=0).cube(), {(-1,): g[(0.0,)], (1,): g[(1.0,)]}
+            GridCell(key=(1,), level=1).cube(), {(-1,): g[(0.0,)], (1,): g[(1.0,)]}
         )
         assert interpolate(left, [0.0]) == interpolate(right, [0.0]) == -1.0
 
     def test_dim2_level2_slab_enumeration(self):
         u = np.array([2.0**-2 * 3, -(2.0**-2)])
-        idx = locate_cube(u, 2)
-        assert idx.eps == (1, -1) and idx.h == (1, 0) and idx.k == 1
-        # oracle: scan all 16 cells of that level for containment
-        containing = [c for c in all_cells(2, 2) if c.cube().contains(u)]
-        assert idx in containing
+        cell = locate_cube(u, 2)
+        assert cell == GridCell(key=(5, 3), level=2)  # (eps, h, k) = ((1, -1), (1, 0), 1)
+        # oracle: scan all 64 cells of that level for containment
+        containing = [c for c in all_cells(2, 2) if c.contains(u)]
+        assert cell.cube() in containing
 
     def test_outside_raises(self):
         with pytest.raises(ValueError):
             locate_cube(np.array([2.5]), 1)
+
+    def test_non_finite_point_is_refused_naming_it(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any cast can warn
+            with pytest.raises(ValueError, match=r"point 0 \[nan, 0\.2\] has a non-finite coordinate"):
+                locate_cube([np.nan, 0.2], 2)
+            with pytest.raises(ValueError, match=r"point 1 \[0\.3, inf\] has a non-finite coordinate"):
+                cell_low_corners([[0.1, 0.2], [0.3, np.inf], [np.nan, 0.0]], 2)
 
     @pytest.mark.parametrize("level", [1, 2, 3])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_brute_force_scan(self, level, dim):
         rng = np.random.default_rng(100 * level + dim)
         cells = all_cells(level, dim)
-        centers = np.array([c.cube().center for c in cells])
+        centers = np.array([c.center for c in cells])
         half_cell = 2.0 ** (-level)
         for u in rng.uniform(-(2.0 ** (level - 1)), 2.0 ** (level - 1), size=(25, dim)):
             inside = np.max(np.abs(centers - u), axis=1) <= half_cell + 1e-12
             hits = [cells[i] for i in np.nonzero(inside)[0]]
-            located = locate_cube(u, level)
+            located = locate_cube(u, level).cube()
             assert located in hits
             if len(hits) == 1:  # interior of a cell: the answer is forced
                 assert located == hits[0]
@@ -196,7 +215,7 @@ class TestTilingVertices:
     def test_cardinality_matches_brute_force_union(self, level, dim):
         union = set()
         for cell in all_cells(level, dim):
-            for v in cell.cube().vertices():
+            for v in cell.vertices():
                 union.add(tuple(v))
         grid = tiling_vertices(level, dim)
         assert len(grid) == tiling_vertex_count(level, dim) == len(union)
@@ -207,6 +226,11 @@ class TestTilingVertices:
             grid = tiling_vertices(level, 1).ravel()
             scaled = grid * 2.0 ** (level - 1)
             assert np.array_equal(scaled, np.round(scaled))
+
+    @pytest.mark.parametrize("dim", [0, geometry.MAX_DIM + 1, 40])
+    def test_count_checks_the_dimension_cap(self, dim):
+        with pytest.raises(ValueError, match=f"dimension must be in 1..{geometry.MAX_DIM}, got {dim}"):
+            tiling_vertex_count(1, dim)
 
     def test_overflow_reports_cardinality(self):
         with pytest.raises(ValueError, match=str(tiling_vertex_count(4, 4))):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,26 @@ class TestInterpolate:
         data = bilinear_bump()
         with pytest.raises(ValueError):
             interpolate(data, (1.5, 0))
+
+    def test_nan_point_lies_outside(self):
+        data = bilinear_bump()
+        with pytest.raises(ValueError, match=re.escape(f"point 0 [nan, 0.0] lies outside cube {data.cube}")):
+            interpolate(data, [np.nan, 0.0])
+        with pytest.raises(ValueError, match="point 0 "):
+            interpolation_weights(data.cube, [0.0, np.nan])
+
+    def test_point_of_the_wrong_dimension_is_refused(self):
+        data = bilinear_bump()  # a point of dimension 1 or 3 used to be broadcast
+        with pytest.raises(ValueError, match=re.escape("expected points of dimension 2, got shape (1, 1)")):
+            interpolate(data, [0.5])
+        with pytest.raises(ValueError, match=re.escape("expected points of dimension 2, got shape (2, 3)")):
+            interpolate_batch(data, np.zeros((2, 3)))
+
+    def test_batch_error_names_the_first_point_outside(self):
+        data = bilinear_bump()
+        xs = [[0.0, 0.0], [1.0, -1.0], [1.5, 0.0], [np.nan, 0.0]]
+        with pytest.raises(ValueError, match=re.escape(f"point 2 [1.5, 0.0] lies outside cube {data.cube}")):
+            interpolate_batch(data, xs)
 
 
 class TestWeights:
@@ -134,6 +156,19 @@ class TestLipConstant:
         assert data.corner_lip() == 0.5
         assert lip_constant(data.vertex_restriction()) == 0.5
 
+    def test_corner_lip_matches_the_pair_loop(self):
+        # the loop corner_lip replaced: every corner pair, at distance
+        # (number of differing signs) * edge
+        rng = np.random.default_rng(11)
+        for dim in (1, 2, 3, 4, 5):
+            data = VertexData(cube=dyadic_cube(rng, dim), values=tuple(rng.normal(size=2**dim)))
+            signs, vals, best = sign_vectors(dim), data.values, 0.0
+            for i in range(len(signs)):
+                for j in range(i + 1, len(signs)):
+                    ham = sum(1 for a, b in zip(signs[i], signs[j]) if a != b)
+                    best = max(best, abs(vals[i] - vals[j]) / (ham * data.cube.edge))
+            assert data.corner_lip() == best
+
     def test_duplicate_points_rejected(self):
         f = TabulatedFunction(points=(0, 1), values=(0.0, 1.0))
         with pytest.raises(ValueError):
@@ -215,6 +250,19 @@ class TestAffinity:
         report = check_axis_affinity(data, sample_axis_segments(data.cube, 100, rng))
         assert report.passed
 
+    def test_batched_scan_matches_the_segment_loop(self):
+        # the scan as it was, one interpolate call per endpoint and midpoint
+        rng = np.random.default_rng(10)
+        for dim in (1, 2, 3, 4):
+            data = VertexData(cube=dyadic_cube(rng, dim), values=tuple(rng.normal(size=2**dim)))
+            segments = sample_axis_segments(data.cube, 20, rng)
+            segments += [tuple(np.asarray(data.cube.center) + rng.uniform(-0.5, 0.5, size=(2, dim))
+                               * data.cube.edge)]  # an oblique one
+            worst = max(abs(interpolate(data, 0.5 * (a + b)) - 0.5 * (interpolate(data, a) + interpolate(data, b)))
+                        for a, b in segments)
+            assert check_axis_affinity(data, segments).worst == worst
+        assert check_axis_affinity(data, []).worst == 0.0
+
     def test_diagonal_control_fails(self):
         # along the main diagonal the bump restricts to ((s+1)/2)**2, which is
         # not affine; the full diagonal shows midpoint deviation 0.25
@@ -243,7 +291,7 @@ class TestValidation:
         rng = np.random.default_rng(9)
         xs = rng.uniform(-1, 1, size=(20, 2))
         batch = interpolate_batch(data, xs)
-        assert np.allclose(batch, [interpolate(data, x) for x in xs], atol=1e-14)
+        assert np.array_equal(batch, [interpolate(data, x) for x in xs])
 
 
 class TestLipConstantPreservation:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from lipfree.geometry import (
     Hypercube,
     embed_finite,
     l1_distance,
+    lattice_coords,
     locate_cube,
 )
 from lipfree.interpolation import VertexData, interpolate_recursive, sample_axis_segments
@@ -20,7 +23,6 @@ from lipfree.operators import (
     convergence_checks,
     coordinate_function,
     l1_norm_function,
-    lattice_coords,
     lip_function,
     lip_projection,
     max_coordinate_function,
@@ -311,6 +313,15 @@ class TestSparseCorners:
         assert len(rows) == MAX_CORNERS == 2 * 2**16
         with pytest.raises(ValueError, match=f"reach {3 * 2**16} weighted cell corners"):
             cell_weights([x, -x, x], GridLevel(1, 16))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinate_is_refused_naming_the_point(self, bad):
+        # clamped, an infinite coordinate would land on the cube's face
+        points = [np.array([0.1, 0.3]), np.array([bad, 0.3])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"point 1 \[-?(nan|inf), 0\.3\] has a non-finite"):
+                project_values(l1_norm_function(), points, GridLevel(2, dim=2))
 
     def test_table_is_keyed_by_lattice_indices(self):
         f = _RecordingFunction()
