@@ -6,7 +6,7 @@ Modules:
 * :mod:`lipfree.interpolation` - multilinear corner interpolation on cubes
 * :mod:`lipfree.operators` - finite-rank projections of Lipschitz functions
 * :mod:`lipfree.freespace` - molecules, exact norms (relay pruning plus one
-  HiGHS solve), grid projections
+  HiGHS solve per batch), grid projections
 * :mod:`lipfree.extension` - restrict/extend operators on finite metric spaces
 * :mod:`lipfree.verify` - seeded self-verification suites
 * :mod:`lipfree.cli` - the ``lipfree`` command line
@@ -35,6 +35,7 @@ from .freespace import (
     check_certificate,
     decomposition_report,
     free_norm,
+    free_norms,
     line_norm,
     molecule_projection,
     molecules_close,

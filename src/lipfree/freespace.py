@@ -11,18 +11,22 @@ The norm of a molecule is the supremum of its pairing with 1-Lipschitz
 functions vanishing at the origin.  Over the finite set ``support + origin``
 that supremum is a linear program, and tight Lipschitz extension beyond the
 support preserves the constant, so the finite program computes the norm in
-the full space exactly.  :func:`free_norm` solves the function-side program
-by relay pruning plus one HiGHS solve (the optimal witness function falls
-out of the solution); :func:`transport_norm` solves the mass-transport side,
-also with HiGHS, and serves as an oracle; :func:`line_norm` evaluates the
-closed-form total-variation expression available for molecules on the real
-line, with no LP solver.
+the full space exactly.  :func:`free_norms` solves the function-side
+programs of a batch of molecules by relay pruning plus one HiGHS solve (the
+optimal witness functions fall out of the solution), and :func:`free_norm`
+is its one-molecule view; :func:`transport_norm` solves the mass-transport
+side, also with HiGHS, and serves as an oracle; :func:`line_norm` evaluates
+the closed-form total-variation expression available for molecules on the
+real line, with no LP solver.  SciPy is imported by the two solvers when
+they run.
 
 The grid projection :func:`molecule_projection` pushes each point's mass onto
 the weighted corners of its tiling cell through the same sparse corner
 triplets as the function projection; by construction its pairing with any
 function equals the pairing of the projected function with the original
-molecule.
+molecule.  :func:`decomposition_report` solves every norm of a report in one
+batch and checks the commuting lattice of the level projections in one pass
+over int64 lattice keys.
 """
 
 from __future__ import annotations
@@ -32,12 +36,11 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import optimize, sparse
 
 from .extension import FinitePointedMetricSpace
 from .geometry import (MAX_LEVEL, FiniteSupportPoint, check_magnitude, embed_rows, l1_distance, l1_distances,
-                       lattice_coords)
-from .operators import GridLevel, cell_weights
+                       lattice_coords, pack_key_rows)
+from .operators import GridLevel, TooManyCorners, cell_weights
 
 KINDS = ("l1", "l1N", "finite")
 
@@ -46,6 +49,9 @@ KINDS = ("l1", "l1N", "finite")
 #: 0.4-0.7 s, at k = 1,024 3.7-5.4 s (random 2-d ``l1N`` molecules and
 #: projected 12-coordinate ``l1`` ones, 2 vCPUs).
 MAX_NORM_SUPPORT = 512
+
+#: Most relay sums :func:`_chain_reach` holds in one array (40 points).
+_RELAY_ELEMENTS = 2**16
 
 #: Relative tolerance of the certificate check (:func:`check_certificate`).
 NORM_TOL = 1e-9
@@ -312,14 +318,20 @@ def _distance_matrix(mu: Molecule) -> np.ndarray:
 
 
 def _chain_reach(d: np.ndarray) -> np.ndarray:
-    """Best one-intermediate relay distance, excluding trivial relays."""
+    """Best one-intermediate relay distance in the symmetric distance matrix
+    ``d``, excluding trivial relays: off the diagonal, entry ``[i, j]`` is the
+    least ``d[i, r] + d[r, j]`` over ``r``
+    other than ``i`` and ``j``.  An infinite diagonal rules the trivial
+    relays out.  Up to :data:`_RELAY_ELEMENTS` sums are taken in one array,
+    else one relay at a time into a reused buffer."""
     k = d.shape[0]
+    dd = d + np.diag(np.full(k, np.inf))
+    if k**3 <= _RELAY_ELEMENTS:
+        return (dd[:, :, None] + dd[:, None, :]).min(axis=0)
     reach = np.full((k, k), np.inf)
+    via = np.empty((k, k))
     for r in range(k):
-        via = d[:, r][:, None] + d[r, :][None, :]
-        via[r, :] = np.inf
-        via[:, r] = np.inf
-        np.minimum(reach, via, out=reach)
+        np.minimum(reach, np.add(dd[r, :, None], dd[r, None, :], out=via), out=reach)
     return reach
 
 
@@ -339,6 +351,8 @@ def solve_box_lp(c, pairs, b, lower, upper) -> LpResult:
     row ``r = (i, j)`` of the ``(m, 2)`` index array ``pairs`` and to
     ``lower <= x <= upper``: one HiGHS solve through ``scipy.optimize.milp``
     with no integrality."""
+    from scipy import optimize, sparse
+
     m = len(pairs)
     rows = sparse.csr_array((np.tile([1.0, -1.0], m), pairs.ravel(), np.arange(0, 2 * m + 1, 2)),
                             shape=(m, len(c)))
@@ -361,34 +375,63 @@ def _check_norm_size(mu: Molecule, what: str) -> None:
 
 
 def free_norm(mu: Molecule) -> NormCertificate:
-    """Exact norm of a molecule with the optimal dual witness.
+    """Exact norm of a molecule with the optimal dual witness: the
+    one-molecule view of :func:`free_norms`, so HiGHS gets the molecule's own
+    program and nothing else."""
+    return free_norms([mu])[0]
 
-    Maximizes the pairing over functions on ``support + origin`` that vanish
-    at the origin and have all difference quotients at most one: relay
-    pruning plus one HiGHS solve.  A pair with an exact relay through a third
-    point is implied by shorter pairs and is dropped; every other pair is one
-    row ``-d_ij <= f_i - f_j <= d_ij``, and the distances to the origin are
-    the variable bounds.  HiGHS takes bounds of ``1e20`` or more as infinite
-    and ignores small reduced costs, so the distances are divided by a power
-    of two ``2^e >= max d`` and the coefficients by one above their largest
-    magnitude; both divisions are exact, and the witness ``x`` is multiplied
-    back.  A support larger than :data:`MAX_NORM_SUPPORT` raises ValueError.
-    """
-    _check_norm_size(mu, "the molecule")
-    if mu.is_zero:
-        origin = mu.origin_point()
-        return NormCertificate(value=0.0, witness={} if origin is None else {origin: 0.0})
 
+def _norm_program(mu: Molecule):
+    """The scaled program of a nonzero molecule: ``(c, pairs, b, bound,
+    scale)``, solved by ``solve_box_lp(c, pairs, b, -bound, bound)`` and
+    multiplied back by ``scale``."""
     coeffs = np.asarray(mu.coefficients)
     d = _distance_matrix(mu)
     i, j = np.nonzero(np.triu(_chain_reach(d) > d * (1.0 + 1e-12), 1)[1:, 1:])
     scale = _power_of_two_above(float(np.max(d)))
-    result = solve_box_lp(coeffs / _power_of_two_above(float(np.max(np.abs(coeffs)))),
-                          np.column_stack([i, j]), d[i + 1, j + 1] / scale, -d[0, 1:] / scale, d[0, 1:] / scale)
-    x = result.x * scale
-    witness = {mu.origin_point(): 0.0}
-    witness.update(zip(mu.support, x.tolist()))
-    return NormCertificate(value=max(float(coeffs @ x), 0.0), witness=witness)
+    return (coeffs / _power_of_two_above(float(np.max(np.abs(coeffs)))), np.column_stack([i, j]),
+            d[i + 1, j + 1] / scale, d[0, 1:] / scale, scale)
+
+
+def free_norms(mus: Sequence[Molecule]) -> list[NormCertificate]:
+    """Exact norms of a batch of molecules with their optimal dual witnesses.
+
+    Each norm maximizes the pairing over functions on ``support + origin``
+    that vanish at the origin and have all difference quotients at most one.
+    A pair with an exact relay through a third point is implied by shorter
+    pairs and is dropped; every other pair is one row
+    ``-d_ij <= f_i - f_j <= d_ij``, and the distances to the origin are the
+    variable bounds.  HiGHS takes bounds of ``1e20`` or more as infinite and
+    ignores small reduced costs, so each molecule's distances are divided by
+    its own power of two ``2^e >= max d`` and its coefficients by one above
+    their largest magnitude; both divisions are exact, and the witness is
+    multiplied back.  The programs share no variable, so they are stacked
+    block-diagonally and solved in one HiGHS call, each block at its own
+    optimum.  Zero molecules take no variable; a batch of them solves
+    nothing.  A support larger than :data:`MAX_NORM_SUPPORT` raises
+    ValueError before any solve.
+    """
+    mus = list(mus)
+    for mu in mus:
+        _check_norm_size(mu, "the molecule")
+    programs = [_norm_program(mu) for mu in mus if not mu.is_zero]
+    if programs:
+        c, pairs, b, bound, scales = zip(*programs)
+        starts = np.cumsum([0] + [len(ck) for ck in c])
+        upper = np.concatenate(bound)
+        x = solve_box_lp(np.concatenate(c), np.concatenate([p + s for p, s in zip(pairs, starts)]),
+                         np.concatenate(b), -upper, upper).x
+    certs, k = [], 0
+    for mu in mus:
+        origin, value = mu.origin_point(), 0.0
+        witness = {} if origin is None else {origin: 0.0}
+        if not mu.is_zero:
+            xk = x[starts[k]:starts[k + 1]] * scales[k]
+            k += 1
+            witness.update(zip(mu.support, xk.tolist()))
+            value = max(float(np.asarray(mu.coefficients) @ xk), 0.0)
+        certs.append(NormCertificate(value=value, witness=witness))
+    return certs
 
 
 def transport_norm(mu: Molecule) -> float:
@@ -400,6 +443,8 @@ def transport_norm(mu: Molecule) -> float:
     powers of two, as in :func:`free_norm`; used as an oracle against
     :func:`free_norm`.
     """
+    from scipy import optimize
+
     if mu.is_zero:
         return 0.0
     masses = list(mu.terms) + [(mu.origin_point(), -mu.total_mass())]
@@ -535,17 +580,78 @@ class FddReport:
         }
 
 
+def _stacked_cell_weights(support: list, bounds, level: GridLevel):
+    """:func:`cell_weights` of the stacked supports of several molecules,
+    molecule ``k`` being ``support[bounds[k]:bounds[k + 1]]``.  A stack past
+    :data:`~lipfree.operators.MAX_CORNERS` is expanded one molecule at a
+    time, so only a molecule that one projection cannot expand raises."""
+    try:
+        return cell_weights(support, level)
+    except TooManyCorners:
+        parts = [(lo, cell_weights(support[lo:hi], level)) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+        return (np.concatenate([rows + lo for lo, (rows, _, _) in parts]),
+                np.concatenate([keys for _, (_, keys, _) in parts]),
+                np.concatenate([w for _, (_, _, w) in parts]))
+
+
+def _lattice_ok(projections: dict[int, Molecule]) -> bool:
+    """True when the level projections commute with the coarser level winning:
+    for all levels ``m, n``, projecting ``projections[n]`` to level ``m``
+    gives ``projections[min(m, n)]``, coefficient by coefficient within
+    :data:`LATTICE_TOL`.
+
+    One pass over int64 lattice keys: per target level ``m``, one
+    :func:`cell_weights` call projects the stacked supports of all levels.
+    The expected side enters with negated masses, each point named by its
+    exact level-``m`` key (a point off the level-``m`` grid fails).  One
+    ``np.unique`` and one ``bincount`` sum the masses by ``(m, n, key)``; the
+    origin corner, which canonical molecules drop, is left out.
+    """
+    levels = sorted(projections)
+    first = projections[levels[0]]
+    sizes = [len(projections[n].terms) for n in levels]
+    bounds = np.cumsum([0] + sizes)
+    span = {n: np.arange(lo, hi) for n, lo, hi in zip(levels, bounds, bounds[1:])}
+    support = [p for n in levels for p in projections[n].support]
+    if not support:
+        return True
+    mass = np.array([a for n in levels for a in projections[n].coefficients])
+    level_of = np.repeat(levels, sizes)
+    sequence = first.kind == "l1"
+    width = levels[-1] if sequence else first.dim
+    coords = np.array([p.leading(width) for p in support]) if sequence else np.array(support, dtype=float)
+    groups, masses = [], []
+    for m in levels:
+        level = GridLevel(m, dim=None if sequence else first.dim)
+        d = level.cell_dim
+        rows, keys, weights = _stacked_cell_weights(support, bounds, level)
+        keep = (keys != 1 << (2 * m - 2)).any(axis=1)
+        expect = np.concatenate([span[min(m, n)] for n in levels])
+        scaled = (coords[expect, :d] + 2.0 ** (m - 1)) * 2.0 ** (m - 1)
+        if np.any(coords[expect, d:]) or np.any(scaled != np.floor(scaled)):
+            return False
+        tags = np.concatenate([level_of[rows[keep]], np.repeat(levels, [len(span[min(m, n)]) for n in levels])])
+        key_rows = np.zeros((len(tags), 2 + width), dtype=np.int64)
+        key_rows[:, 0], key_rows[:, 1] = m, tags
+        key_rows[:, 2:2 + d] = np.concatenate([keys[keep], scaled.astype(np.int64)])
+        groups.append(key_rows)
+        masses.append(np.concatenate([mass[rows[keep]] * weights[keep], -mass[expect]]))
+    _, group_of = np.unique(pack_key_rows(np.concatenate(groups)), return_inverse=True)
+    return bool(np.all(np.abs(np.bincount(group_of, weights=np.concatenate(masses))) <= LATTICE_TOL))
+
+
 def decomposition_report(mu: Molecule, n_max: int) -> FddReport:
     """Per-level diagnostics of the grid projections on one molecule.
 
     Checks, per level: the projected norm does not exceed the input norm
     (relative :data:`FDD_TOL`); the approximation error respects the duality
     bound while no clamp is active; and across levels the projections form a
-    commuting lattice (finer following coarser equals coarser, termwise to
-    :data:`LATTICE_TOL`).  The error trend check asks the final error not to
-    exceed the first.  ``n_max`` must lie in ``1..MAX_LEVEL``.  Every level
-    is projected and sized before the first norm is solved, so a level beyond
-    :data:`MAX_NORM_SUPPORT` raises ValueError at once.
+    commuting lattice (:func:`_lattice_ok`).  The error trend check asks the
+    final error not to exceed the first.  ``n_max`` must lie in
+    ``1..MAX_LEVEL``.  Every level is projected and sized before the norms
+    are solved, so a level beyond :data:`MAX_NORM_SUPPORT` raises ValueError
+    at once; the input, its projections and their errors then go to
+    :func:`free_norms` as one batch, one HiGHS solve.
     """
     if not (1 <= n_max <= MAX_LEVEL):
         raise ValueError(f"n_max must be in 1..{MAX_LEVEL}, got {n_max}")
@@ -555,18 +661,17 @@ def decomposition_report(mu: Molecule, n_max: int) -> FddReport:
         errors[n] = projections[n].minus(mu)
         _check_norm_size(projections[n], f"the level-{n} projection")
         _check_norm_size(errors[n], f"the level-{n} projection error")
-    base = free_norm(mu).value
+    certs = free_norms([mu, *projections.values(), *errors.values()])
     rows = []
     for n, proj in projections.items():
-        norm_value = free_norm(proj).value
-        err_value = free_norm(errors[n]).value
+        err_value = certs[n_max + n].value
         bound = projection_bound(mu, n)
         clamped = term_clamped(mu, n)
         bound_ok = None if clamped else bool(err_value <= bound + FDD_TOL * max(1.0, bound))
         rows.append(
             FddRow(
                 n=n,
-                norm_value=norm_value,
+                norm_value=certs[n].value,
                 err_value=err_value,
                 bound=bound,
                 support_size=len(proj.terms),
@@ -574,19 +679,13 @@ def decomposition_report(mu: Molecule, n_max: int) -> FddReport:
                 bound_ok=bound_ok,
             )
         )
+    base = certs[0].value
     monotone_ok = all(r.norm_value <= base * (1.0 + FDD_TOL) + FDD_TOL for r in rows)
     trend_ok = rows[-1].err_value <= rows[0].err_value + FDD_TOL
-    lattice_ok = True
-    for m in range(1, n_max + 1):
-        for n in range(1, n_max + 1):
-            left = molecule_projection(projections[n], m)
-            right = projections[min(m, n)]
-            if not molecules_close(left, right, tol=LATTICE_TOL):
-                lattice_ok = False
     return FddReport(
         base_norm=base,
         rows=tuple(rows),
         monotone_ok=monotone_ok,
         trend_ok=trend_ok,
-        lattice_ok=lattice_ok,
+        lattice_ok=_lattice_ok(projections),
     )

@@ -97,15 +97,23 @@ class Hypercube:
         c = np.asarray(self.center, dtype=float)
         return c + 0.5 * self.edge * sign_matrix(self.dim)
 
+    def _points(self, x) -> np.ndarray:
+        """``x`` as floats, one point per row of its last axis; a point of
+        another dimension raises ValueError naming both dimensions."""
+        x = np.asarray(x, dtype=float)
+        got = x.shape[-1] if x.ndim else 0
+        if got != self.dim:
+            raise ValueError(f"a point of dimension {got} given to a cube of dimension {self.dim}")
+        return x
+
     def contains(self, x) -> bool:
-        diff = np.abs(np.asarray(x, dtype=float) - np.asarray(self.center, dtype=float))
+        diff = np.abs(self._points(x) - np.asarray(self.center, dtype=float))
         return bool(np.max(diff) <= 0.5 * self.edge)
 
     def barycentric(self, x) -> np.ndarray:
         """Per-axis offsets of ``x`` from the low corner, scaled to [0, 1]."""
-        x = np.asarray(x, dtype=float)
         c = np.asarray(self.center, dtype=float)
-        return (x - c + 0.5 * self.edge) / self.edge
+        return (self._points(x) - c + 0.5 * self.edge) / self.edge
 
 
 def clamp_to_cube(x, edge: float) -> np.ndarray:
@@ -133,6 +141,14 @@ def lattice_coords(keys, level: int) -> np.ndarray:
     :data:`MAX_LEVEL`.
     """
     return np.asarray(keys, dtype=np.int64) * 2.0 ** (1 - level) - 2.0 ** (level - 1)
+
+
+def pack_key_rows(keys) -> np.ndarray:
+    """One void scalar per row of nonnegative int64 keys, big-endian, so that
+    byte order is the rows' lexicographic order: ``np.unique`` then sorts and
+    groups whole rows, and ``.view(">i8")`` unpacks them."""
+    keys = np.asarray(keys, dtype=np.int64)
+    return keys.astype(">i8").view(np.dtype((np.void, 8 * keys.shape[1]))).reshape(-1)
 
 
 def cell_low_corners(u, level: int) -> np.ndarray:

@@ -40,6 +40,7 @@ from .geometry import (
     embed_rows,
     l1_distances,
     lattice_coords,
+    pack_key_rows,
 )
 from .interpolation import TabulatedFunction, lip_constant, weights_from_offsets
 
@@ -55,6 +56,11 @@ LATTICE_INDEX_RANGE = 6
 #: point with 17 free axes) and 0.2 s and 165 MB in coordinate mode (two
 #: 16-d points), on 2 vCPUs; each doubling about doubles both.
 MAX_CORNERS = 2**17
+
+
+class TooManyCorners(ValueError):
+    """A batch reaches more than :data:`MAX_CORNERS` weighted cell corners."""
+
 
 #: Slack of the convergence bound check in :func:`convergence_checks`.
 BOUND_SLACK = 1e-9
@@ -216,7 +222,14 @@ def _stack_points(points: Sequence, level: GridLevel) -> np.ndarray:
     d, sparse = level.cell_dim, level.dim is None
     if any(isinstance(p, FiniteSupportPoint) != sparse for p in points):
         raise TypeError("sequence mode expects finitely supported points, coordinate mode vectors")
-    rows = [p.leading(d) if sparse else np.asarray(p, dtype=float) for p in points]
+    if sparse:  # the leading coordinates, from one list of entries
+        out = np.zeros((len(points), d))
+        entries = [(r, i - 1, v) for r, p in enumerate(points) for i, v in p.items if i <= d]
+        if entries:
+            r, c, v = zip(*entries)
+            out[r, c] = v
+        return out
+    rows = [np.asarray(p, dtype=float) for p in points]
     for u in rows:
         if u.shape != (d,):
             raise ValueError(f"expected points of dimension {d}, got shape {u.shape}")
@@ -234,8 +247,8 @@ def cell_weights(points: Sequence, level: GridLevel):
     time, so an axis whose offset in the cell is exactly 0 or 1 adds no
     branch, and a point strictly inside its cell along ``a`` axes gets at
     most ``2**a`` entries.  Entries are ordered by row, then by key.  A batch
-    of more than :data:`MAX_CORNERS` such entries raises ValueError before
-    any is made.
+    of more than :data:`MAX_CORNERS` such entries raises
+    :class:`TooManyCorners`, a ValueError, before any is made.
     """
     u = _stack_points(points, level)
     keys = cell_low_corners(u, level.n)
@@ -247,8 +260,8 @@ def cell_weights(points: Sequence, level: GridLevel):
     factors = weights_from_offsets(offsets.reshape(m * d, 1)).reshape(m, d, 2)
     corners = int((1 << np.count_nonzero(factors.all(axis=2), axis=1)).sum())
     if corners > MAX_CORNERS:
-        raise ValueError(f"the points reach {corners} weighted cell corners at level {level.n}, "
-                         f"more than the {MAX_CORNERS} one projection expands")
+        raise TooManyCorners(f"the points reach {corners} weighted cell corners at level {level.n}, "
+                             f"more than the {MAX_CORNERS} one projection expands")
     rows = np.arange(m)
     weights = np.ones(m)
     for axis in range(d):
@@ -268,10 +281,7 @@ def project_values(f, points: Sequence, level: GridLevel) -> np.ndarray:
     if not len(points):
         return np.zeros(0)
     rows, keys, weights = cell_weights(points, level)
-    # One void scalar per big-endian key row: as keys are nonnegative, byte
-    # order is the rows' lexicographic order.
-    packed = keys.astype(">i8").view(np.dtype((np.void, 8 * keys.shape[1]))).reshape(-1)
-    distinct, corner_of = np.unique(packed, return_inverse=True)
+    distinct, corner_of = np.unique(pack_key_rows(keys), return_inverse=True)
     coords = lattice_coords(distinct.view(">i8").reshape(len(distinct), -1), level.n)
     values = np.asarray(f.eval_many(embed_rows(coords) if level.dim is None else coords), dtype=float)
     return np.bincount(rows, weights=weights * values[corner_of], minlength=len(points))

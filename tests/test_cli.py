@@ -27,6 +27,16 @@ def run(capsys, argv):
     return code, out.out, out.err
 
 
+def fail_milp(monkeypatch):
+    """Make every HiGHS solve report failure; the solver imports SciPy when it runs."""
+    from scipy import optimize
+
+    def failing(*args, **kwargs):
+        return optimize.OptimizeResult(success=False, status=4, message="numerical difficulties", x=None, fun=None)
+
+    monkeypatch.setattr(optimize, "milp", failing)
+
+
 TWO_POINT = {
     "space": "l1N",
     "dim": 2,
@@ -87,11 +97,7 @@ class TestNorm:
         assert json.loads(out)["value"] == pytest.approx(2e25, rel=1e-12)
 
     def test_failing_solver_exits_3(self, tmp_path, capsys, monkeypatch):
-        def failing(*args, **kwargs):
-            return lipfree.freespace.optimize.OptimizeResult(
-                success=False, status=4, message="numerical difficulties", x=None, fun=None)
-
-        monkeypatch.setattr(lipfree.freespace.optimize, "milp", failing)
+        fail_milp(monkeypatch)
         code, out, err = run(capsys, ["norm", "--input", write_json(tmp_path / "mol.json", TWO_POINT)])
         assert code == 3
         assert out == "" and err == "solver error: numerical difficulties\n"
@@ -262,11 +268,20 @@ class TestFddTable:
 
         free_norm = lipfree.freespace.free_norm
         monkeypatch.setattr(lipfree.freespace, "free_norm", counted)
+        solve_box_lp = lipfree.freespace.solve_box_lp
+        monkeypatch.setattr(lipfree.freespace, "solve_box_lp", lambda *args: calls.append(args) or solve_box_lp(*args))
         mol = write_json(tmp_path / "mol.json", TWO_POINT)
         code, out, err = run(capsys, ["fdd-table", "--input", mol, "--n-max", str(n_max)])
         assert code == 2
         assert out == "" and f"n_max must be in 1..20, got {n_max}" in err
         assert calls == []
+
+    def test_failing_solver_exits_3(self, tmp_path, capsys, monkeypatch):
+        fail_milp(monkeypatch)
+        mol = write_json(tmp_path / "mol.json", TWO_POINT)
+        code, out, err = run(capsys, ["fdd-table", "--input", mol, "--n-max", "3"])
+        assert code == 3
+        assert out == "" and err == "solver error: numerical difficulties\n"
 
     def test_json_format_carries_checks(self, tmp_path, capsys):
         mol = write_json(tmp_path / "mol.json", TWO_POINT)
@@ -559,6 +574,12 @@ class TestMagnitudeBound:
 
 
 class TestModuleEntry:
+    def test_importing_the_cli_leaves_scipy_unloaded(self):
+        src = str(Path(lipfree.__file__).resolve().parent.parent)
+        code = f"import sys; sys.path.insert(0, {src!r}); import lipfree.cli; print('scipy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
     def test_python_dash_m_runs_the_cli(self):
         proc, _ = run_module(["verify", "--suite", "geometry-retraction"])
         assert proc.returncode == 0, proc.stderr

@@ -386,3 +386,129 @@ class TestScaleSafety:
         cert = free_norm(mu)
         assert check_certificate(cert, mu)
         assert not check_certificate(NormCertificate(2.0 * cert.value, cert.witness), mu)
+
+
+class TestBatchedNorms:
+    """``free_norms`` stacks the molecules' programs into one HiGHS solve;
+    each block keeps its own scaling, so each entry is the molecule's norm."""
+
+    def batch(self, seed):
+        rng = np.random.default_rng(seed)
+        space = FinitePointedMetricSpace.from_l1_points([[0.0, 0.0], [1.0, 0.5]])
+        mus = [m for s in range(3) for m in oracle_cases(seed + s)]
+        mus += [Molecule.on_l1([]), Molecule.on_rn([((0.5, -1.0), 2.0)], dim=2), Molecule.on_space(space, [(1, 1.0)]),
+                plane_molecule(seed, scale=2.0**-100), plane_molecule(seed + 1, mass=1e60)]
+        return [mus[i] for i in rng.permutation(len(mus))]
+
+    @pytest.mark.parametrize("seed", [900, 910])
+    def test_each_entry_is_the_molecules_own_norm(self, seed, monkeypatch):
+        mus = self.batch(seed)
+        solved = []
+        solve_box_lp = freespace.solve_box_lp
+        monkeypatch.setattr(freespace, "solve_box_lp", lambda *args: solved.append(len(args[0])) or solve_box_lp(*args))
+        certs = freespace.free_norms(mus)
+        monkeypatch.undo()
+        assert len(solved) == 1 and solved[0] == sum(len(mu.terms) for mu in mus)
+        assert len(certs) == len(mus)
+        for mu, cert in zip(mus, certs):
+            alone = free_norm(mu)
+            assert cert.value == pytest.approx(alone.value, rel=1e-12, abs=0.0), (mu.kind, len(mu.terms))
+            assert list(cert.witness) == list(alone.witness)
+            assert check_certificate(cert, mu)
+
+    def test_one_molecule_batch_is_free_norm_bit_for_bit(self):
+        for mu in oracle_cases(920):
+            (cert,) = freespace.free_norms([mu])
+            alone = free_norm(mu)
+            assert cert.value == alone.value
+            assert list(cert.witness.items()) == list(alone.witness.items())
+
+    def test_zero_and_one_point_molecules(self, monkeypatch):
+        zero = Molecule.on_rn([], dim=2)
+        assert freespace.free_norms([]) == []
+        monkeypatch.setattr(freespace, "solve_box_lp", lambda *args: pytest.fail("nothing to solve"))
+        assert freespace.free_norms([zero, zero]) == [NormCertificate(0.0, {(0.0, 0.0): 0.0})] * 2
+        monkeypatch.undo()
+        one = Molecule.on_rn([((0.5, -1.0), -2.0)], dim=2)
+        certs = freespace.free_norms([zero, one, zero])
+        assert [c.value for c in certs] == [0.0, 3.0, 0.0]
+        assert certs[1].witness == {(0.0, 0.0): 0.0, (0.5, -1.0): -1.5}
+
+    def test_a_support_beyond_the_cap_raises_before_any_solve(self, monkeypatch):
+        pts = np.random.default_rng(5).uniform(-4.0, 4.0, size=(MAX_NORM_SUPPORT + 1, 2))
+        monkeypatch.setattr(freespace, "solve_box_lp", lambda *args: pytest.fail("solved"))
+        with pytest.raises(ValueError, match=f"{MAX_NORM_SUPPORT + 1} support points"):
+            freespace.free_norms([plane_molecule(1), Molecule.on_rn([(p, 1.0) for p in pts])])
+
+
+def pairwise_lattice_ok(projections):
+    """The pairwise lattice check: every ``molecule_projection`` of a level
+    against the coarser level, through ``molecules_close``."""
+    return all(molecules_close(molecule_projection(projections[n], m), projections[min(m, n)], tol=1e-10)
+               for m in projections for n in projections)
+
+
+def level_projections(mu, n_max):
+    return {n: molecule_projection(mu, n) for n in range(1, n_max + 1)}
+
+
+def random_report_molecule(rng):
+    if rng.random() < 0.5:
+        return random_l1_molecule(rng, size=int(rng.integers(1, 6)), spread=3.0)
+    dim = int(rng.integers(1, 4))
+    return Molecule.on_rn([(tuple(rng.uniform(-3, 3, size=dim)), float(rng.normal()))
+                           for _ in range(int(rng.integers(1, 6)))], dim=dim)
+
+
+class TestLatticeCheck:
+    def test_report_flags_one_perturbed_level(self, monkeypatch):
+        mu = Molecule.on_l1([(sparse([(1, 1.0 / 3.0), (2, -0.7)]), 1.0), (sparse([(3, 1.3)]), -0.5)])
+        assert decomposition_report(mu, 8).lattice_ok
+        project = freespace.molecule_projection
+        monkeypatch.setattr(freespace, "molecule_projection",
+                            lambda m, n: project(m, n).scaled(1.0 + 1e-6) if n == 5 else project(m, n))
+        assert not decomposition_report(mu, 8).lattice_ok
+
+    @pytest.mark.parametrize("change", ["scale", "drop", "move", "tiny"])
+    def test_agrees_with_the_pairwise_check_on_a_changed_level(self, change):
+        rng = np.random.default_rng(930)
+        for _ in range(5):
+            mu = random_report_molecule(rng)
+            projections = level_projections(mu, 6)
+            n = int(rng.integers(1, 7))
+            proj = projections[n]
+            if change == "scale":
+                projections[n] = proj.scaled(1.0 + 1e-6)
+            elif change == "drop":
+                projections[n] = proj._rebuild(proj.terms[1:])
+            elif change == "move":  # half a level-n cell along every axis
+                p, a = proj.terms[0]
+                moved = (sparse((i, v + 2.0**-n) for i, v in p.items) if mu.kind == "l1"
+                         else tuple(v + 2.0**-n for v in p))
+                projections[n] = proj._rebuild([(moved, a), *proj.terms[1:]])
+            else:
+                projections[n] = proj.scaled(1.0 + 1e-14)
+            assert freespace._lattice_ok(projections) == pairwise_lattice_ok(projections) == (change == "tiny")
+
+    def test_agrees_with_the_pairwise_check_on_20_random_reports(self):
+        rng = np.random.default_rng(940)
+        for _ in range(20):
+            mu = random_report_molecule(rng)
+            n_max = int(rng.integers(1, 9))
+            assert decomposition_report(mu, n_max).lattice_ok == pairwise_lattice_ok(level_projections(mu, n_max))
+
+    def test_a_stack_past_the_corner_cap_goes_one_level_at_a_time(self, monkeypatch):
+        from lipfree import operators
+
+        # one generic 8-d point: each level expands under the cap, all levels together do not
+        mu = Molecule.on_rn([((0.31, -0.72, 1.13, -2.05, 0.48, 2.61, -1.37, 0.09), 1.0)], dim=8)
+        projections = level_projections(mu, 8)
+        stacked = [sum(len(operators.cell_weights(p.support, GridLevel(m, dim=8))[0]) for p in projections.values())
+                   for m in projections]
+        assert max(stacked) > operators.MAX_CORNERS
+        assert freespace._lattice_ok(projections)
+        projections[4] = projections[4].scaled(1.0 + 1e-6)
+        assert not freespace._lattice_ok(projections)
+        monkeypatch.setattr(operators, "MAX_CORNERS", 2**10)
+        with pytest.raises(ValueError, match="weighted cell corners"):
+            freespace._lattice_ok(projections)

@@ -52,6 +52,13 @@ class TestVertex:
         with pytest.raises(ValueError):
             Hypercube(center=(0, 0), edge=1).vertex((1,))
 
+    @pytest.mark.parametrize("x", [[0.5], [0.5, 0.5, 0.5], 0.5])
+    def test_point_of_another_dimension_is_refused(self, x):
+        cube = Hypercube(center=(0, 0), edge=2)
+        for method in (cube.contains, cube.barycentric):
+            with pytest.raises(ValueError, match=f"dimension {np.ndim(x) and len(x)} .* dimension 2"):
+                method(x)
+
     def test_invariants(self):
         with pytest.raises(ValueError):
             Hypercube(center=(0,), edge=0.0)

@@ -286,6 +286,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             VertexData(cube=cube, values=(0.0, 1.0, float("nan"), 2.0))
 
+    def test_recursive_oracle_refuses_a_point_of_another_dimension(self):
+        with pytest.raises(ValueError, match="dimension 1 .* dimension 2"):
+            interpolate_recursive(bilinear_bump(), [0.5])
+
     def test_batch_matches_scalar(self):
         data = bilinear_bump()
         rng = np.random.default_rng(9)
