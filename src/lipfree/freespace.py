@@ -50,7 +50,8 @@ KINDS = ("l1", "l1N", "finite")
 #: projected 12-coordinate ``l1`` ones, 2 vCPUs).
 MAX_NORM_SUPPORT = 512
 
-#: Most relay sums :func:`_chain_reach` holds in one array (40 points).
+#: Relay sums :func:`_chain_reach` takes per block of rows (512 KB): all of
+#: them up to 40 points, one row per block from 256 points.
 _RELAY_ELEMENTS = 2**16
 
 #: Relative tolerance of the certificate check (:func:`check_certificate`).
@@ -320,18 +321,16 @@ def _distance_matrix(mu: Molecule) -> np.ndarray:
 def _chain_reach(d: np.ndarray) -> np.ndarray:
     """Best one-intermediate relay distance in the symmetric distance matrix
     ``d``, excluding trivial relays: off the diagonal, entry ``[i, j]`` is the
-    least ``d[i, r] + d[r, j]`` over ``r``
-    other than ``i`` and ``j``.  An infinite diagonal rules the trivial
-    relays out.  Up to :data:`_RELAY_ELEMENTS` sums are taken in one array,
-    else one relay at a time into a reused buffer."""
+    least ``d[i, r] + d[r, j]`` over ``r`` other than ``i`` and ``j``.  An
+    infinite diagonal rules the trivial relays out.  Each block of rows,
+    about :data:`_RELAY_ELEMENTS` sums and at least one row, is reduced over
+    all relays at once."""
     k = d.shape[0]
     dd = d + np.diag(np.full(k, np.inf))
-    if k**3 <= _RELAY_ELEMENTS:
-        return (dd[:, :, None] + dd[:, None, :]).min(axis=0)
-    reach = np.full((k, k), np.inf)
-    via = np.empty((k, k))
-    for r in range(k):
-        np.minimum(reach, np.add(dd[r, :, None], dd[r, None, :], out=via), out=reach)
+    rows = max(1, _RELAY_ELEMENTS // (k * k))
+    reach = np.empty((k, k))
+    for lo in range(0, k, rows):
+        np.min(dd[:, lo:lo + rows, None] + dd[:, None, :], axis=0, out=reach[lo:lo + rows])
     return reach
 
 

@@ -222,14 +222,7 @@ def _stack_points(points: Sequence, level: GridLevel) -> np.ndarray:
     d, sparse = level.cell_dim, level.dim is None
     if any(isinstance(p, FiniteSupportPoint) != sparse for p in points):
         raise TypeError("sequence mode expects finitely supported points, coordinate mode vectors")
-    if sparse:  # the leading coordinates, from one list of entries
-        out = np.zeros((len(points), d))
-        entries = [(r, i - 1, v) for r, p in enumerate(points) for i, v in p.items if i <= d]
-        if entries:
-            r, c, v = zip(*entries)
-            out[r, c] = v
-        return out
-    rows = [np.asarray(p, dtype=float) for p in points]
+    rows = [p.leading(d) if sparse else np.asarray(p, dtype=float) for p in points]
     for u in rows:
         if u.shape != (d,):
             raise ValueError(f"expected points of dimension {d}, got shape {u.shape}")
