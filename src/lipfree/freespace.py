@@ -26,7 +26,7 @@ triplets as the function projection; by construction its pairing with any
 function equals the pairing of the projected function with the original
 molecule.  :func:`decomposition_report` solves every norm of a report in one
 batch and checks the commuting lattice of the level projections in one pass
-over int64 lattice keys.
+over int64 lattice keys, truncating each support point once.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 from .extension import FinitePointedMetricSpace
 from .geometry import (MAX_LEVEL, FiniteSupportPoint, check_magnitude, embed_rows, l1_distance, l1_distances,
                        lattice_coords, pack_key_rows)
-from .operators import GridLevel, TooManyCorners, cell_weights
+from .operators import GridLevel, TooManyCorners, _decay_estimates, _stack_points, cell_weights
 
 KINDS = ("l1", "l1N", "finite")
 
@@ -98,6 +98,8 @@ class Molecule:
             raise ValueError("finite-space molecules need their metric space")
         if self.kind == "l1N" and self.terms and self.dim is None:
             raise ValueError("coordinate molecules need a dimension")
+        if self.kind != "l1N" and self.dim is not None:
+            raise ValueError("only coordinate molecules have a dimension")
 
     # -- construction -------------------------------------------------------
 
@@ -164,10 +166,6 @@ class Molecule:
             return tuple(0.0 for _ in range(self.dim)) if self.dim else None
         return self.space.origin
 
-    def _key(self, p):
-        """The key that identifies a point: a sparse point's items, else the point."""
-        return p.items if self.kind == "l1" else p
-
     def _is_origin(self, p) -> bool:
         if self.kind == "l1":
             return p.is_zero
@@ -177,14 +175,13 @@ class Molecule:
 
     def _rebuild(self, terms) -> "Molecule":
         """The canonical molecule of ``terms`` on this molecule's space: terms
-        of equal key merged (the last point kept), zero sums and the origin
-        dropped, sorted by key."""
+        at equal points merged (the last point kept, so ``-0.0`` may replace
+        ``0.0``), zero sums and the origin dropped, sorted by point."""
         merged: dict = {}
         points: dict = {}
         for p, a in terms:
-            k = self._key(p)
-            merged[k] = merged.get(k, 0.0) + float(a)
-            points[k] = p
+            merged[p] = merged.get(p, 0.0) + float(a)
+            points[p] = p
         canon = tuple((points[k], merged[k]) for k in sorted(merged)
                       if merged[k] != 0.0 and not self._is_origin(points[k]))
         return Molecule(kind=self.kind, terms=canon, dim=self.dim, space=self.space)
@@ -246,10 +243,9 @@ class Molecule:
 
 
 def molecules_close(a: Molecule, b: Molecule, tol: float = 1e-10) -> bool:
-    """Coefficient-wise comparison of canonical molecules (exact point keys)."""
+    """Coefficient-wise comparison of canonical molecules (exact points)."""
     a._check_compatible(b)
-    da = {a._key(p): c for p, c in a.terms}
-    db = {b._key(p): c for p, c in b.terms}
+    da, db = dict(a.terms), dict(b.terms)
     for k in set(da) | set(db):
         if abs(da.get(k, 0.0) - db.get(k, 0.0)) > tol:
             return False
@@ -512,35 +508,32 @@ def molecule_projection(mu: Molecule, n: int) -> Molecule:
         raise ValueError("grid projections act on l1-type molecules only")
     if mu.is_zero:
         return mu
-    level = GridLevel(n, dim=None if mu.kind == "l1" else mu.dim)
+    level = GridLevel(n, mu.dim)  # sequence mode for l1 molecules, which have no dim
     rows, keys, weights = cell_weights(mu.support, level)
     mass = np.asarray(mu.coefficients)[rows] * weights
     coords = lattice_coords(keys, n)
-    if mu.kind == "l1":
-        points = embed_rows(coords)
-    else:
-        points = [tuple(c) for c in coords.tolist()]
+    points = embed_rows(coords) if mu.kind == "l1" else [tuple(c) for c in coords.tolist()]
     return mu._rebuild(list(zip(points, mass.tolist())))
+
+
+def _projection_estimate(mu: Molecule, n: int) -> tuple[float, bool]:
+    """:func:`projection_bound` (summed in term order) and :func:`term_clamped`."""
+    level = GridLevel(n, mu.dim)
+    bounds, clamped = _decay_estimates(mu.support, _stack_points(mu.support, level), level)
+    total = 0.0
+    for a, b in zip(mu.coefficients, bounds.tolist()):
+        total += abs(a) * b
+    return total, bool(clamped.any())
 
 
 def projection_bound(mu: Molecule, n: int) -> float:
     """Duality transcription of the pointwise decay estimate, unit constant."""
-    total = 0.0
-    cells = n if mu.kind == "l1" else (mu.dim or 0)
-    for p, a in mu.terms:
-        tail = p.tail(n) if mu.kind == "l1" else 0.0
-        total += abs(a) * 2.0 * (tail + cells * 2.0 ** (1 - n))
-    return total
+    return _projection_estimate(mu, n)[0]
 
 
 def term_clamped(mu: Molecule, n: int) -> bool:
     """True when some support point is moved by the clamp onto the big cube."""
-    half = 2.0 ** (n - 1)
-    for p, _ in mu.terms:
-        lead = p.leading(n) if mu.kind == "l1" else np.asarray(p, dtype=float)
-        if lead.size and float(np.max(np.abs(lead))) > half:
-            return True
-    return False
+    return _projection_estimate(mu, n)[1]
 
 
 @dataclass(frozen=True)
@@ -564,33 +557,24 @@ class FddReport:
 
     @property
     def passed(self) -> bool:
-        return self.monotone_ok and self.trend_ok and self.lattice_ok and all(
-            r.bound_ok is not False for r in self.rows
-        )
+        return (self.monotone_ok and self.trend_ok and self.lattice_ok
+                and all(r.bound_ok is not False for r in self.rows))
 
     def to_json(self) -> dict:
-        return {
-            "base_norm": self.base_norm,
-            "rows": [vars(r) for r in self.rows],
-            "monotone_ok": self.monotone_ok,
-            "trend_ok": self.trend_ok,
-            "lattice_ok": self.lattice_ok,
-            "passed": self.passed,
-        }
+        return {**vars(self), "rows": [vars(r) for r in self.rows], "passed": self.passed}
 
 
-def _stacked_cell_weights(support: list, bounds, level: GridLevel):
-    """:func:`cell_weights` of the stacked supports of several molecules,
-    molecule ``k`` being ``support[bounds[k]:bounds[k + 1]]``.  A stack past
+def _stacked_cell_weights(rows: np.ndarray, bounds, level: GridLevel):
+    """:func:`cell_weights` of the stacked support rows of several molecules,
+    molecule ``k`` being ``rows[bounds[k]:bounds[k + 1]]``.  A stack past
     :data:`~lipfree.operators.MAX_CORNERS` is expanded one molecule at a
     time, so only a molecule that one projection cannot expand raises."""
     try:
-        return cell_weights(support, level)
+        return cell_weights(rows, level)
     except TooManyCorners:
-        parts = [(lo, cell_weights(support[lo:hi], level)) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-        return (np.concatenate([rows + lo for lo, (rows, _, _) in parts]),
-                np.concatenate([keys for _, (_, keys, _) in parts]),
-                np.concatenate([w for _, (_, _, w) in parts]))
+        spans = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+        r, k, w = zip(*(cell_weights(rows[lo:hi], level) for lo, hi in spans))
+        return np.concatenate([ri + lo for ri, (lo, _) in zip(r, spans)]), np.concatenate(k), np.concatenate(w)
 
 
 def _lattice_ok(projections: dict[int, Molecule]) -> bool:
@@ -599,8 +583,9 @@ def _lattice_ok(projections: dict[int, Molecule]) -> bool:
     gives ``projections[min(m, n)]``, coefficient by coefficient within
     :data:`LATTICE_TOL`.
 
-    One pass over int64 lattice keys: per target level ``m``, one
-    :func:`cell_weights` call projects the stacked supports of all levels.
+    One pass over int64 lattice keys: the supports of all levels are stacked
+    once, at the widest level, and per target level ``m`` one
+    :func:`cell_weights` call projects the leading columns of those rows.
     The expected side enters with negated masses, each point named by its
     exact level-``m`` key (a point off the level-``m`` grid fails).  One
     ``np.unique`` and one ``bincount`` sum the masses by ``(m, n, key)``; the
@@ -616,21 +601,19 @@ def _lattice_ok(projections: dict[int, Molecule]) -> bool:
         return True
     mass = np.array([a for n in levels for a in projections[n].coefficients])
     level_of = np.repeat(levels, sizes)
-    sequence = first.kind == "l1"
-    width = levels[-1] if sequence else first.dim
-    coords = np.array([p.leading(width) for p in support]) if sequence else np.array(support, dtype=float)
+    coords = _stack_points(support, GridLevel(levels[-1], first.dim))
     groups, masses = [], []
     for m in levels:
-        level = GridLevel(m, dim=None if sequence else first.dim)
+        level = GridLevel(m, first.dim)
         d = level.cell_dim
-        rows, keys, weights = _stacked_cell_weights(support, bounds, level)
+        rows, keys, weights = _stacked_cell_weights(coords[:, :d], bounds, level)
         keep = (keys != 1 << (2 * m - 2)).any(axis=1)
         expect = np.concatenate([span[min(m, n)] for n in levels])
         scaled = (coords[expect, :d] + 2.0 ** (m - 1)) * 2.0 ** (m - 1)
         if np.any(coords[expect, d:]) or np.any(scaled != np.floor(scaled)):
             return False
         tags = np.concatenate([level_of[rows[keep]], np.repeat(levels, [len(span[min(m, n)]) for n in levels])])
-        key_rows = np.zeros((len(tags), 2 + width), dtype=np.int64)
+        key_rows = np.zeros((len(tags), 2 + coords.shape[1]), dtype=np.int64)
         key_rows[:, 0], key_rows[:, 1] = m, tags
         key_rows[:, 2:2 + d] = np.concatenate([keys[keep], scaled.astype(np.int64)])
         groups.append(key_rows)
@@ -664,27 +647,12 @@ def decomposition_report(mu: Molecule, n_max: int) -> FddReport:
     rows = []
     for n, proj in projections.items():
         err_value = certs[n_max + n].value
-        bound = projection_bound(mu, n)
-        clamped = term_clamped(mu, n)
+        bound, clamped = _projection_estimate(mu, n)
         bound_ok = None if clamped else bool(err_value <= bound + FDD_TOL * max(1.0, bound))
-        rows.append(
-            FddRow(
-                n=n,
-                norm_value=certs[n].value,
-                err_value=err_value,
-                bound=bound,
-                support_size=len(proj.terms),
-                clamped=clamped,
-                bound_ok=bound_ok,
-            )
-        )
+        rows.append(FddRow(n=n, norm_value=certs[n].value, err_value=err_value, bound=bound,
+                           support_size=len(proj.terms), clamped=clamped, bound_ok=bound_ok))
     base = certs[0].value
-    monotone_ok = all(r.norm_value <= base * (1.0 + FDD_TOL) + FDD_TOL for r in rows)
-    trend_ok = rows[-1].err_value <= rows[0].err_value + FDD_TOL
-    return FddReport(
-        base_norm=base,
-        rows=tuple(rows),
-        monotone_ok=monotone_ok,
-        trend_ok=trend_ok,
-        lattice_ok=_lattice_ok(projections),
-    )
+    return FddReport(base_norm=base, rows=tuple(rows),
+                     monotone_ok=all(r.norm_value <= base * (1.0 + FDD_TOL) + FDD_TOL for r in rows),
+                     trend_ok=rows[-1].err_value <= rows[0].err_value + FDD_TOL,
+                     lattice_ok=_lattice_ok(projections))

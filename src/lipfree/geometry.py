@@ -231,14 +231,14 @@ def tiling_vertices(level: int, dim: int) -> np.ndarray:
     return lattice_coords(np.indices((per_axis,) * dim).reshape(dim, -1).T, level)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class FiniteSupportPoint:
     """A finitely supported real sequence; the computational model of l1.
 
     Stored as sorted ``(index, value)`` pairs with 1-based indices and all
-    zero values dropped, so equal sequences compare and hash equal.  Values
-    are finite and within :data:`MAX_MAGNITUDE`.  The empty point is the
-    origin.
+    zero values dropped, so equal sequences compare and hash equal; points are
+    ordered by their pairs.  Values are finite and within :data:`MAX_MAGNITUDE`.
+    The empty point is the origin.
     """
 
     items: tuple[tuple[int, float], ...] = ()

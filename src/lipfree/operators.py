@@ -14,7 +14,9 @@ the function's values at the cell corners with the tensor-product weights of
 :func:`cell_weights` is the one corner expansion, shared with the molecule
 projection of :mod:`lipfree.freespace`: sparse ``(row, key, weight)``
 triplets, a corner named by its int64 lattice index ``key``.  A point with
-``s`` nonzero leading coordinates reaches at most ``2**s`` corners.
+``s`` nonzero leading coordinates reaches at most ``2**s`` corners.  It takes
+points or their rows of leading coordinates, truncated by one function, so
+each batch is stacked once.  The decay estimate is written once too.
 
 The projected function depends on the original only through its values on the
 level-n vertex grid, is linear in the function, does not increase Lipschitz
@@ -194,6 +196,13 @@ def tabulated_lip_function(f: TabulatedFunction) -> LipFunction:
     return LipFunction(mcshane_extension(f.points, f.values, lip), declared_lip=lip, label="tabulated")
 
 
+def _random_sparse(rng: np.random.Generator, spread: float = 2.0, max_index: int = 6) -> FiniteSupportPoint:
+    """A random point with 1 to 3 nonzero coordinates at distinct indices in
+    ``1 .. max_index``, each uniform in ``[-spread, spread]``."""
+    idx = rng.choice(np.arange(1, max_index + 1), size=int(rng.integers(1, 4)), replace=False)
+    return FiniteSupportPoint.from_pairs((int(i), float(rng.uniform(-spread, spread))) for i in idx)
+
+
 def random_lattice_function(rng: np.random.Generator, *, dim: int | None = None,
                             anchors: int = 8) -> LipFunction:
     """A reproducible random Lipschitz function with a known exact bound.
@@ -205,9 +214,7 @@ def random_lattice_function(rng: np.random.Generator, *, dim: int | None = None,
     pts: list = [FiniteSupportPoint.zero() if dim is None else tuple(np.zeros(dim))]
     while len(pts) < anchors + 1:
         if dim is None:
-            idx = rng.choice(np.arange(1, LATTICE_INDEX_RANGE + 1), size=int(rng.integers(1, 4)), replace=False)
-            p = FiniteSupportPoint.from_pairs((int(i), float(rng.uniform(-LATTICE_SPREAD, LATTICE_SPREAD)))
-                                              for i in idx)
+            p = _random_sparse(rng, LATTICE_SPREAD, LATTICE_INDEX_RANGE)
         else:
             p = tuple(float(v) for v in rng.uniform(-LATTICE_SPREAD, LATTICE_SPREAD, size=dim))
         if p not in pts:
@@ -218,19 +225,37 @@ def random_lattice_function(rng: np.random.Generator, *, dim: int | None = None,
     return lipf
 
 
-def _stack_points(points: Sequence, level: GridLevel) -> np.ndarray:
+def _stack_points(points, level: GridLevel) -> np.ndarray:
+    """The one truncation: a batch as ``(m, cell_dim)`` rows of leading
+    coordinates, by :meth:`FiniteSupportPoint.leading` in sequence mode and one
+    ``np.asarray`` in coordinate mode.  A 2-d array is taken as rows."""
     d, sparse = level.cell_dim, level.dim is None
-    if any(isinstance(p, FiniteSupportPoint) != sparse for p in points):
-        raise TypeError("sequence mode expects finitely supported points, coordinate mode vectors")
-    rows = [p.leading(d) if sparse else np.asarray(p, dtype=float) for p in points]
-    for u in rows:
-        if u.shape != (d,):
-            raise ValueError(f"expected points of dimension {d}, got shape {u.shape}")
-    return np.array(rows, dtype=float).reshape(len(points), d)
+    stacked = isinstance(points, np.ndarray) and points.ndim == 2
+    try:
+        rows = np.asarray(points if stacked or not sparse else [p.leading(d) for p in points], dtype=float)
+        if rows.shape == (len(points), d):
+            return rows
+    except (AttributeError, TypeError, ValueError):
+        pass
+    for p in points:  # name the first point that does not fit
+        if isinstance(p, FiniteSupportPoint) != sparse:
+            raise TypeError("sequence mode expects finitely supported points, coordinate mode vectors")
+        if not sparse and np.asarray(p, dtype=float).shape != (d,):
+            raise ValueError(f"expected points of dimension {d}, got shape {np.shape(p)}")
+    return np.asarray(points, dtype=float).reshape(0, d)  # the empty batch; any other raises
+
+
+def _decay_estimates(points, rows: np.ndarray, level: GridLevel, lip: float = 1.0):
+    """Per point of a batch with stacked ``rows``: the decay estimate
+    ``2 L (tail + cell_dim 2^(1-n))`` and whether the clamp moves the point."""
+    n = level.n
+    tails = np.array([p.tail(n) for p in points]) if level.dim is None else np.zeros(len(rows))
+    return (2.0 * lip * (tails + level.cell_dim * 2.0 ** (1 - n)),
+            np.abs(rows).max(axis=1, initial=0.0) > 2.0 ** (n - 1))
 
 
 def cell_weights(points: Sequence, level: GridLevel):
-    """Clamp, locate and weight a batch of points: sparse corner triplets.
+    """Clamp, locate and weight a batch of points or stacked rows: sparse corner triplets.
 
     Returns ``(rows, keys, weights)``: point ``rows[e]`` puts weight
     ``weights[e]`` on the cell corner with int64 lattice index ``keys[e]``
@@ -267,10 +292,10 @@ def cell_weights(points: Sequence, level: GridLevel):
 
 
 def project_values(f, points: Sequence, level: GridLevel) -> np.ndarray:
-    """Projected values of ``f`` at a batch of points: one ``np.unique`` over
-    the packed key rows gives the distinct weighted corners in key order,
-    ``f.eval_many`` gets them in one batch, and one ``bincount`` sums each
-    point's weighted corner values."""
+    """Projected values of ``f`` at a batch of points or stacked rows: one
+    ``np.unique`` over the packed key rows gives the distinct weighted corners
+    in key order, ``f.eval_many`` gets them in one batch, and one ``bincount``
+    sums each point's weighted corner values."""
     if not len(points):
         return np.zeros(0)
     rows, keys, weights = cell_weights(points, level)
@@ -353,21 +378,18 @@ class ConvergenceChecks:
 
 
 def convergence_checks(f, points: Sequence, n: int, dim: int | None = None) -> ConvergenceChecks:
-    """:class:`ConvergenceCheck` columns at a batch of points, from one
-    :func:`project_values` call and one ``f.eval_many`` call for the exact
-    values."""
+    """:class:`ConvergenceCheck` columns at a batch of points, stacked once:
+    one :func:`project_values` call on the stacked rows, one ``f.eval_many``
+    call for the exact values."""
     if f.declared_lip is None:
         raise ValueError("convergence estimates need a declared Lipschitz bound")
     level, points = GridLevel(n, dim), list(points)
-    leads = _stack_points(points, level)  # raises TypeError on a point of the other mode
-    tails = np.array([x.tail(n) for x in points]) if dim is None else np.zeros(len(points))
-    value = project_values(f, points, level)
+    rows = _stack_points(points, level)
+    value = project_values(f, rows, level)
     exact = np.asarray(f.eval_many(points), dtype=float)
     error = np.abs(value - exact)
-    bound = 2.0 * f.declared_lip * (tails + level.cell_dim * 2.0 ** (1 - n))
-    return ConvergenceChecks(value=value, exact=exact, error=error, bound=bound,
-                             clamped=np.abs(leads).max(axis=1, initial=0.0) > 2.0 ** (n - 1),
-                             ok=error <= bound + BOUND_SLACK)
+    bound, clamped = _decay_estimates(points, rows, level, f.declared_lip)
+    return ConvergenceChecks(value, exact, error, bound, clamped, ok=error <= bound + BOUND_SLACK)
 
 
 def convergence_check(f, x, n: int, dim: int | None = None) -> ConvergenceCheck:

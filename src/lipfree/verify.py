@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import extension, freespace, geometry, interpolation, operators
+from .operators import _random_sparse
 
 DEFAULT_SEED = 20250810
 
@@ -66,14 +67,6 @@ def _point_in(rng, cube, count=None):
     """A point uniform in ``cube``, or ``count`` of them as rows of one draw."""
     c = np.asarray(cube.center)
     return c + rng.uniform(-0.5, 0.5, size=cube.dim if count is None else (count, cube.dim)) * cube.edge
-
-
-def _random_sparse(rng, spread=2.0, max_index=6) -> geometry.FiniteSupportPoint:
-    size = int(rng.integers(1, 4))
-    idx = rng.choice(np.arange(1, max_index + 1), size=size, replace=False)
-    return geometry.FiniteSupportPoint.from_pairs(
-        (int(i), float(rng.uniform(-spread, spread))) for i in idx
-    )
 
 
 def _suite_geometry_retraction(rng) -> SuiteResult:

@@ -378,6 +378,14 @@ class TestBap:
         assert code == 2
         assert out == "" and "(0, 2) is not finite" in err
 
+    @pytest.mark.parametrize("p", ["-1", "nan", "0", "inf"])
+    @pytest.mark.parametrize("coords", [[[0.0]], [[0.0], [1.0], [3.0]]])
+    def test_bad_shepard_exponent_exits_2_naming_it(self, tmp_path, capsys, coords, p):
+        space = write_json(tmp_path / "space.json", {"embed_l1": coords, "origin": 0})
+        code, out, err = run(capsys, ["bap", "--input", space, "--scheme", "shepard-p", f"--p={p}"])
+        assert code == 2
+        assert out == "" and f"shepard-p exponent p must be positive and finite, got {float(p)}" in err
+
     def test_json_format(self, tmp_path, capsys):
         space = write_json(
             tmp_path / "space.json", {"embed_l1": [[0.0], [1.0], [3.0]], "origin": 0}
@@ -387,6 +395,32 @@ class TestBap:
         payload = json.loads(out)
         assert payload["doubling_estimate"] >= 1
         assert payload["rows"][-1]["max_err"] == 0.0
+
+
+class TestSpaceCap:
+    def test_a_space_at_the_cap_answers(self, tmp_path, capsys):
+        k = lipfree.extension.MAX_SPACE_POINTS
+        dist = [[float(abs(i - j)) for j in range(k)] for i in range(k)]
+        for space in ({"embed_l1": [[float(i)] for i in range(k)]}, {"points": list(range(k)), "dist": dist}):
+            mol = write_json(tmp_path / "mol.json", {"space": "finite", "metric_space": space,
+                                                     "terms": [{"point": k - 1, "coeff": 1.0}]})
+            code, out, _ = run(capsys, ["norm", "--input", mol, "--format", "json"])
+            assert code == 0 and json.loads(out)["value"] == k - 1
+
+    @pytest.mark.parametrize("argv", [["bap"], ["norm"]])
+    def test_one_point_past_the_cap_exits_2_before_any_distance(self, tmp_path, capsys, monkeypatch, argv):
+        k = lipfree.extension.MAX_SPACE_POINTS + 1
+
+        def no_distances(*args):
+            raise AssertionError("a distance was computed")
+
+        monkeypatch.setattr(lipfree.extension, "l1_distances", no_distances)
+        bad = [[0.0 if i == j else (9.0 if {i, j} == {0, 2} else 1.0) for j in range(k)] for i in range(k)]
+        for space in ({"embed_l1": [[float(i)] for i in range(k)]}, {"points": list(range(k)), "dist": bad}):
+            obj = space if argv == ["bap"] else {"space": "finite", "metric_space": space, "terms": []}
+            code, out, err = run(capsys, [*argv, "--input", write_json(tmp_path / "in.json", obj)])
+            assert code == 2
+            assert out == "" and f"the metric space has {k} points" in err
 
 
 class TestInputErrors:

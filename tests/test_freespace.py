@@ -17,10 +17,11 @@ from lipfree.freespace import (
     molecules_close,
     pairing,
     projection_bound,
+    term_clamped,
     transport_norm,
 )
 from lipfree.geometry import FiniteSupportPoint
-from lipfree.operators import GridLevel, lip_projection, random_lattice_function
+from lipfree.operators import GridLevel, convergence_checks, l1_norm_function, lip_projection, random_lattice_function
 
 
 def sparse(pairs):
@@ -46,12 +47,21 @@ class TestCanonicalization:
         assert mu.support == ((0.0, 1.0),)
         assert mu.coefficients == (1.0,)
 
+    def test_equal_points_merge_keeping_the_last_and_sort_by_point(self):
+        mu = Molecule.on_rn([((0.0, 1.0), 1.0), ((-0.0, 1.0), 2.0)], dim=2)
+        assert mu.coefficients == (3.0,) and np.signbit(mu.support[0][0])
+        assert molecules_close(mu, Molecule.on_rn([((0.0, 1.0), 3.0)], dim=2), tol=0.0)
+        pts = [sparse([(2, 1.0)]), sparse([(1, 3.0), (4, 1.0)]), sparse([(1, -1.0)])]
+        assert Molecule.on_l1([(p, 1.0) for p in pts]).support == tuple(sorted(pts, key=lambda p: p.items))
+
     def test_origin_evaluations_vanish(self):
         assert Molecule.on_l1([(FiniteSupportPoint.zero(), 3.0)]).is_zero
 
     def test_dimension_check(self):
         with pytest.raises(ValueError):
             Molecule.on_rn([((1.0,), 1.0), ((1.0, 2.0), 1.0)])
+        with pytest.raises(ValueError, match="only coordinate molecules have a dimension"):
+            Molecule(kind="l1", terms=(), dim=2)
 
     def test_json_round_trips(self):
         ml1 = random_l1_molecule(np.random.default_rng(0))
@@ -232,6 +242,18 @@ class TestDecompositionReport:
     def test_bound_column_matches_formula(self):
         mu = Molecule.on_l1([(sparse([(1, 0.4), (3, 0.2)]), 2.0)])
         assert projection_bound(mu, 2) == pytest.approx(2.0 * 2.0 * (0.2 + 2 * 0.5))
+
+    def test_bound_and_clamp_are_the_unit_constant_convergence_columns(self):
+        rng = np.random.default_rng(233)
+        for _ in range(10):
+            mu = random_report_molecule(rng)
+            for n in range(1, 9):
+                checks = convergence_checks(l1_norm_function(), mu.support, n, dim=mu.dim)
+                total = 0.0
+                for a, b in zip(mu.coefficients, checks.bound.tolist()):
+                    total += abs(a) * b
+                assert projection_bound(mu, n) == total
+                assert term_clamped(mu, n) == bool(checks.clamped.any())
 
 
 class TestNormSize:
@@ -496,6 +518,23 @@ class TestLatticeCheck:
             mu = random_report_molecule(rng)
             n_max = int(rng.integers(1, 9))
             assert decomposition_report(mu, n_max).lattice_ok == pairwise_lattice_ok(level_projections(mu, n_max))
+
+    def test_a_report_truncates_each_lattice_point_once(self, monkeypatch):
+        mu = Molecule.on_l1([(sparse([(1, 1.0 / 3.0), (2, -0.7), (9, 0.2)]), 1.0),
+                             (sparse([(3, 1.3), (5, 0.6)]), -0.5)])
+        truncated, points = [], []
+        leading, lattice_ok = FiniteSupportPoint.leading, freespace._lattice_ok
+
+        def spy(projections):
+            truncated.clear()
+            points.extend(p for proj in projections.values() for p in proj.support)
+            return lattice_ok(projections)
+
+        monkeypatch.setattr(FiniteSupportPoint, "leading", lambda p, n: truncated.append(p) or leading(p, n))
+        monkeypatch.setattr(freespace, "_lattice_ok", spy)
+        assert decomposition_report(mu, 8).lattice_ok
+        assert len(points) > 8
+        assert sorted(map(id, truncated)) == sorted(map(id, points))
 
     def test_a_stack_past_the_corner_cap_goes_one_level_at_a_time(self, monkeypatch):
         from lipfree import operators

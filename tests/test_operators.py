@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lipfree import geometry
+from lipfree import geometry, operators
 from lipfree.geometry import (
     FiniteSupportPoint,
     Hypercube,
@@ -448,6 +448,28 @@ class TestConvergenceChecks:
                 assert np.array_equal(getattr(batch, field), [getattr(c, field) for c in single]), field
             assert [None if c else ok for c, ok in zip(batch.clamped, batch.ok)] == [c.ok for c in single]
             assert np.all(batch.ok | batch.clamped)
+
+    @pytest.mark.parametrize("dim", [None, 3])
+    def test_stacks_its_batch_once(self, dim, monkeypatch):
+        rng = np.random.default_rng(435)
+        f = random_lattice_function(rng, dim=dim)
+        if dim is None:
+            xs = [random_sparse(rng, spread=6.0, max_index=12) for _ in range(12)]
+        else:
+            xs = list(rng.uniform(-6.0, 6.0, size=(12, dim)))
+        stacked, truncated = [], []
+        stack, leading = operators._stack_points, FiniteSupportPoint.leading
+
+        def spy(pts, level):
+            stacked.append(stack(pts, level))
+            return stacked[-1]
+
+        monkeypatch.setattr(operators, "_stack_points", spy)
+        monkeypatch.setattr(FiniteSupportPoint, "leading", lambda p, n: truncated.append(p) or leading(p, n))
+        convergence_checks(f, xs, 4, dim=dim)
+        # rows already stacked come back as the same array, so one stacking gives one array
+        assert stacked and all(rows is stacked[0] for rows in stacked)
+        assert sorted(map(id, truncated)) == (sorted(map(id, xs)) if dim is None else [])
 
     def test_empty_batch_and_mode_errors(self):
         f = l1_norm_function()
