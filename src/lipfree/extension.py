@@ -70,7 +70,7 @@ class FinitePointedMetricSpace:
             raise ValueError(f"distance between points ({i}, {j}) is not finite: {d[i, j]}")
         i, j = divmod(int(np.argmax(np.abs(d))), k)
         check_magnitude(d[i, j], "distance between points ({}, {})", i, j)
-        scale = max(1.0, float(np.max(d)) if k else 1.0)
+        scale = max(1.0, float(np.max(d)))
         if np.max(np.abs(d - d.T)) > 1e-12 * scale:
             raise ValueError("distance matrix is not symmetric")
         if np.any(np.diag(d) != 0.0):
@@ -138,9 +138,9 @@ def restrict(f: TabulatedFunction, subset: Iterable[int]) -> TabulatedFunction:
     origin_point = f.points[f.origin]
     if origin_point not in sub:
         raise ValueError("the subset must contain the origin")
-    mapping = f.as_mapping()
-    values = tuple(mapping[i] for i in sub)
-    return TabulatedFunction(points=sub, values=values, origin=sub.index(origin_point))
+    values = dict(zip(f.points, f.values))
+    return TabulatedFunction(points=sub, values=tuple(values[i] for i in sub),
+                             origin=sub.index(origin_point))
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,10 +172,6 @@ class GentlePartition:
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 
-    @property
-    def vacuous(self) -> bool:
-        return len(self.subset) == self.space.size
-
 
 def build_partition(space: FinitePointedMetricSpace, subset: Iterable[int],
                     scheme: str = "inv-dist", p: float = 2.0) -> GentlePartition:
@@ -193,20 +189,16 @@ def build_partition(space: FinitePointedMetricSpace, subset: Iterable[int],
     sub = tuple(sorted(set(int(i) for i in subset)))
     if not sub:
         raise ValueError("the subset must be nonempty")
-    k = space.size
-    w = np.zeros((len(sub), k))
-    d = space.dist
-    outside = [x for x in range(k) if x not in set(sub)]
-    for x in outside:
-        dx = d[list(sub), x]
-        near = float(np.min(dx))
-        if near <= 0.0:
-            raise ValueError(f"point {x} is at distance zero from the subset")
-        raw = np.maximum(0.0, 2.0 * near - dx) ** 2 if scheme == "inv-dist" else dx ** (-p)
-        total = float(raw.sum())
-        if not np.isfinite(total) or total <= 0.0:
-            raise ValueError(f"degenerate weights at point {x}")
-        w[:, x] = raw / total
+    outside = np.delete(np.arange(space.size), sub)
+    dx = space.dist.T[np.ix_(outside, sub)]  # [x, w] = d(w, x)
+    near = dx.min(axis=1, keepdims=True)
+    raw = np.maximum(0.0, 2.0 * near - dx) ** 2 if scheme == "inv-dist" else dx ** (-p)
+    total = raw.sum(axis=1, keepdims=True)  # each row summed as a 1-d array
+    bad = ~(np.isfinite(total[:, 0]) & (total[:, 0] > 0.0))
+    if bad.any():
+        raise ValueError(f"degenerate weights at point {outside[np.argmax(bad)]}")
+    w = np.zeros((len(sub), space.size))
+    w[:, outside] = (raw / total).T
     return GentlePartition(space=space, subset=sub, weights=w, scheme=scheme)
 
 
@@ -214,14 +206,10 @@ def extend(f_sub: TabulatedFunction, part: GentlePartition) -> TabulatedFunction
     """Linear extension: keep values on the subset, blend anchors elsewhere."""
     if tuple(f_sub.points) != part.subset:
         raise ValueError("function domain does not match the partition subset")
-    k = part.space.size
-    anchor_values = np.asarray(f_sub.values)
-    values = anchor_values @ part.weights  # off-subset blend; zero columns inside
-    out = np.array(values)
-    for pos, i in enumerate(part.subset):
-        out[i] = f_sub.values[pos]
-    origin = part.space.origin
-    return TabulatedFunction(points=tuple(range(k)), values=tuple(out), origin=origin)
+    values = np.asarray(f_sub.values) @ part.weights  # off-subset blend; zero columns inside
+    values[list(part.subset)] = f_sub.values
+    return TabulatedFunction(points=tuple(range(part.space.size)), values=tuple(values),
+                             origin=part.space.origin)
 
 
 @dataclass(frozen=True)
@@ -231,24 +219,21 @@ class GentlenessEstimate:
 
 
 def gentleness(part: GentlePartition) -> GentlenessEstimate:
-    """Exact gentleness constant of a partition by full pair enumeration."""
+    """Exact gentleness constant of a partition over all ordered pairs.
+
+    ``worst_pair`` is the first pair ``(x, y)`` in row-major order with the
+    largest ratio, or None when every ratio is 0.
+    """
     k = part.space.size
     d = part.space.dist
     w = part.weights  # (|sub|, k), zero on subset columns
     anchors = list(part.subset)
-    best = 0.0
-    pair = None
-    for x in range(k):
-        diff = np.abs(w[:, [x]] - w)  # (|sub|, k) columns indexed by y
-        nums = d[anchors, x] @ diff
-        for y in range(k):
-            if y == x:
-                continue
-            ratio = nums[y] / d[x, y]
-            if ratio > best:
-                best = float(ratio)
-                pair = (x, y)
-    return GentlenessEstimate(k_hat=best, worst_pair=pair)
+    # one gemv per x, so each sum over anchors keeps its order
+    nums = np.array([d[anchors, x] @ np.abs(w[:, [x]] - w) for x in range(k)])
+    ratios = nums / (d + np.diag(np.full(k, np.inf)))  # the diagonal gives 0
+    best = int(np.argmax(ratios))
+    k_hat = float(ratios.flat[best])
+    return GentlenessEstimate(k_hat=k_hat, worst_pair=divmod(best, k) if k_hat > 0 else None)
 
 
 def approximation_operator(f: TabulatedFunction, part: GentlePartition) -> TabulatedFunction:
@@ -328,24 +313,26 @@ def _greedy_rounds(uncovered: np.ndarray, covers: np.ndarray) -> int:
 
 
 def farthest_point_chain(space: FinitePointedMetricSpace) -> list[tuple[int, ...]]:
-    """Nested subsets grown greedily farthest-first from the origin."""
+    """Nested subsets grown greedily farthest-first from the origin.
+
+    Each pick is the point farthest from the points chosen so far, ties to
+    the smallest index; chosen points are at distance 0, every other point
+    at a positive distance.
+    """
     chosen = [space.origin]
     chain = [tuple(chosen)]
-    d = space.dist
-    remaining = [i for i in range(space.size) if i != space.origin]
-    while remaining:
-        dist_to_set = [min(d[i, j] for j in chosen) for i in remaining]
-        pick = remaining[int(np.argmax(dist_to_set))]
+    gap = space.dist[:, space.origin].copy()  # [i] = min over chosen j of d(i, j)
+    for _ in range(space.size - 1):
+        pick = int(np.argmax(gap))
         chosen.append(pick)
-        remaining.remove(pick)
         chain.append(tuple(sorted(chosen)))
+        gap = np.minimum(gap, space.dist[:, pick])
     return chain
 
 
 def covering_radius(space: FinitePointedMetricSpace, subset: Sequence[int]) -> float:
     """max over points of the distance to the subset."""
-    sub = list(subset)
-    return float(max(min(space.dist[i, j] for j in sub) for i in range(space.size)))
+    return float(space.dist[:, list(subset)].min(axis=1).max())
 
 
 @dataclass(frozen=True)
@@ -361,20 +348,18 @@ def chain_table(space: FinitePointedMetricSpace, f: TabulatedFunction,
                 scheme: str = "inv-dist", p: float = 2.0) -> list[ChainRow]:
     """Per-step diagnostics of the restrict-extend operator along the chain."""
     lip_f = lip_constant(f, space.dist)
+    values = np.asarray(f.values)
     rows = []
     for subset in farthest_point_chain(space):
         part = build_partition(space, subset, scheme=scheme, p=p)
         sf = approximation_operator(f, part)
-        k_hat = 0.0 if part.vacuous else gentleness(part).k_hat
         lip_sf = lip_constant(sf, space.dist)
-        ratio = lip_sf / lip_f if lip_f > 0 else 0.0
-        err = float(max(abs(a - b) for a, b in zip(sf.values, f.values)))
         rows.append(
             ChainRow(
                 size=len(subset),
-                k_hat=k_hat,
-                lip_ratio=ratio,
-                max_err=err,
+                k_hat=gentleness(part).k_hat,
+                lip_ratio=lip_sf / lip_f if lip_f > 0 else 0.0,
+                max_err=float(np.max(np.abs(np.asarray(sf.values) - values))),
                 cov_radius=covering_radius(space, subset),
             )
         )

@@ -79,9 +79,6 @@ class TabulatedFunction:
             raise KeyError(f"point {point!r} is not tabulated") from None
         return self.values[pos]
 
-    def as_mapping(self) -> dict:
-        return dict(zip(self.points, self.values))
-
 
 def lip_constant(f: TabulatedFunction, dist=None) -> float:
     """Exact Lipschitz constant of a tabulated function.

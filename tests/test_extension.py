@@ -111,7 +111,6 @@ class TestPartition:
     def test_vacuous_partition(self):
         space = line_space(3)
         part = build_partition(space, range(3))
-        assert part.vacuous
         assert gentleness(part).k_hat == 0.0
 
     def test_midpoint_shepard_weights_are_half(self):
