@@ -15,7 +15,9 @@ extension's Lipschitz inflation by ``3 K``.
 
 Two concrete weight schemes are provided, since no canonical finite-space
 choice exists: ``inv-dist`` (truncated support) and ``shepard-p`` (global
-inverse-power weights).  Both are invariant under rescaling the metric.
+inverse-power weights).  Both depend only on distance ratios, so they are
+invariant under rescaling the metric, and exactly so when the factor is a
+power of two.
 """
 
 from __future__ import annotations
@@ -177,10 +179,13 @@ def build_partition(space: FinitePointedMetricSpace, subset: Iterable[int],
                     scheme: str = "inv-dist", p: float = 2.0) -> GentlePartition:
     """Concrete partition weights for a subset.
 
-    ``inv-dist``: raw weight ``max(0, 2 d(x, subset) - d(x, w))**2`` gives each
-    outside point a small support of nearby anchors.  ``shepard-p``: raw
-    weight ``d(x, w)**(-p)`` touches every anchor.  Both are normalized per
-    outside point and are invariant under metric rescaling.
+    Each outside point ``x`` measures its anchors in units of its nearest
+    one, ``r(w) = d(x, w) / d(x, subset)``.  ``inv-dist``: raw weight
+    ``max(0, 2 - r(w))**2`` gives ``x`` a small support of nearby anchors.
+    ``shepard-p``: raw weight ``r(w)**(-p)`` touches every anchor.  The
+    nearest anchor has raw weight exactly 1, so every total is finite and at
+    least 1 at any scale; weights are normalized per outside point.  Scaling
+    the metric by a power of two leaves them unchanged bit for bit.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
@@ -191,14 +196,11 @@ def build_partition(space: FinitePointedMetricSpace, subset: Iterable[int],
         raise ValueError("the subset must be nonempty")
     outside = np.delete(np.arange(space.size), sub)
     dx = space.dist.T[np.ix_(outside, sub)]  # [x, w] = d(w, x)
-    near = dx.min(axis=1, keepdims=True)
-    raw = np.maximum(0.0, 2.0 * near - dx) ** 2 if scheme == "inv-dist" else dx ** (-p)
-    total = raw.sum(axis=1, keepdims=True)  # each row summed as a 1-d array
-    bad = ~(np.isfinite(total[:, 0]) & (total[:, 0] > 0.0))
-    if bad.any():
-        raise ValueError(f"degenerate weights at point {outside[np.argmax(bad)]}")
+    with np.errstate(over="ignore"):  # an overflowing ratio gives weight 0
+        ratio = dx / dx.min(axis=1, keepdims=True)  # exactly 1 at the nearest anchor
+    raw = np.maximum(0.0, 2.0 - ratio) ** 2 if scheme == "inv-dist" else ratio ** (-p)
     w = np.zeros((len(sub), space.size))
-    w[:, outside] = (raw / total).T
+    w[:, outside] = (raw / raw.sum(axis=1, keepdims=True)).T  # each row summed as a 1-d array
     return GentlePartition(space=space, subset=sub, weights=w, scheme=scheme)
 
 

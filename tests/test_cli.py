@@ -386,6 +386,20 @@ class TestBap:
         assert code == 2
         assert out == "" and f"shepard-p exponent p must be positive and finite, got {float(p)}" in err
 
+    @pytest.mark.parametrize("coords, extra", [
+        ([[0.0], [1e-170], [2e-170]], []),
+        ([[0.0], [1e-170], [2e-170]], ["--scheme", "shepard-p"]),
+        ([[0.0], [1e90], [3e90]], ["--scheme", "shepard-p", "--p", "4"]),
+    ])
+    def test_tiny_and_huge_distances_answer_without_warnings(self, tmp_path, capsys, coords, extra):
+        space = write_json(tmp_path / "space.json", {"embed_l1": coords, "origin": 0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["bap", "--input", space, "--format", "json", *extra])
+        assert code == 0 and err == ""
+        rows = json.loads(out)["rows"]
+        assert rows[-1]["max_err"] == 0.0 and all(r["k_hat"] > 0 for r in rows[:-1])
+
     def test_json_format(self, tmp_path, capsys):
         space = write_json(
             tmp_path / "space.json", {"embed_l1": [[0.0], [1.0], [3.0]], "origin": 0}

@@ -414,6 +414,21 @@ class TestChain:
         assert rows[-1].k_hat == 0.0
 
     @pytest.mark.parametrize("scheme", extension.SCHEMES)
+    @pytest.mark.parametrize("power", [-560, 290])
+    def test_chain_table_is_exact_under_power_of_two_scaling(self, scheme, power):
+        # the weights of the old formula underflowed or overflowed at these scales
+        rng = np.random.default_rng(12)
+        base = random_space(rng, 9)
+        scale = 2.0 ** power
+        scaled = FinitePointedMetricSpace(labels=base.labels, dist=base.dist * scale)
+        rows, again = (chain_table(s, space_function(s, s.dist[s.origin]), scheme=scheme, p=4.0)
+                       for s in (base, scaled))
+        assert len(again) == len(rows) == 9
+        for r, s in zip(rows, again):
+            assert (s.size, s.k_hat, s.lip_ratio) == (r.size, r.k_hat, r.lip_ratio)
+            assert (s.max_err, s.cov_radius) == (r.max_err * scale, r.cov_radius * scale)
+
+    @pytest.mark.parametrize("scheme", extension.SCHEMES)
     def test_chain_table_builds_each_partition_once(self, monkeypatch, scheme):
         rng = np.random.default_rng(11)
         space = random_space(rng, 7)
