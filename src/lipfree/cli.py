@@ -166,6 +166,7 @@ def _cmd_norm(args):
 
 
 def _cmd_project(args):
+    operators.GridLevel(args.n, args.dim)  # check --n and --dim before reading input
     points = _load_points(args.input, args.dim)
     f = _resolve_function(args)
     checks = operators.convergence_checks(f, points, args.n, dim=args.dim)

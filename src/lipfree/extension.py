@@ -323,7 +323,7 @@ def farthest_point_chain(space: FinitePointedMetricSpace) -> list[tuple[int, ...
     """
     chosen = [space.origin]
     chain = [tuple(chosen)]
-    gap = space.dist[:, space.origin].copy()  # [i] = min over chosen j of d(i, j)
+    gap = space.dist[:, space.origin]  # [i] = min over chosen j of d(i, j)
     for _ in range(space.size - 1):
         pick = int(np.argmax(gap))
         chosen.append(pick)

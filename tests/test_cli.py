@@ -393,10 +393,8 @@ class TestBap:
     ])
     def test_tiny_and_huge_distances_answer_without_warnings(self, tmp_path, capsys, coords, extra):
         space = write_json(tmp_path / "space.json", {"embed_l1": coords, "origin": 0})
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, err = run(capsys, ["bap", "--input", space, "--format", "json", *extra])
-        assert code == 0 and err == ""
+        code, out, err = run(capsys, ["bap", "--input", space, "--format", "json", *extra])
+        assert code == 0 and err == ""  # and no warning, which the test configuration makes an error
         rows = json.loads(out)["rows"]
         assert rows[-1]["max_err"] == 0.0 and all(r["k_hat"] > 0 for r in rows[:-1])
 
@@ -468,6 +466,16 @@ class TestInputErrors:
         code, out, err = run(capsys, [*argv, "--input", path])
         assert code == 2
         assert out == "" and f"missing key '{key}'" in err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--n", "2", "--dim", "0"], f"ambient dimension must be in 1..{lipfree.operators.MAX_DIM}, got 0"),
+        (["--n", "0"], f"level must be in 1..{lipfree.operators.MAX_LEVEL}, got 0"),
+        (["--n", "21"], f"level must be in 1..{lipfree.operators.MAX_LEVEL}, got 21"),
+    ])
+    def test_project_checks_level_and_dimension_before_reading_input(self, tmp_path, capsys, flags, message):
+        code, out, err = run(capsys, ["project", "--input", str(tmp_path / "absent.json"), *flags])
+        assert code == 2
+        assert out == "" and message in err
 
     def test_malformed_point_exits_2(self, tmp_path, capsys):
         path = write_json(tmp_path / "in.json", [{"coords": 5}])

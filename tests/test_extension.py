@@ -19,6 +19,13 @@ from lipfree.extension import (
 )
 from lipfree.interpolation import lip_constant
 
+from chain_oracles import (
+    looped_covering_radius,
+    looped_farthest_point_chain,
+    looped_gentleness,
+    looped_partition_weights,
+)
+
 
 def line_space(k=3, step=1.0):
     return FinitePointedMetricSpace.from_l1_points([[step * i] for i in range(k)])
@@ -445,3 +452,62 @@ class TestChain:
         rows = chain_table(space, f, scheme=scheme, p=1.5)
         assert len(calls) <= len(rows) == 7
         assert len(calls) == len(set(map(tuple, calls)))
+
+
+def uniform_space(k, origin=0):
+    return FinitePointedMetricSpace(labels=tuple(range(k)), dist=np.ones((k, k)) - np.eye(k),
+                                    origin=origin)
+
+
+def oracle_spaces():
+    """Random spaces of 1-40 points, a uniform metric, the 3-point line, and a
+    nearly symmetric lattice space, where d(i, j) and d(j, i) differ."""
+    rng = np.random.default_rng(14)
+    spaces = []
+    for k in (1, 2, 3, 12, 40):
+        pts = rng.uniform(-3, 3, size=(k, 3))
+        spaces.append(FinitePointedMetricSpace.from_l1_points(pts, origin=int(rng.integers(k))))
+    lattice = FinitePointedMetricSpace.from_l1_points(
+        np.unique(rng.integers(-2, 3, size=(14, 2)), axis=0)).dist
+    nudged = lattice + np.triu(np.full(lattice.shape, 1e-14), 1)
+    spaces += [uniform_space(6, origin=2), line_space(3),
+               FinitePointedMetricSpace(labels=tuple(range(len(nudged))), dist=nudged, origin=3)]
+    return spaces
+
+
+def chain_picks(chain):
+    """The points of a chain in the order they were picked."""
+    return [chain[0][0]] + [(set(b) - set(a)).pop() for a, b in zip(chain, chain[1:])]
+
+
+class TestLoopOracles:
+    @pytest.mark.parametrize("space", oracle_spaces(), ids=lambda s: f"k{s.size}")
+    def test_chain_steps_match_the_loops_bit_for_bit(self, space):
+        chain = farthest_point_chain(space)
+        assert chain == looped_farthest_point_chain(space)
+        for subset in chain:
+            assert covering_radius(space, subset) == looped_covering_radius(space, subset)
+            for scheme in extension.SCHEMES:
+                part = build_partition(space, subset, scheme=scheme, p=1.5)
+                assert np.array_equal(part.weights,
+                                      looped_partition_weights(space, subset, scheme, 1.5))
+                est = gentleness(part)
+                assert (est.k_hat, est.worst_pair) == looped_gentleness(part)
+
+    @pytest.mark.parametrize("scheme", extension.SCHEMES)
+    def test_worst_pair_is_the_first_largest_ratio(self, scheme):
+        # on the line with anchors {0, 2}, four ordered pairs share the ratio 1
+        part = build_partition(line_space(3), [0, 2], scheme=scheme, p=1.0)
+        assert gentleness(part) == extension.GentlenessEstimate(k_hat=1.0, worst_pair=(0, 1))
+
+    @pytest.mark.parametrize("origin", [0, 2])
+    def test_uniform_metric_picks_in_index_order(self, origin):
+        picks = chain_picks(farthest_point_chain(uniform_space(6, origin)))
+        assert picks == [origin] + [i for i in range(6) if i != origin]
+
+    @pytest.mark.parametrize("space", oracle_spaces(), ids=lambda s: f"k{s.size}")
+    def test_covering_radius_is_the_next_picks_distance(self, space):
+        chain = farthest_point_chain(space)
+        for prefix, pick in zip(chain, chain_picks(chain)[1:]):
+            assert covering_radius(space, prefix) == min(space.dist[pick, j] for j in prefix)
+        assert covering_radius(space, chain[-1]) == 0.0
