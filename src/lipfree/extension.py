@@ -281,9 +281,9 @@ def doubling_estimate(space: FinitePointedMetricSpace) -> int:
         lo = max(start - 1, 0)  # overlap one pair to compare across blocks
         r = radii[lo:start + step, None, None]
         shut = closed[lo:start + step, None, None]
-        half = r / 2.0
         members = np.where(shut, d <= r, d < r)  # [pair, center, j]: j in the ball
-        covers = np.where(shut, d <= half, d < half)  # [pair, i, j]: j in the half ball at i
+        # [pair, i, j]: j in the half ball at i; 2d, unlike r / 2, is exact for a subnormal r
+        covers = np.where(shut, 2.0 * d <= r, 2.0 * d < r)
         fresh = np.ones(r.shape[0], dtype=bool)
         fresh[1:] = np.any((members[1:] != members[:-1]) | (covers[1:] != covers[:-1]),
                            axis=(1, 2))
@@ -301,17 +301,19 @@ def _greedy_rounds(uncovered: np.ndarray, covers: np.ndarray) -> int:
     count is the number of steps until every ball is covered.
     """
     covers_t = covers.transpose(0, 2, 1).astype(np.float32)
-    rounds = 0
-    while True:
+    rounds, left = 0, np.count_nonzero(uncovered)
+    while left:
         live = uncovered.any(axis=(1, 2))
-        if not live.any():
-            return rounds
         uncovered, covers, covers_t = uncovered[live], covers[live], covers_t[live]
         rounds += 1
         gains = uncovered.astype(np.float32) @ covers_t  # [pair, center, i]
         gains[~uncovered] = -1  # centers must be uncovered points
         pick = np.argmax(gains, axis=2)  # argmax ties break to smallest index
         uncovered &= ~np.take_along_axis(covers, pick[:, :, None], axis=1)
+        before, left = left, np.count_nonzero(uncovered)
+        if left == before:
+            raise RuntimeError(f"greedy cover round {rounds} covered no point")
+    return rounds
 
 
 def farthest_point_chain(space: FinitePointedMetricSpace) -> list[tuple[int, ...]]:

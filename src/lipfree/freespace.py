@@ -38,7 +38,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .extension import FinitePointedMetricSpace
-from .geometry import (MAX_LEVEL, FiniteSupportPoint, check_magnitude, embed_rows, l1_distance, l1_distances,
+from .geometry import (MAX_LEVEL, FiniteSupportPoint, SparseBatch, check_magnitude, l1_distance, l1_distances,
                        lattice_coords, pack_key_rows)
 from .operators import GridLevel, TooManyCorners, _decay_estimates, _stack_points, cell_weights
 
@@ -292,12 +292,9 @@ def check_certificate(cert: NormCertificate, mu: Molecule) -> bool:
 
 
 def _distances(mu: Molecule, pts: list) -> np.ndarray:
-    """Distances between points of ``mu``'s space; ``l1N`` points go to
-    :func:`l1_distances` as one array."""
+    """Distances between points of ``mu``'s space."""
     if mu.kind == "finite":
         return mu.space.dist[np.ix_(pts, pts)]
-    if mu.kind == "l1N":
-        pts = np.array(pts, dtype=float)
     return l1_distances(pts, pts)
 
 
@@ -512,14 +509,15 @@ def molecule_projection(mu: Molecule, n: int) -> Molecule:
     rows, keys, weights = cell_weights(mu.support, level)
     mass = np.asarray(mu.coefficients)[rows] * weights
     coords = lattice_coords(keys, n)
-    points = embed_rows(coords) if mu.kind == "l1" else [tuple(c) for c in coords.tolist()]
-    return mu._rebuild(list(zip(points, mass.tolist())))
+    points = SparseBatch.from_rows(coords) if mu.kind == "l1" else map(tuple, coords.tolist())
+    return mu._rebuild(zip(points, mass.tolist()))
 
 
 def _projection_estimate(mu: Molecule, n: int) -> tuple[float, bool]:
     """:func:`projection_bound` (summed in term order) and :func:`term_clamped`."""
     level = GridLevel(n, mu.dim)
-    bounds, clamped = _decay_estimates(mu.support, _stack_points(mu.support, level), level)
+    support = SparseBatch.of(mu.support) if mu.kind == "l1" else mu.support
+    bounds, clamped = _decay_estimates(support, _stack_points(support, level), level)
     total = 0.0
     for a, b in zip(mu.coefficients, bounds.tolist()):
         total += abs(a) * b

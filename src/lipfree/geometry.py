@@ -9,14 +9,20 @@ axis and a cell is named by the key of its low corner
 (:func:`cell_low_corners`, :class:`GridCell`).  Coordinates made from keys
 are integer multiples of ``2**(-n)``, exact as 64-bit floats for levels up
 to :data:`MAX_LEVEL`, so equality tests on grid data are exact.
+
+A point of l1 is a :class:`FiniteSupportPoint`; a batch of them has one
+array layout, :class:`SparseBatch` (CSR-style ``indptr``, ``index``,
+``value``), made from dense rows by one ``np.nonzero`` or from points by one
+pass over their items.  :func:`l1_distances` lays out each side once and
+runs its sparse blocks on slices of the layouts.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -320,15 +326,84 @@ def embed_finite(values) -> FiniteSupportPoint:
     return FiniteSupportPoint.from_dense(values)
 
 
-def embed_rows(coords) -> list[FiniteSupportPoint]:
-    """:func:`embed_finite` of each row of a 2-d array, from one scan for the
-    nonzero entries."""
-    coords = np.asarray(coords, dtype=float)
-    rows, cols = np.nonzero(coords)
-    items = [[] for _ in range(len(coords))]
-    for r, i, v in zip(rows.tolist(), (cols + 1).tolist(), coords[rows, cols].tolist()):
-        items[r].append((i, v))
-    return [FiniteSupportPoint(items=tuple(pairs)) for pairs in items]
+class SparseBatch(Sequence):
+    """A batch of finitely supported points in one CSR-style array layout.
+
+    Point ``k`` holds the entries ``indptr[k]:indptr[k + 1]`` of ``index``
+    (1-based, increasing within a point) and ``value`` (nonzero floats): the
+    layout of ``scipy.sparse.csr_array``, in plain NumPy arrays.  ``index``
+    is int64, or an object array of Python ints when an index does not fit in
+    int64.  Item ``k`` is a :class:`FiniteSupportPoint`, built only when it is
+    asked for; a slice is a batch over the same entries.
+    """
+
+    def __init__(self, indptr: np.ndarray, index: np.ndarray, value: np.ndarray):
+        self.indptr, self.index, self.value = indptr, index, value
+
+    @classmethod
+    def from_rows(cls, coords) -> "SparseBatch":
+        """:func:`embed_finite` of each row of a 2-d array, from one ``np.nonzero``."""
+        coords = np.asarray(coords, dtype=float)
+        rows, cols = np.nonzero(coords)
+        indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(coords, axis=1))))
+        return cls(indptr, cols.astype(np.int64) + 1, coords[rows, cols])
+
+    @classmethod
+    def of(cls, points) -> "SparseBatch":
+        """``points`` laid out: a batch as it is, a 2-d array by
+        :meth:`from_rows`, and finitely supported points in one pass over their
+        items; anything else raises TypeError."""
+        if isinstance(points, cls):
+            return points
+        if isinstance(points, np.ndarray) and points.ndim == 2:
+            return cls.from_rows(points)
+        indptr, index, value = [0], [], []
+        for p in points:
+            if not isinstance(p, FiniteSupportPoint):
+                raise TypeError(f"expected finitely supported points, got {p!r}")
+            for i, v in p.items:
+                index.append(i)
+                value.append(v)
+            indptr.append(len(index))
+        try:
+            index = np.array(index, dtype=np.int64)
+        except OverflowError:
+            index = np.array(index, dtype=object)
+        return cls(np.array(indptr), index, np.array(value, dtype=float))
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def __getitem__(self, k):
+        if not isinstance(k, slice):
+            k = range(len(self))[k]  # raises the IndexError
+            return next(iter(self[k:k + 1]))
+        lo, hi, step = k.indices(len(self))
+        if step != 1:
+            return SparseBatch.of([self[i] for i in range(lo, hi, step)])
+        a, b = self.indptr[lo], self.indptr[max(lo, hi)]
+        return SparseBatch(self.indptr[lo:max(lo, hi) + 1] - a, self.index[a:b], self.value[a:b])
+
+    def __iter__(self):
+        index, value, bounds = self.index.tolist(), self.value.tolist(), self.indptr.tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            yield FiniteSupportPoint(items=tuple(zip(index[lo:hi], value[lo:hi])))
+
+    def entry_rows(self) -> np.ndarray:
+        """The point of every entry."""
+        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
+
+    def leading(self, n: int) -> np.ndarray:
+        """:meth:`FiniteSupportPoint.leading` of every point, as ``(len, n)`` rows."""
+        out = np.zeros((len(self), n))
+        keep = self.index <= n
+        out[self.entry_rows()[keep], self.index[keep].astype(np.intp) - 1] = self.value[keep]
+        return out
+
+    def tail(self, n: int) -> np.ndarray:
+        """:meth:`FiniteSupportPoint.tail` of every point, added in index order."""
+        far = self.index > n
+        return np.bincount(self.entry_rows()[far], weights=np.abs(self.value[far]), minlength=len(self))
 
 
 def l1_distance(p, q) -> float:
@@ -356,44 +431,18 @@ def l1_distance(p, q) -> float:
 _L1_BLOCK_ELEMENTS = 1 << 16
 
 
-def l1_distances(a, b) -> np.ndarray:
-    """Matrix of :func:`l1_distance` over all pairs: ``[i, j]`` is
-    ``l1_distance(a[i], b[j])``, bit for bit.
-
-    ``a`` and ``b`` hold equal-length coordinate rows, or finitely supported
-    points (a coordinate row among them is embedded).  Coordinate rows sum
-    ``|a_i - b_j|`` along the last axis exactly as ``np.sum`` does on one
-    pair.  Sparse points keep the scalar order: one running sum over the
-    support of ``a[i]`` and one over the rest of ``b[j]``'s, each in index
-    order, added at the end; the work per pair follows the two supports, so
-    a large index costs no more than a small one.  Work runs in blocks of at
-    most :data:`_L1_BLOCK_ELEMENTS` elements.  A 2-d array is used as it is.
-    """
-    a, b = (p if isinstance(p, np.ndarray) and p.ndim == 2 else list(p) for p in (a, b))
-    out = np.zeros((len(a), len(b)))
-    if not len(a) or not len(b):
-        return out
-    listed = [p for side in (a, b) if isinstance(side, list) for p in side]
-    if any(issubclass(t, FiniteSupportPoint) for t in set(map(type, listed))):
-        a = [p if isinstance(p, FiniteSupportPoint) else embed_finite(p) for p in a]
-        b = [q if isinstance(q, FiniteSupportPoint) else embed_finite(q) for q in b]
-        width, block = 2 * max(1, *(len(p.items) for p in a + b)), _sparse_l1_block
-    else:
-        a, b = _coordinate_rows(a), _coordinate_rows(b)
-        if a.shape[1] != b.shape[1]:
-            raise ValueError(f"dimension mismatch: {a.shape[1:]} vs {b.shape[1:]}")
-        width, block = max(a.shape[1], 1), _dense_l1_block
-    cols = min(len(b), max(1, _L1_BLOCK_ELEMENTS // width))
-    rows = max(1, _L1_BLOCK_ELEMENTS // (cols * width))
-    for i in range(0, len(a), rows):
-        for j in range(0, len(b), cols):
-            out[i:i + rows, j:j + cols] = block(a[i:i + rows], b[j:j + cols])
-    return out
-
-
-def _coordinate_rows(points) -> np.ndarray:
+def l1_batch(points):
+    """``points`` in the array form the l1 kernels read: a :class:`SparseBatch`
+    or a 2-d array as it is, points among which one is finitely supported as a
+    batch (a coordinate row among them embedded), and other points as rows of
+    a 2-d float array; rows of unequal length raise ValueError."""
+    if isinstance(points, SparseBatch) or isinstance(points, np.ndarray) and points.ndim == 2:
+        return points
+    points = list(points)
+    if any(isinstance(p, FiniteSupportPoint) for p in points):
+        return SparseBatch.of([p if isinstance(p, FiniteSupportPoint) else embed_finite(p) for p in points])
     try:
-        rows = np.asarray(points, dtype=float)
+        rows = np.asarray(points, dtype=float) if points else np.zeros((0, 0))
     except ValueError:
         rows = None
     if rows is None or rows.ndim != 2:
@@ -401,44 +450,70 @@ def _coordinate_rows(points) -> np.ndarray:
     return rows
 
 
+def l1_distances(a, b) -> np.ndarray:
+    """Matrix of :func:`l1_distance` over all pairs: ``[i, j]`` is
+    ``l1_distance(a[i], b[j])``, bit for bit.
+
+    Each side is laid out once by :func:`l1_batch`; when one side is a
+    :class:`SparseBatch`, coordinate rows on the other are embedded.
+    Coordinate rows sum ``|a_i - b_j|`` along the last axis exactly as
+    ``np.sum`` does on one pair.  Sparse points keep the scalar order: one
+    running sum over the support of ``a[i]`` and one over the rest of
+    ``b[j]``'s, each in index order, added at the end; the work per pair
+    follows the two supports, so a large index costs no more than a small
+    one.  Work runs in blocks of at most :data:`_L1_BLOCK_ELEMENTS` elements,
+    each a slice of the two layouts.
+    """
+    a, b = (l1_batch(a),) * 2 if b is a else (l1_batch(a), l1_batch(b))
+    out = np.zeros((len(a), len(b)))
+    if not len(a) or not len(b):
+        return out
+    if isinstance(a, SparseBatch) or isinstance(b, SparseBatch):
+        a, b = SparseBatch.of(a), SparseBatch.of(b)
+        width, block = 2 * max(1, *(np.diff(s.indptr).max() for s in (a, b))), _sparse_l1_block
+    else:
+        if a.shape[1] != b.shape[1]:
+            raise ValueError(f"dimension mismatch: {a.shape[1:]} vs {b.shape[1:]}")
+        width, block = max(a.shape[1], 1), _dense_l1_block
+    # rows of a first: a McShane table's few anchors then meet each block of queries once
+    rows = min(len(a), max(1, _L1_BLOCK_ELEMENTS // width))
+    cols = max(1, _L1_BLOCK_ELEMENTS // (rows * width))
+    for i in range(0, len(a), rows):
+        for j in range(0, len(b), cols):
+            out[i:i + rows, j:j + cols] = block(a[i:i + rows], b[j:j + cols])
+    return out
+
+
 def _dense_l1_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(a[:, None, :] - b[None, :, :]).sum(-1)
 
 
-def _sparse_l1_block(ps, qs) -> np.ndarray:
-    """:func:`l1_distance` over sparse pairs, from their support entries.
+def _sparse_l1_block(a, b) -> np.ndarray:
+    """:func:`l1_distance` over the pairs of two batches of finitely supported
+    points, laid out by :meth:`SparseBatch.of`.
 
     ``terms[e, i, j]`` holds two running-sum terms: ``a[i]``'s ``e``-th
     support entry against ``b[j]`` there, and ``b[j]``'s ``e``-th entry when
     ``a[i]`` lacks its index; both are 0 past a support's end.  Entries that
-    share an index are matched through one sort of ``b``'s entries by index
-    rank, so the work follows the supports.  The sums over ``e`` add in
-    index order, as the scalar does: NumPy adds in plain order along an axis
-    that is not the fast one in memory, and the last axis, of length 2,
-    keeps it so even for a single pair.
+    share an index are matched by one ``searchsorted`` of ``b``'s indices
+    among ``a``'s sorted ones, so the work follows the supports.  The sums
+    over ``e`` add in index order, as the scalar does: NumPy adds in plain
+    order along an axis that is not the fast one in memory, and the last
+    axis, of length 2, keeps it so even for a single pair.
     """
-    index = sorted({i for p in (*ps, *qs) for i, _ in p.items})
-    rank = {i: r for r, i in enumerate(index)}
-
-    def entries(pts):
-        """Index rank, row, position in the support and value of every entry."""
-        lens = [len(p.items) for p in pts]
-        rows = np.repeat(np.arange(len(pts)), lens)
-        return (np.array([rank[i] for p in pts for i, _ in p.items], dtype=np.intp), rows,
-                np.arange(len(rows)) - np.repeat(np.cumsum(lens) - lens, lens),
-                np.array([v for p in pts for _, v in p.items], dtype=float))
-
-    (ar, ai, ap, av), (br, bj, bq, bv) = entries(ps), entries(qs)
-    terms = np.zeros((max(1, *(len(p.items) for p in (*ps, *qs))), len(ps), len(qs), 2))
-    terms[ap, ai, :, 0] = np.abs(av)[:, None]
-    terms[bq, :, bj, 1] = np.abs(bv)[:, None]
-    # Pair each entry e of a with every entry f of b of the same index rank.
-    per_rank = np.bincount(br, minlength=len(index))
-    count = per_rank[ar]
-    e = np.repeat(np.arange(len(ar)), count)
-    f = np.argsort(br)[np.repeat((np.cumsum(per_rank) - per_rank)[ar], count)
-                       + np.arange(len(e)) - np.repeat(np.cumsum(count) - count, count)]
-    terms[ap[e], ai[e], bj[f], 0] = np.abs(av[e] - bv[f])
+    a, b = SparseBatch.of(a), SparseBatch.of(b)
+    ai, bj = a.entry_rows(), b.entry_rows()
+    ap, bq = np.arange(ai.size) - a.indptr[ai], np.arange(bj.size) - b.indptr[bj]
+    terms = np.zeros((max(1, *(np.diff(s.indptr).max(initial=0) for s in (a, b))), len(a), len(b), 2))
+    terms[ap, ai, :, 0] = np.abs(a.value)[:, None]
+    terms[bq, :, bj, 1] = np.abs(b.value)[:, None]
+    # Pair each entry f of b with every entry e of a at the same index.
+    order = np.argsort(a.index)
+    lo = np.searchsorted(a.index[order], b.index)
+    count = np.searchsorted(a.index[order], b.index, "right") - lo
+    f = np.repeat(np.arange(bj.size), count)
+    e = order[np.arange(f.size) + np.repeat(lo - np.cumsum(count) + count, count)]
+    terms[ap[e], ai[e], bj[f], 0] = np.abs(a.value[e] - b.value[f])
     terms[bq[f], ai[e], bj[f], 1] = 0.0
     total = np.add.reduce(terms, axis=0)
     return total[:, :, 0] + total[:, :, 1]

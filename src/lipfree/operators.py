@@ -6,8 +6,9 @@ the function's values at the cell corners with the tensor-product weights of
 :mod:`lipfree.interpolation`.  Two ambient modes exist:
 
 * sequence mode (``dim=None``): functions on finitely supported l1 sequences;
-  the point is first truncated to its leading ``n`` coordinates, and corner
-  evaluations re-embed the corner as a finitely supported sequence,
+  a batch is laid out once as a :class:`~lipfree.geometry.SparseBatch`, each
+  point is truncated to its leading ``n`` coordinates, and the corners reach
+  the function as one batch of that layout,
 * coordinate mode (``dim=N``): functions on R^N under the l1 norm; the level
   only controls the grid, not the dimension.
 
@@ -16,7 +17,8 @@ projection of :mod:`lipfree.freespace`: sparse ``(row, key, weight)``
 triplets, a corner named by its int64 lattice index ``key``.  A point with
 ``s`` nonzero leading coordinates reaches at most ``2**s`` corners.  It takes
 points or their rows of leading coordinates, truncated by one function, so
-each batch is stacked once.  The decay estimate is written once too.
+each batch is stacked once; :func:`project_values` expands a batch past
+:data:`MAX_CORNERS` in parts.  The decay estimate is written once too.
 
 The projected function depends on the original only through its values on the
 level-n vertex grid, is linear in the function, does not increase Lipschitz
@@ -38,8 +40,9 @@ from .geometry import (
     MAX_DIM,
     MAX_LEVEL,
     FiniteSupportPoint,
+    SparseBatch,
     cell_low_corners,
-    embed_rows,
+    l1_batch,
     l1_distances,
     lattice_coords,
     pack_key_rows,
@@ -54,8 +57,8 @@ LATTICE_INDEX_RANGE = 6
 
 #: Most weighted corners :func:`cell_weights` expands in one batch; a point
 #: strictly inside its cell along ``a`` axes has ``2**a`` of them.  At this
-#: count a ``project`` run took 5.5 s and 580 MB peak in sequence mode (one
-#: point with 17 free axes) and 0.2 s and 165 MB in coordinate mode (two
+#: count a ``project`` run took 0.7 s and 162 MB peak in sequence mode (one
+#: point with 17 free axes) and 0.4 s and 122 MB in coordinate mode (two
 #: 16-d points), on 2 vCPUs; each doubling about doubles both.
 MAX_CORNERS = 2**17
 
@@ -175,13 +178,13 @@ def mcshane_extension(points: Sequence, values: Sequence[float], lip: float) -> 
 
 class _McShane:
     def __init__(self, points: tuple, values: np.ndarray, lip: float):
-        self.points, self.values, self.lip = points, values, lip
+        self.points, self.values, self.lip = l1_batch(points), values, lip  # laid out once
 
     def __call__(self, x) -> float:
         return float(self.eval_many([x])[0])
 
     def eval_many(self, points: Sequence) -> np.ndarray:
-        points = points if isinstance(points, np.ndarray) else list(points)
+        points = l1_batch(points)
         step = max(1, geometry._L1_BLOCK_ELEMENTS // len(self.points))
         out = np.empty(len(points))
         for lo in range(0, len(points), step):
@@ -227,20 +230,22 @@ def random_lattice_function(rng: np.random.Generator, *, dim: int | None = None,
 
 def _stack_points(points, level: GridLevel) -> np.ndarray:
     """The one truncation: a batch as ``(m, cell_dim)`` rows of leading
-    coordinates, by :meth:`FiniteSupportPoint.leading` in sequence mode and one
-    ``np.asarray`` in coordinate mode.  A 2-d array is taken as rows."""
-    d, sparse = level.cell_dim, level.dim is None
-    stacked = isinstance(points, np.ndarray) and points.ndim == 2
+    coordinates, by :meth:`~lipfree.geometry.SparseBatch.leading` of its
+    layout in sequence mode and one ``np.asarray`` in coordinate mode.  A 2-d
+    array is taken as rows."""
+    d = level.cell_dim
+    if level.dim is None and not (isinstance(points, np.ndarray) and points.ndim == 2):
+        return SparseBatch.of(points).leading(d)
     try:
-        rows = np.asarray(points if stacked or not sparse else [p.leading(d) for p in points], dtype=float)
+        rows = np.asarray(points, dtype=float)
         if rows.shape == (len(points), d):
             return rows
-    except (AttributeError, TypeError, ValueError):
+    except (TypeError, ValueError):
         pass
     for p in points:  # name the first point that does not fit
-        if isinstance(p, FiniteSupportPoint) != sparse:
-            raise TypeError("sequence mode expects finitely supported points, coordinate mode vectors")
-        if not sparse and np.asarray(p, dtype=float).shape != (d,):
+        if isinstance(p, FiniteSupportPoint):
+            raise TypeError("coordinate mode expects coordinate vectors, not finitely supported points")
+        if np.asarray(p, dtype=float).shape != (d,):
             raise ValueError(f"expected points of dimension {d}, got shape {np.shape(p)}")
     return np.asarray(points, dtype=float).reshape(0, d)  # the empty batch; any other raises
 
@@ -249,7 +254,7 @@ def _decay_estimates(points, rows: np.ndarray, level: GridLevel, lip: float = 1.
     """Per point of a batch with stacked ``rows``: the decay estimate
     ``2 L (tail + cell_dim 2^(1-n))`` and whether the clamp moves the point."""
     n = level.n
-    tails = np.array([p.tail(n) for p in points]) if level.dim is None else np.zeros(len(rows))
+    tails = SparseBatch.of(points).tail(n) if level.dim is None else np.zeros(len(rows))
     return (2.0 * lip * (tails + level.cell_dim * 2.0 ** (1 - n)),
             np.abs(rows).max(axis=1, initial=0.0) > 2.0 ** (n - 1))
 
@@ -295,13 +300,21 @@ def project_values(f, points: Sequence, level: GridLevel) -> np.ndarray:
     """Projected values of ``f`` at a batch of points or stacked rows: one
     ``np.unique`` over the packed key rows gives the distinct weighted corners
     in key order, ``f.eval_many`` gets them in one batch, and one ``bincount``
-    sums each point's weighted corner values."""
+    sums each point's weighted corner values.  A batch past
+    :data:`MAX_CORNERS` is split in halves until each part fits; only a
+    single point that one expansion cannot hold raises :class:`TooManyCorners`."""
     if not len(points):
         return np.zeros(0)
-    rows, keys, weights = cell_weights(points, level)
+    try:
+        rows, keys, weights = cell_weights(points, level)
+    except TooManyCorners:
+        if len(points) == 1:
+            raise
+        u = _stack_points(points, level)
+        return np.concatenate([project_values(f, u[:len(u) // 2], level), project_values(f, u[len(u) // 2:], level)])
     distinct, corner_of = np.unique(pack_key_rows(keys), return_inverse=True)
     coords = lattice_coords(distinct.view(">i8").reshape(len(distinct), -1), level.n)
-    values = np.asarray(f.eval_many(embed_rows(coords) if level.dim is None else coords), dtype=float)
+    values = np.asarray(f.eval_many(SparseBatch.from_rows(coords) if level.dim is None else coords), dtype=float)
     return np.bincount(rows, weights=weights * values[corner_of], minlength=len(points))
 
 
@@ -383,7 +396,8 @@ def convergence_checks(f, points: Sequence, n: int, dim: int | None = None) -> C
     call for the exact values."""
     if f.declared_lip is None:
         raise ValueError("convergence estimates need a declared Lipschitz bound")
-    level, points = GridLevel(n, dim), list(points)
+    level = GridLevel(n, dim)
+    points = SparseBatch.of(points) if dim is None else list(points)
     rows = _stack_points(points, level)
     value = project_values(f, rows, level)
     exact = np.asarray(f.eval_many(points), dtype=float)

@@ -665,6 +665,24 @@ class TestModuleEntry:
             assert len(json.loads(out.read_text())["rows"]) == rows
 
 
+class TestCornerBlocks:
+    def test_points_past_the_corner_cap_answer_in_blocks(self, tmp_path):
+        # three 16-d points with every axis free reach 3 * 2**16 corners, past
+        # the cap of one expansion; each point alone fits, so the batch answers
+        from lipfree import operators
+
+        pts = np.random.default_rng(3).uniform(-0.9, 0.9, size=(3, 16))
+        out = tmp_path / "out.json"
+        argv = ["project", "--input", write_json(tmp_path / "pts.json", pts.tolist()), "--dim", "16", "--n", "2",
+                "--function", "random-lattice", "--seed", "3", "--output", str(out)]
+        proc, elapsed = run_module(argv, cap_bytes=1536 * 2**20, timeout=60)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert elapsed < 10.0
+        f = operators.random_lattice_function(np.random.default_rng(3), dim=16)
+        alone = [operators.project_values(f, [p], operators.GridLevel(2, 16))[0] for p in pts]
+        assert [row["value"] for row in json.loads(out.read_text())["rows"]] == alone
+
+
 class TestBlowUpsRefused:
     """Inputs within the caps whose corner count or norm size explodes exit 2,
     naming the count, before they exhaust memory or run for minutes."""
@@ -676,12 +694,6 @@ class TestBlowUpsRefused:
         assert proc.returncode == 2, proc.stderr[-2000:]
         assert proc.stdout == "" and proc.stderr.startswith("error: ") and str(count) in proc.stderr
         assert elapsed < 10.0
-
-    def test_64_points_with_every_axis_free_in_16_dimensions(self, tmp_path):
-        pts = np.random.default_rng(3).uniform(-0.9, 0.9, size=(64, 16)).tolist()
-        argv = ["project", "--input", write_json(tmp_path / "pts.json", pts), "--dim", "16", "--n", "2",
-                "--function", "random-lattice", "--seed", "3"]
-        self.check(argv, 64 * 2**16)
 
     def test_twenty_free_coordinates_at_level_20(self, tmp_path):
         point = {"coords": {str(i + 1): v for i, v in enumerate(self.COORDS)}}

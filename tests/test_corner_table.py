@@ -17,7 +17,7 @@ import pytest
 import lipfree
 from corner_oracles import DictProjection, dict_project_values, loop_sparse_l1_block
 from lipfree import geometry
-from lipfree.geometry import FiniteSupportPoint, l1_distances
+from lipfree.geometry import FiniteSupportPoint, SparseBatch, l1_distances
 from lipfree.operators import (
     GridLevel,
     LipFunction,
@@ -148,6 +148,9 @@ class TestAgainstTheIndexLoop:
         qs = sparse_points(rng, int(rng.integers(1, 15)), int(rng.integers(1, 30)), 3.0)
         assert np.array_equal(geometry._sparse_l1_block(ps, qs), loop_sparse_l1_block(ps, qs))
         assert np.array_equal(l1_distances(ps, qs), loop_sparse_l1_block(ps, qs))
+        a, b = SparseBatch.of(ps), SparseBatch.of(qs)
+        assert np.array_equal(geometry._sparse_l1_block(a, b), loop_sparse_l1_block(ps, qs))
+        assert np.array_equal(l1_distances(a, qs), l1_distances(ps, b))
 
     def test_uneven_supports_large_indices_and_zero_points(self):
         sp = FiniteSupportPoint.from_pairs
@@ -156,6 +159,8 @@ class TestAgainstTheIndexLoop:
         qs = [sp([(2, 0.2), (3, -2.0)]), sp([(10**6, 0.5), (10**30, -1.5)]), FiniteSupportPoint.zero()]
         for a, b in ((ps, qs), (qs, ps), (ps, ps)):
             assert np.array_equal(geometry._sparse_l1_block(a, b), loop_sparse_l1_block(a, b))
+            laid_out = geometry._sparse_l1_block(SparseBatch.of(a), SparseBatch.of(b)[:])
+            assert np.array_equal(laid_out, loop_sparse_l1_block(a, b))
 
     def test_one_pair_of_long_supports_adds_in_index_order(self):
         # NumPy sums a lone 1-d run pairwise; these terms round differently
@@ -175,6 +180,7 @@ class TestAgainstTheIndexLoop:
         ps, qs = sparse_points(rng, 11, 9, 2.0), sparse_points(rng, 7, 9, 2.0)
         monkeypatch.setattr(geometry, "_L1_BLOCK_ELEMENTS", budget)
         assert np.array_equal(l1_distances(ps, qs), loop_sparse_l1_block(ps, qs))
+        assert np.array_equal(l1_distances(SparseBatch.of(ps), SparseBatch.of(qs)), loop_sparse_l1_block(ps, qs))
 
     def test_disjoint_supports_run_in_bounded_memory(self):
         # 300 points with 5 private indices each: 1,500 distinct indices, so

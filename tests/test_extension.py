@@ -1,8 +1,15 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lipfree
 from lipfree import extension
 from lipfree.extension import (
     FinitePointedMetricSpace,
@@ -383,6 +390,27 @@ class TestDoubling:
     @pytest.mark.parametrize("k", [2, 5, 8, 12])
     def test_line_stays_at_most_three(self, k):
         assert doubling_estimate(line_space(k)) <= 3
+
+    def test_a_pair_at_the_smallest_subnormal_distance_answers(self, tmp_path):
+        # r = 5e-324 has r / 2 == 0, so a half ball tested as d < r / 2 held
+        # not even its own centre and the greedy cover never ended
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"embed_l1": [[0.0], [5e-324]]}))
+        script = textwrap.dedent("""
+            import json, sys, time
+            from lipfree import cli
+            start = time.perf_counter()
+            code = cli.main(["bap", "--input", sys.argv[1], "--format", "json", "--output", sys.argv[2]])
+            print(json.dumps({"code": code, "seconds": time.perf_counter() - start}))
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(lipfree.__file__).resolve().parent.parent))
+        proc = subprocess.run([sys.executable, "-c", script, str(path), str(tmp_path / "out.json")],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        run = json.loads(proc.stdout)
+        assert run["code"] == 0 and run["seconds"] < 1.0
+        estimate = json.loads((tmp_path / "out.json").read_text())["doubling_estimate"]
+        assert estimate == doubling_estimate(line_space(2)) == 2
 
     def test_uniform_metric_needs_every_point(self):
         k = 5

@@ -523,14 +523,18 @@ class TestLatticeCheck:
         mu = Molecule.on_l1([(sparse([(1, 1.0 / 3.0), (2, -0.7), (9, 0.2)]), 1.0),
                              (sparse([(3, 1.3), (5, 0.6)]), -0.5)])
         truncated, points = [], []
-        leading, lattice_ok = FiniteSupportPoint.leading, freespace._lattice_ok
+        lay_out, lattice_ok = geometry.SparseBatch.of, freespace._lattice_ok
 
         def spy(projections):
             truncated.clear()
             points.extend(p for proj in projections.values() for p in proj.support)
             return lattice_ok(projections)
 
-        monkeypatch.setattr(FiniteSupportPoint, "leading", lambda p, n: truncated.append(p) or leading(p, n))
+        def spy_layout(cls, pts):
+            truncated.extend([] if isinstance(pts, (cls, np.ndarray)) else pts)
+            return lay_out(pts)
+
+        monkeypatch.setattr(geometry.SparseBatch, "of", classmethod(spy_layout))
         monkeypatch.setattr(freespace, "_lattice_ok", spy)
         assert decomposition_report(mu, 8).lattice_ok
         assert len(points) > 8

@@ -8,6 +8,7 @@ from lipfree.geometry import (
     FiniteSupportPoint,
     GridCell,
     Hypercube,
+    SparseBatch,
     cell_low_corners,
     clamp_to_cube,
     embed_finite,
@@ -148,6 +149,50 @@ class TestSparsePoints:
     def test_json_round_trip(self):
         x = FiniteSupportPoint.from_pairs([(2, -0.75), (5, 1.5)])
         assert FiniteSupportPoint.from_json(x.to_json()) == x
+
+
+class TestSparseBatch:
+    """The one array layout of a batch of finitely supported points."""
+
+    SP = FiniteSupportPoint.from_pairs
+    POINTS = [FiniteSupportPoint.zero(), SP([(2, -0.75)]), SP([(i, 0.5 * i - 3.0) for i in range(1, 9)]),
+              FiniteSupportPoint.zero(), SP([(3, 1e-300), (10**30, -2.5)]), SP([(1, 1e100), (6, -0.125)])]
+
+    def test_round_trip_from_points(self):
+        batch = SparseBatch.of(self.POINTS)
+        assert len(batch) == 6 and list(batch) == self.POINTS
+        assert [batch[i] for i in range(-6, 6)] == self.POINTS * 2
+        assert list(batch[1:5]) == self.POINTS[1:5] and list(batch[::2]) == self.POINTS[::2]
+        assert list(batch[4:2]) == [] and list(batch[2:99]) == self.POINTS[2:]
+        assert list(batch[1:5][2:]) == self.POINTS[3:5]
+        assert batch.index.dtype == object and SparseBatch.of(self.POINTS[:4]).index.dtype == np.int64
+        assert SparseBatch.of(batch) is batch and list(SparseBatch.of([])) == []
+        # int64 indices on one side, Python ints beyond int64 on the other
+        assert np.array_equal(l1_distances(self.POINTS[:4], batch), pairwise(self.POINTS[:4], self.POINTS))
+        assert np.array_equal(l1_distances(batch, self.POINTS[:4]), pairwise(self.POINTS, self.POINTS[:4]))
+        with pytest.raises(IndexError):
+            batch[6]
+        with pytest.raises(TypeError):
+            SparseBatch.of([self.POINTS[1], (0.0, 1.0)])
+
+    def test_round_trip_from_dense_rows_matches_embed_finite(self):
+        rows = np.array([[0.0, -0.0, 0.0, 0.0], [-0.0, 1.5, 0.0, -2.0], [3.0, -1e-300, 0.25, 1e100],
+                         [0.0, 0.0, 0.0, -0.0], [0.0, 0.0, 0.0, 7.0]])
+        batch = SparseBatch.from_rows(rows)
+        assert list(batch) == [embed_finite(r) for r in rows]
+        assert [p.items for p in batch] == [embed_finite(r).items for r in rows]
+        assert list(SparseBatch.of(rows)) == list(batch) and list(SparseBatch.from_rows(rows[:0])) == []
+        again = batch.leading(4)
+        assert np.array_equal(again, rows) and not np.signbit(again[rows == 0.0]).any()  # -0.0 is dropped
+        assert list(SparseBatch.from_rows(again)) == list(batch)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 9])
+    def test_leading_and_tail_are_those_of_each_point(self, n):
+        rng = np.random.default_rng(130 + n)
+        points = self.POINTS + random_sparse_points(rng, 30, index_max=12, size_max=6)
+        batch = SparseBatch.of(points)
+        assert np.array_equal(batch.leading(n), np.array([p.leading(n) for p in points]))
+        assert batch.tail(n).tolist() == [p.tail(n) for p in points]
 
 
 class TestLocateCube:

@@ -314,6 +314,25 @@ class TestSparseCorners:
         with pytest.raises(ValueError, match=f"reach {3 * 2**16} weighted cell corners"):
             cell_weights([x, -x, x], GridLevel(1, 16))
 
+    @pytest.mark.parametrize("dim", [None, 3])
+    def test_a_batch_past_the_cap_is_projected_in_blocks(self, dim, monkeypatch):
+        rng = np.random.default_rng(44)
+        level = GridLevel(3, dim)  # three cell axes: one point reaches at most 8 corners
+        if dim is None:
+            xs = [random_sparse(rng, spread=3.0, max_index=4) for _ in range(9)]
+        else:
+            xs = list(rng.uniform(-3.9, 3.9, size=(9, dim)))
+        whole, blocked = _RecordingFunction(), _RecordingFunction()
+        expect = project_values(whole, xs, level)
+        monkeypatch.setattr(operators, "MAX_CORNERS", 8)
+        assert project_values(blocked, xs, level).tolist() == expect.tolist()
+        assert len(whole.batches) == 1 and len(blocked.batches) > 1
+        assert all(len(batch) <= 8 for batch in blocked.batches)
+        monkeypatch.setattr(operators, "MAX_CORNERS", 4)
+        one = FiniteSupportPoint.from_dense([0.3] * 3) if dim is None else np.full(3, 0.3)
+        with pytest.raises(ValueError, match="reach 8 weighted cell corners"):
+            project_values(blocked, [one], level)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_coordinate_is_refused_naming_the_point(self, bad):
         # clamped, an infinite coordinate would land on the cube's face
@@ -457,19 +476,24 @@ class TestConvergenceChecks:
             xs = [random_sparse(rng, spread=6.0, max_index=12) for _ in range(12)]
         else:
             xs = list(rng.uniform(-6.0, 6.0, size=(12, dim)))
-        stacked, truncated = [], []
-        stack, leading = operators._stack_points, FiniteSupportPoint.leading
+        stacked, laid_out = [], []
+        stack, lay_out = operators._stack_points, geometry.SparseBatch.of
 
         def spy(pts, level):
             stacked.append(stack(pts, level))
             return stacked[-1]
 
+        def spy_layout(cls, pts):
+            laid_out.extend([] if isinstance(pts, (cls, np.ndarray)) else pts)
+            return lay_out(pts)
+
         monkeypatch.setattr(operators, "_stack_points", spy)
-        monkeypatch.setattr(FiniteSupportPoint, "leading", lambda p, n: truncated.append(p) or leading(p, n))
+        monkeypatch.setattr(geometry.SparseBatch, "of", classmethod(spy_layout))
         convergence_checks(f, xs, 4, dim=dim)
         # rows already stacked come back as the same array, so one stacking gives one array
         assert stacked and all(rows is stacked[0] for rows in stacked)
-        assert sorted(map(id, truncated)) == (sorted(map(id, xs)) if dim is None else [])
+        # and in sequence mode each point is laid out once, coordinate mode has no layout
+        assert sorted(map(id, laid_out)) == (sorted(map(id, xs)) if dim is None else [])
 
     def test_empty_batch_and_mode_errors(self):
         f = l1_norm_function()
