@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .geometry import check_magnitude, l1_distances
-from .interpolation import TabulatedFunction, lip_constant
+from .interpolation import TabulatedFunction, check_values, lip_constant, max_quotient
 
 SCHEMES = ("inv-dist", "shepard-p")
 
@@ -156,23 +156,44 @@ class GentlePartition:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        k = self.space.size
-        if w.shape != (len(self.subset), k):
+        if w.shape != (len(self.subset), self.space.size):
             raise ValueError("weight matrix shape mismatch")
-        if np.min(w) < 0:
-            raise ValueError("weights must be nonnegative")
-        inside = np.zeros(k, dtype=bool)
-        inside[list(self.subset)] = True
-        if np.any(w[:, inside] != 0.0):
-            raise ValueError("weights must vanish on the subset")
-        outside = ~inside
-        if np.any(outside):
-            sums = w[:, outside].sum(axis=0)
-            if np.max(np.abs(sums - 1.0)) > 1e-12:
-                raise ValueError("weights must sum to one off the subset")
+        _check_weights(w, list(self.subset))
         w = w.copy()
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
+
+
+def _check_weights(w: np.ndarray, sub: list[int]) -> None:
+    """Weights ``[anchor, point]`` are nonnegative, zero on the subset columns and sum to one off them."""
+    if np.min(w) < 0:
+        raise ValueError("weights must be nonnegative")
+    if np.any(w[:, sub] != 0.0):
+        raise ValueError("weights must vanish on the subset")
+    sums = w.sum(axis=0)
+    sums[sub] = 1.0  # zero columns, checked above
+    if np.max(np.abs(sums - 1.0)) > 1e-12:
+        raise ValueError("weights must sum to one off the subset")
+
+
+def _partition_weights(d: np.ndarray, sub: list[int], scheme: str, p: float):
+    """``(w, dx)``: the :func:`build_partition` weights ``w[anchor, point]`` of the sorted
+    subset ``sub``, and ``dx[x, anchor] = d(anchor, x)`` in contiguous rows."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    if scheme == "shepard-p" and not 0.0 < p < np.inf:
+        raise ValueError(f"the shepard-p exponent p must be positive and finite, got {p}")
+    if not sub:
+        raise ValueError("the subset must be nonempty")
+    dx = d[sub].T.copy()
+    outside = np.ones(len(d), dtype=bool)
+    outside[sub] = False
+    with np.errstate(over="ignore"):  # an overflowing ratio gives weight 0
+        ratio = dx[outside] / dx[outside].min(axis=1, keepdims=True)  # exactly 1 at the nearest anchor
+    raw = np.maximum(0.0, 2.0 - ratio) ** 2 if scheme == "inv-dist" else ratio ** (-p)
+    w = np.zeros((len(sub), len(d)))
+    w[:, outside] = (raw / raw.sum(axis=1, keepdims=True)).T  # each row summed as a 1-d array
+    return w, dx
 
 
 def build_partition(space: FinitePointedMetricSpace, subset: Iterable[int],
@@ -186,22 +207,19 @@ def build_partition(space: FinitePointedMetricSpace, subset: Iterable[int],
     nearest anchor has raw weight exactly 1, so every total is finite and at
     least 1 at any scale; weights are normalized per outside point.  Scaling
     the metric by a power of two leaves them unchanged bit for bit.
+
+    On a prefix ``N`` of :func:`farthest_point_chain`, ``inv-dist`` gives a
+    point at most ``D**2`` anchors, ``D`` the doubling constant (at most
+    :func:`doubling_estimate`).  Each pick lies at the covering radius of
+    the points before it, and that radius never grows, so ``N`` is
+    ``s``-separated with ``s`` at least its covering radius ``rho``.  Anchor
+    ``w`` weighs at ``x`` only when ``d(x, w) < 2 d(x, N) <= 2 rho <= 2 s``.
+    ``B(x, 2s)`` is covered by ``D`` balls of radius ``s``, each by ``D``
+    balls of radius ``s / 2``, and each of those holds one point of ``N`` at most.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    if scheme == "shepard-p" and not 0.0 < p < np.inf:
-        raise ValueError(f"the shepard-p exponent p must be positive and finite, got {p}")
-    sub = tuple(sorted(set(int(i) for i in subset)))
-    if not sub:
-        raise ValueError("the subset must be nonempty")
-    outside = np.delete(np.arange(space.size), sub)
-    dx = space.dist.T[np.ix_(outside, sub)]  # [x, w] = d(w, x)
-    with np.errstate(over="ignore"):  # an overflowing ratio gives weight 0
-        ratio = dx / dx.min(axis=1, keepdims=True)  # exactly 1 at the nearest anchor
-    raw = np.maximum(0.0, 2.0 - ratio) ** 2 if scheme == "inv-dist" else ratio ** (-p)
-    w = np.zeros((len(sub), space.size))
-    w[:, outside] = (raw / raw.sum(axis=1, keepdims=True)).T  # each row summed as a 1-d array
-    return GentlePartition(space=space, subset=sub, weights=w, scheme=scheme)
+    sub = sorted(set(int(i) for i in subset))
+    w, _ = _partition_weights(space.dist, sub, scheme, p)
+    return GentlePartition(space=space, subset=tuple(sub), weights=w, scheme=scheme)
 
 
 def extend(f_sub: TabulatedFunction, part: GentlePartition) -> TabulatedFunction:
@@ -220,6 +238,19 @@ class GentlenessEstimate:
     worst_pair: tuple[int, int] | None
 
 
+def _gentleness(w: np.ndarray, dx: np.ndarray, den: np.ndarray) -> tuple[float, int]:
+    """The largest gentleness ratio and its flat ``(x, y)`` index (the first if tied), from
+    ``w[anchor, point]``, ``dx[x, anchor] = d(anchor, x)`` and ``den = d + diag(inf)``."""
+    # [x, anchor, y] = |psi(anchor, x) - psi(anchor, y)|; one gemv per x on
+    # contiguous slices, so each sum over anchors keeps its order
+    gaps = np.subtract(w.T[:, :, None], w, order="C")
+    np.abs(gaps, out=gaps)
+    nums = np.array([dx[x] @ gaps[x] for x in range(len(den))])
+    ratios = nums / den  # the diagonal gives 0
+    best = int(np.argmax(ratios))
+    return float(ratios.flat[best]), best
+
+
 def gentleness(part: GentlePartition) -> GentlenessEstimate:
     """Exact gentleness constant of a partition over all ordered pairs.
 
@@ -228,13 +259,7 @@ def gentleness(part: GentlePartition) -> GentlenessEstimate:
     """
     k = part.space.size
     d = part.space.dist
-    w = part.weights  # (|sub|, k), zero on subset columns
-    anchors = list(part.subset)
-    # one gemv per x, so each sum over anchors keeps its order
-    nums = np.array([d[anchors, x] @ np.abs(w[:, [x]] - w) for x in range(k)])
-    ratios = nums / (d + np.diag(np.full(k, np.inf)))  # the diagonal gives 0
-    best = int(np.argmax(ratios))
-    k_hat = float(ratios.flat[best])
+    k_hat, best = _gentleness(part.weights, d[list(part.subset)].T.copy(), d + np.diag(np.full(k, np.inf)))
     return GentlenessEstimate(k_hat=k_hat, worst_pair=divmod(best, k) if k_hat > 0 else None)
 
 
@@ -350,21 +375,34 @@ class ChainRow:
 
 def chain_table(space: FinitePointedMetricSpace, f: TabulatedFunction,
                 scheme: str = "inv-dist", p: float = 2.0) -> list[ChainRow]:
-    """Per-step diagnostics of the restrict-extend operator along the chain."""
-    lip_f = lip_constant(f, space.dist)
+    """Per-step diagnostics of the restrict-extend operator along the chain,
+    for ``f`` on the space's points in order (see :func:`space_function`): one
+    pass over the pairs, distances and values taken once per table."""
+    k = space.size
+    if f.points != tuple(range(k)) or f.origin != space.origin:
+        raise ValueError("the function must be tabulated on the space's points, in order")
+    d = space.dist
+    den = d + np.diag(np.full(k, np.inf))
+    labels = range(k)
+    i, j = np.triu_indices(k, 1)
+    pairs = (i, j, d[i, j])
     values = np.asarray(f.values)
+    lip_f = max_quotient(values, pairs, labels)
     rows = []
     for subset in farthest_point_chain(space):
-        part = build_partition(space, subset, scheme=scheme, p=p)
-        sf = approximation_operator(f, part)
-        lip_sf = lip_constant(sf, space.dist)
+        sub = list(subset)
+        w, dx = _partition_weights(d, sub, scheme, p)
+        _check_weights(w, sub)
+        extended = values[sub] @ w  # off-subset blend; zero columns inside
+        extended[sub] = values[sub]
+        check_values(extended)
         rows.append(
             ChainRow(
-                size=len(subset),
-                k_hat=gentleness(part).k_hat,
-                lip_ratio=lip_sf / lip_f if lip_f > 0 else 0.0,
-                max_err=float(np.max(np.abs(np.asarray(sf.values) - values))),
-                cov_radius=covering_radius(space, subset),
+                size=len(sub),
+                k_hat=_gentleness(w, dx, den)[0],
+                lip_ratio=max_quotient(extended, pairs, labels) / lip_f if lip_f > 0 else 0.0,
+                max_err=float(np.max(np.abs(extended - values))),
+                cov_radius=covering_radius(space, sub),
             )
         )
     return rows

@@ -112,10 +112,6 @@ class Hypercube:
             raise ValueError(f"a point of dimension {got} given to a cube of dimension {self.dim}")
         return x
 
-    def contains(self, x) -> bool:
-        diff = np.abs(self._points(x) - np.asarray(self.center, dtype=float))
-        return bool(np.max(diff) <= 0.5 * self.edge)
-
     def barycentric(self, x) -> np.ndarray:
         """Per-axis offsets of ``x`` from the low corner, scaled to [0, 1]."""
         c = np.asarray(self.center, dtype=float)

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import Hypercube, check_magnitude, l1_distances, sign_matrix, sign_vectors
+from .geometry import MAX_MAGNITUDE, Hypercube, check_magnitude, l1_distances, sign_matrix
 
 # Test-build fault injection: when set, interpolation weights are corrupted
 # (left unnormalized) so that negative-control checks can observe a failure.
@@ -66,10 +66,7 @@ class TabulatedFunction:
         if len(set(self.points)) != len(self.points):
             raise ValueError("points must be pairwise distinct")
         values = tuple(float(v) for v in self.values)
-        for pos, v in enumerate(values):
-            if not math.isfinite(v):
-                raise ValueError(f"value {v} at point {pos} is not finite")
-            check_magnitude(v, "value at point {}", pos)
+        check_values(np.asarray(values))
         object.__setattr__(self, "values", values)
 
     def value_at(self, point) -> float:
@@ -78,6 +75,36 @@ class TabulatedFunction:
         except ValueError:
             raise KeyError(f"point {point!r} is not tabulated") from None
         return self.values[pos]
+
+
+def check_values(values: np.ndarray) -> None:
+    """Reject, by position, the first value not finite or beyond :data:`~lipfree.geometry.MAX_MAGNITUDE`."""
+    bad = np.flatnonzero(~(np.abs(values) <= MAX_MAGNITUDE))  # NaN fails the comparison too
+    if bad.size:
+        pos = int(bad[0])
+        v = float(values[pos])
+        if not math.isfinite(v):
+            raise ValueError(f"value {v} at point {pos} is not finite")
+        check_magnitude(v, "value at point {}", pos)
+
+
+def max_quotient(vals: np.ndarray, pairs, labels: Sequence) -> float:
+    """Largest difference quotient ``|vals[i] - vals[j]| / d`` over the pairs
+    ``(i, j, d)`` of the points ``labels`` (0 without pairs).  A pair at
+    distance zero, or whose quotient overflows, is rejected by name."""
+    i, j, d = pairs
+    zero = np.flatnonzero(d <= 0.0)
+    if zero.size:
+        e = zero[0]
+        raise ValueError(f"distinct points {labels[i[e]]!r}, {labels[j[e]]!r} at distance {d[e]}")
+    with np.errstate(over="ignore"):  # checked below
+        quotients = np.abs(vals[i] - vals[j]) / d
+    overflow = np.flatnonzero(~np.isfinite(quotients))
+    if overflow.size:
+        e = overflow[0]
+        raise ValueError(f"the difference quotient of points {labels[i[e]]!r}, {labels[j[e]]!r} "
+                         f"(values {float(vals[i[e]])!r}, {float(vals[j[e]])!r} at distance {float(d[e])!r}) is not finite")
+    return float(np.max(quotients, initial=0.0))
 
 
 def lip_constant(f: TabulatedFunction, dist=None) -> float:
@@ -89,24 +116,9 @@ def lip_constant(f: TabulatedFunction, dist=None) -> float:
     rejected, naming the first such pair.
     """
     pts = f.points
-    if len(pts) < 2:
-        return 0.0
     d = l1_distances(pts, pts) if dist is None else np.asarray(dist)[np.ix_(pts, pts)]
     i, j = np.triu_indices(len(pts), 1)
-    d = d[i, j]
-    zero = np.flatnonzero(d <= 0.0)
-    if zero.size:
-        e = zero[0]
-        raise ValueError(f"distinct points {pts[i[e]]!r}, {pts[j[e]]!r} at distance {d[e]}")
-    vals = np.asarray(f.values)
-    with np.errstate(over="ignore"):  # checked below
-        quotients = np.abs(vals[i] - vals[j]) / d
-    overflow = np.flatnonzero(~np.isfinite(quotients))
-    if overflow.size:
-        e = overflow[0]
-        raise ValueError(f"the difference quotient of points {pts[i[e]]!r}, {pts[j[e]]!r} "
-                         f"(values {float(vals[i[e]])!r}, {float(vals[j[e]])!r} at distance {float(d[e])!r}) is not finite")
-    return float(np.max(quotients))
+    return max_quotient(np.asarray(f.values), (i, j, d[i, j]), pts)
 
 
 @dataclass(frozen=True)
@@ -126,26 +138,8 @@ class VertexData:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def from_mapping(cls, cube: Hypercube, mapping: Mapping[tuple[int, ...], float]) -> "VertexData":
-        order = sign_vectors(cube.dim)
-        missing = [d for d in order if tuple(d) not in mapping]
-        if missing:
-            raise ValueError(f"missing corner values for {missing[:3]}...")
-        return cls(cube=cube, values=tuple(float(mapping[d]) for d in order))
-
-    @classmethod
     def from_function(cls, cube: Hypercube, fn: Callable) -> "VertexData":
         return cls(cube=cube, values=tuple(float(fn(v)) for v in cube.vertices()))
-
-    def vertex_restriction(self) -> TabulatedFunction:
-        """The corner values as a tabulated function on the corner points.
-
-        The corner set need not contain the space origin, so the first corner
-        is shifted to value zero; Lipschitz constants are shift-invariant.
-        """
-        pts = tuple(tuple(v) for v in self.cube.vertices())
-        shift = self.values[0]
-        return TabulatedFunction(points=pts, values=tuple(v - shift for v in self.values), origin=0)
 
     def corner_lip(self) -> float:
         """Lipschitz constant of the corner restriction under l1.

@@ -18,7 +18,8 @@ triplets, a corner named by its int64 lattice index ``key``.  A point with
 ``s`` nonzero leading coordinates reaches at most ``2**s`` corners.  It takes
 points or their rows of leading coordinates, truncated by one function, so
 each batch is stacked once; :func:`project_values` expands a batch past
-:data:`MAX_CORNERS` in parts.  The decay estimate is written once too.
+:data:`MAX_CORNERS` in parts, up to :data:`MAX_BATCH_CORNERS` in all.  The
+decay estimate is written once too.
 
 The projected function depends on the original only through its values on the
 level-n vertex grid, is linear in the function, does not increase Lipschitz
@@ -62,9 +63,18 @@ LATTICE_INDEX_RANGE = 6
 #: 16-d points), on 2 vCPUs; each doubling about doubles both.
 MAX_CORNERS = 2**17
 
+#: Most weighted corners :func:`project_values` expands in one batch, in parts.
+#: At this count a ``project`` run took 1.95 s with ``max-coordinate``, the
+#: slowest builtin, on two 17-coordinate points at ``--n 17`` (median of 3, 2 vCPUs).
+MAX_BATCH_CORNERS = 2 * MAX_CORNERS
+
 
 class TooManyCorners(ValueError):
-    """A batch reaches more than :data:`MAX_CORNERS` weighted cell corners."""
+    """A batch reaches ``corners`` weighted cell corners, more than :data:`MAX_CORNERS`."""
+
+    def __init__(self, message: str, corners: int):
+        super().__init__(message)
+        self.corners = corners
 
 
 #: Slack of the convergence bound check in :func:`convergence_checks`.
@@ -284,7 +294,7 @@ def cell_weights(points: Sequence, level: GridLevel):
     corners = int((1 << np.count_nonzero(factors.all(axis=2), axis=1)).sum())
     if corners > MAX_CORNERS:
         raise TooManyCorners(f"the points reach {corners} weighted cell corners at level {level.n}, "
-                             f"more than the {MAX_CORNERS} one projection expands")
+                             f"more than the {MAX_CORNERS} one projection expands", corners)
     rows = np.arange(m)
     weights = np.ones(m)
     for axis in range(d):
@@ -301,15 +311,19 @@ def project_values(f, points: Sequence, level: GridLevel) -> np.ndarray:
     ``np.unique`` over the packed key rows gives the distinct weighted corners
     in key order, ``f.eval_many`` gets them in one batch, and one ``bincount``
     sums each point's weighted corner values.  A batch past
-    :data:`MAX_CORNERS` is split in halves until each part fits; only a
-    single point that one expansion cannot hold raises :class:`TooManyCorners`."""
+    :data:`MAX_CORNERS` is split in halves until each part fits; a single
+    point that one expansion cannot hold raises :class:`TooManyCorners`, and
+    a batch past :data:`MAX_BATCH_CORNERS` a ValueError."""
     if not len(points):
         return np.zeros(0)
     try:
         rows, keys, weights = cell_weights(points, level)
-    except TooManyCorners:
+    except TooManyCorners as exc:
         if len(points) == 1:
             raise
+        if exc.corners > MAX_BATCH_CORNERS:
+            raise ValueError(f"the points reach {exc.corners} weighted cell corners at level {level.n}, "
+                             f"more than the {MAX_BATCH_CORNERS} one batch expands") from None
         u = _stack_points(points, level)
         return np.concatenate([project_values(f, u[:len(u) // 2], level), project_values(f, u[len(u) // 2:], level)])
     distinct, corner_of = np.unique(pack_key_rows(keys), return_inverse=True)

@@ -1,10 +1,20 @@
 """Loop forms of the chain steps in ``lipfree.extension``, kept as test oracles.
 
-Each walks the points, or the ordered pairs, one at a time. The module's
-array forms must match them bit for bit, ties included.
+Each walks the points, the ordered pairs or the chain's prefixes one at a
+time. The module's array forms must match them bit for bit, ties included.
 """
 
 import numpy as np
+
+from lipfree.extension import (
+    ChainRow,
+    approximation_operator,
+    build_partition,
+    covering_radius,
+    farthest_point_chain,
+    gentleness,
+)
+from lipfree.interpolation import lip_constant
 
 
 def looped_farthest_point_chain(space):
@@ -59,3 +69,25 @@ def looped_gentleness(part):
                 best = float(ratio)
                 pair = (x, y)
     return best, pair
+
+
+def looped_chain_table(space, f, scheme="inv-dist", p=2.0):
+    """``chain_table`` one prefix at a time, through a partition and a
+    restrict-then-extend function per prefix."""
+    lip_f = lip_constant(f, space.dist)
+    values = np.asarray(f.values)
+    rows = []
+    for subset in farthest_point_chain(space):
+        part = build_partition(space, subset, scheme=scheme, p=p)
+        sf = approximation_operator(f, part)
+        lip_sf = lip_constant(sf, space.dist)
+        rows.append(
+            ChainRow(
+                size=len(subset),
+                k_hat=gentleness(part).k_hat,
+                lip_ratio=lip_sf / lip_f if lip_f > 0 else 0.0,
+                max_err=float(np.max(np.abs(np.asarray(sf.values) - values))),
+                cov_radius=covering_radius(space, subset),
+            )
+        )
+    return rows

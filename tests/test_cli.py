@@ -682,6 +682,19 @@ class TestCornerBlocks:
         alone = [operators.project_values(f, [p], operators.GridLevel(2, 16))[0] for p in pts]
         assert [row["value"] for row in json.loads(out.read_text())["rows"]] == alone
 
+    def test_a_batch_at_the_total_corner_cap_answers(self, tmp_path):
+        from lipfree import operators
+
+        pts = np.random.default_rng(4).uniform(-0.9, 0.9, size=(4, 16))  # 4 * 2**16 corners
+        assert 4 * 2**16 == operators.MAX_BATCH_CORNERS
+        out = tmp_path / "out.json"
+        argv = ["project", "--input", write_json(tmp_path / "pts.json", pts.tolist()), "--dim", "16", "--n", "2",
+                "--function", "random-lattice", "--seed", "3", "--output", str(out)]
+        proc, elapsed = run_module(argv, cap_bytes=1536 * 2**20, timeout=60)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert elapsed < 10.0
+        assert len(json.loads(out.read_text())["rows"]) == 4
+
 
 class TestBlowUpsRefused:
     """Inputs within the caps whose corner count or norm size explodes exit 2,
@@ -694,6 +707,14 @@ class TestBlowUpsRefused:
         assert proc.returncode == 2, proc.stderr[-2000:]
         assert proc.stdout == "" and proc.stderr.startswith("error: ") and str(count) in proc.stderr
         assert elapsed < 10.0
+        return proc.stderr
+
+    def test_a_batch_past_the_total_corner_cap(self, tmp_path):
+        # each point alone fits one expansion; all five reach 5 * 2**16 corners
+        pts = np.random.default_rng(4).uniform(-0.9, 0.9, size=(5, 16))
+        argv = ["project", "--input", write_json(tmp_path / "pts.json", pts.tolist()), "--dim", "16", "--n", "2",
+                "--function", "random-lattice", "--seed", "3"]
+        assert f"more than the {2**18} one batch expands" in self.check(argv, 5 * 2**16)
 
     def test_twenty_free_coordinates_at_level_20(self, tmp_path):
         point = {"coords": {str(i + 1): v for i, v in enumerate(self.COORDS)}}

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -27,6 +28,7 @@ from lipfree.extension import (
 from lipfree.interpolation import lip_constant
 
 from chain_oracles import (
+    looped_chain_table,
     looped_covering_radius,
     looped_farthest_point_chain,
     looped_gentleness,
@@ -522,6 +524,44 @@ class TestLoopOracles:
                 est = gentleness(part)
                 assert (est.k_hat, est.worst_pair) == looped_gentleness(part)
 
+    @pytest.mark.parametrize("function", ["origin-distance", "random"])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+    @pytest.mark.parametrize("scheme", extension.SCHEMES)
+    @pytest.mark.parametrize("space", oracle_spaces(), ids=lambda s: f"k{s.size}")
+    def test_chain_table_matches_the_loop_bit_for_bit(self, space, scheme, p, function):
+        if function == "random":
+            values = np.random.default_rng(space.size).normal(size=space.size)
+            values[space.origin] = 0.0
+        else:
+            values = space.dist[space.origin]
+        f = space_function(space, values)
+        rows = chain_table(space, f, scheme=scheme, p=p)
+        assert len(rows) == space.size
+        assert repr(rows) == repr(looped_chain_table(space, f, scheme=scheme, p=p))  # repr keeps every bit
+
+    def test_an_overflowing_quotient_of_an_extension_names_the_pair(self):
+        # f's own quotients are finite, but at the prefix {0, 1} point 2 blends
+        # in the origin's 0, 1e-300 away from point 1's 1e100
+        dist = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1e-300], [1.0, 1e-300, 0.0]])
+        space = FinitePointedMetricSpace(labels=(0, 1, 2), dist=dist)
+        f = space_function(space, [0.0, 1e100, 1e100])
+        assert lip_constant(f, space.dist) == 1e100
+        message = r"the difference quotient of points 1, 2 \(values 1e\+100, .* at distance 1e-300\) is not finite"
+        for table in (chain_table, looped_chain_table):
+            with pytest.raises(ValueError, match=message):
+                table(space, f, scheme="shepard-p", p=1e-3)
+
+    def test_an_extended_value_past_the_magnitude_bound_names_the_point(self):
+        # weights summing to one plus a rounding blend values at the bound past it
+        pts = np.random.default_rng(0).uniform(-3, 3, size=(8, 2))
+        pts[0] = [100.0, 100.0]
+        space = FinitePointedMetricSpace.from_l1_points(pts)
+        f = space_function(space, [0.0] + [1e100] * 7)
+        message = r"value at point 6 is 1\.0000000000000002e\+100, beyond the magnitude bound"
+        for table in (chain_table, looped_chain_table):
+            with pytest.raises(ValueError, match=message):
+                table(space, f)
+
     @pytest.mark.parametrize("scheme", extension.SCHEMES)
     def test_worst_pair_is_the_first_largest_ratio(self, scheme):
         # on the line with anchors {0, 2}, four ordered pairs share the ratio 1
@@ -539,3 +579,35 @@ class TestLoopOracles:
         for prefix, pick in zip(chain, chain_picks(chain)[1:]):
             assert covering_radius(space, prefix) == min(space.dist[pick, j] for j in prefix)
         assert covering_radius(space, chain[-1]) == 0.0
+
+
+def bap_pool_spaces(seed, tmp_path):
+    """The spaces of the benchmark's ``bap`` pool for a seed."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclass looks the module up
+    try:
+        spec.loader.exec_module(workloads)
+        ops = workloads.make_pool("bap", seed, tmp_path)
+    finally:
+        del sys.modules[spec.name]
+    return [FinitePointedMetricSpace.from_json(json.loads(op.input_path.read_text())) for op in ops]
+
+
+def largest_inv_dist_support(space):
+    """Most anchors with positive ``inv-dist`` weight at one point, over the chain's prefixes."""
+    return max(int(np.count_nonzero(build_partition(space, subset).weights > 0.0, axis=0).max())
+               for subset in farthest_point_chain(space))
+
+
+class TestMultiplicity:
+    @pytest.mark.parametrize("space", oracle_spaces(), ids=lambda s: f"k{s.size}")
+    def test_inv_dist_support_is_at_most_the_squared_estimate(self, space):
+        assert largest_inv_dist_support(space) <= doubling_estimate(space) ** 2
+
+    def test_on_the_benchmark_pool_spaces(self, tmp_path):
+        spaces = bap_pool_spaces(201, tmp_path)
+        assert {s.size for s in spaces} == {10, 11, 12}
+        for space in spaces:
+            assert largest_inv_dist_support(space) <= doubling_estimate(space) ** 2

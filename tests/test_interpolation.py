@@ -16,6 +16,8 @@ from lipfree.interpolation import (
     sample_axis_segments,
 )
 
+from cube_helpers import vertex_data, vertex_restriction
+
 
 def dyadic_cube(rng, dim):
     center = tuple(float(v) * 2.0**-8 for v in rng.integers(-768, 769, size=dim))
@@ -24,12 +26,12 @@ def dyadic_cube(rng, dim):
 
 def bilinear_bump():
     cube = Hypercube(center=(0, 0), edge=2)
-    return VertexData.from_mapping(cube, {(-1, -1): 0, (-1, 1): 0, (1, -1): 0, (1, 1): 1})
+    return vertex_data(cube, {(-1, -1): 0, (-1, 1): 0, (1, -1): 0, (1, 1): 1})
 
 
 class TestInterpolate:
     def test_one_dim_affine(self):
-        data = VertexData.from_mapping(Hypercube(center=(0,), edge=2), {(-1,): 0, (1,): 4})
+        data = vertex_data(Hypercube(center=(0,), edge=2), {(-1,): 0, (1,): 4})
         assert interpolate(data, [0.5]) == 3.0  # barycentric offset 0.75
 
     def test_bilinear_center(self):
@@ -154,7 +156,7 @@ class TestLipConstant:
         # distance 2, giving 1/2
         data = bilinear_bump()
         assert data.corner_lip() == 0.5
-        assert lip_constant(data.vertex_restriction()) == 0.5
+        assert lip_constant(vertex_restriction(data)) == 0.5
 
     def test_corner_lip_matches_the_pair_loop(self):
         # the loop corner_lip replaced: every corner pair, at distance
@@ -282,7 +284,7 @@ class TestValidation:
     def test_vertex_data_needs_all_corners(self):
         cube = Hypercube(center=(0, 0), edge=2)
         with pytest.raises(ValueError):
-            VertexData.from_mapping(cube, {(1, 1): 1.0})
+            vertex_data(cube, {(1, 1): 1.0})
         with pytest.raises(ValueError):
             VertexData(cube=cube, values=(0.0, 1.0, float("nan"), 2.0))
 

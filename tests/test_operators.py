@@ -333,6 +333,19 @@ class TestSparseCorners:
         with pytest.raises(ValueError, match="reach 8 weighted cell corners"):
             project_values(blocked, [one], level)
 
+    @pytest.mark.parametrize("dim", [None, 3])
+    def test_a_batch_past_the_total_cap_is_refused_before_any_evaluation(self, dim, monkeypatch):
+        level = GridLevel(3, dim)
+        one = FiniteSupportPoint.from_dense([0.3] * 3) if dim is None else np.full(3, 0.3)  # 8 corners
+        monkeypatch.setattr(operators, "MAX_CORNERS", 8)
+        monkeypatch.setattr(operators, "MAX_BATCH_CORNERS", 16)
+        f = _RecordingFunction()
+        assert project_values(f, [one, one], level).tolist() == project_values(f, [one], level).tolist() * 2
+        assert len(f.batches) == 3  # at the cap: one part per point
+        with pytest.raises(ValueError, match="reach 24 weighted cell corners at level 3, more than the 16 one batch"):
+            project_values(f, [one] * 3, level)
+        assert len(f.batches) == 3
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_coordinate_is_refused_naming_the_point(self, bad):
         # clamped, an infinite coordinate would land on the cube's face
