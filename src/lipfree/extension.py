@@ -28,6 +28,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .geometry import check_magnitude, l1_distances
+# lip_constant is unused here but stays importable: perfbench's tracer wraps it in this module
 from .interpolation import TabulatedFunction, check_values, lip_constant, max_quotient
 
 SCHEMES = ("inv-dist", "shepard-p")
