@@ -40,7 +40,6 @@ from .freespace import (
     molecule_projection,
     molecules_close,
     pairing,
-    projection_bound,
     transport_norm,
 )
 from .geometry import (
@@ -56,10 +55,8 @@ from .geometry import (
     tiling_vertices,
 )
 from .interpolation import (
-    AffinityReport,
     TabulatedFunction,
     VertexData,
-    check_axis_affinity,
     interpolate,
     interpolate_batch,
     interpolate_recursive,
@@ -78,7 +75,6 @@ from .operators import (
     convergence_checks,
     coordinate_function,
     l1_norm_function,
-    lip_function,
     lip_projection,
     max_coordinate_function,
     mcshane_extension,

@@ -33,9 +33,10 @@ from .interpolation import TabulatedFunction, check_values, lip_constant, max_qu
 
 SCHEMES = ("inv-dist", "shepard-p")
 
-#: Most points a :class:`FinitePointedMetricSpace` holds.  ``bap`` costs about
-#: ``k^4``: one run took 6.2-6.4 s at k = 75, 19-21 s at 100, 31-33 s at 110
-#: and 47-48 s at 120 (random 3-d ``embed_l1`` spaces, both schemes, 2 vCPUs).
+#: Most points a :class:`FinitePointedMetricSpace` holds.  At 100 points ``bap``
+#: took 27-33 s on the slowest shape measured (16-d ``embed_l1``, ``shepard-p``, ``p``
+#: 64), 20-25 s with distances uniform in [1, 2] and 7-9 s on random 3-d spaces
+#: (2 vCPUs), nearly all of it in :func:`doubling_estimate`.
 MAX_SPACE_POINTS = 100
 
 
@@ -179,7 +180,17 @@ def _check_weights(w: np.ndarray, sub: list[int]) -> None:
 
 def _partition_weights(d: np.ndarray, sub: list[int], scheme: str, p: float):
     """``(w, dx)``: the :func:`build_partition` weights ``w[anchor, point]`` of the sorted
-    subset ``sub``, and ``dx[x, anchor] = d(anchor, x)`` in contiguous rows."""
+    subset ``sub``, and ``dx[x, anchor] = d(anchor, x)`` in contiguous rows.
+
+    On a prefix ``N`` of :func:`farthest_point_chain`, ``inv-dist`` gives a
+    point at most ``D**2`` anchors, ``D`` the doubling constant (at most
+    :func:`doubling_estimate`).  Each pick lies at the covering radius of
+    the points before it, and that radius never grows, so ``N`` is
+    ``s``-separated with ``s`` at least its covering radius ``rho``.  Anchor
+    ``w`` weighs at ``x`` only when ``d(x, w) < 2 d(x, N) <= 2 rho <= 2 s``.
+    ``B(x, 2s)`` is covered by ``D`` balls of radius ``s``, each by ``D``
+    balls of radius ``s / 2``, and each of those holds one point of ``N`` at most.
+    """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     if scheme == "shepard-p" and not 0.0 < p < np.inf:
@@ -207,16 +218,8 @@ def build_partition(space: FinitePointedMetricSpace, subset: Iterable[int],
     ``shepard-p``: raw weight ``r(w)**(-p)`` touches every anchor.  The
     nearest anchor has raw weight exactly 1, so every total is finite and at
     least 1 at any scale; weights are normalized per outside point.  Scaling
-    the metric by a power of two leaves them unchanged bit for bit.
-
-    On a prefix ``N`` of :func:`farthest_point_chain`, ``inv-dist`` gives a
-    point at most ``D**2`` anchors, ``D`` the doubling constant (at most
-    :func:`doubling_estimate`).  Each pick lies at the covering radius of
-    the points before it, and that radius never grows, so ``N`` is
-    ``s``-separated with ``s`` at least its covering radius ``rho``.  Anchor
-    ``w`` weighs at ``x`` only when ``d(x, w) < 2 d(x, N) <= 2 rho <= 2 s``.
-    ``B(x, 2s)`` is covered by ``D`` balls of radius ``s``, each by ``D``
-    balls of radius ``s / 2``, and each of those holds one point of ``N`` at most.
+    the metric by a power of two leaves them unchanged bit for bit.  On a
+    chain prefix, ``inv-dist`` support is bounded (see :func:`_partition_weights`).
     """
     sub = sorted(set(int(i) for i in subset))
     w, _ = _partition_weights(space.dist, sub, scheme, p)
@@ -291,6 +294,7 @@ def doubling_estimate(space: FinitePointedMetricSpace) -> int:
     together; the configurations, counts and tie rule are those of a loop
     over the balls one by one.  A pair whose member and cover matrices equal
     those of the pair before it is skipped, since it gives the same counts.
+    No count exceeds ``k``, so the sweep stops at the first block that reaches it.
     Each array of a block has at most ``max(_SWEEP_BLOCK_ELEMENTS, k**2)``
     entries, whatever the number of radii.
     """
@@ -315,6 +319,8 @@ def doubling_estimate(space: FinitePointedMetricSpace) -> int:
                            axis=(1, 2))
         fresh[:start - lo] = False
         best = max(best, _greedy_rounds(members[fresh], covers[fresh]))
+        if best == k:  # no ball has more members
+            return k
     return best
 
 
@@ -335,7 +341,7 @@ def _greedy_rounds(uncovered: np.ndarray, covers: np.ndarray) -> int:
         gains = uncovered.astype(np.float32) @ covers_t  # [pair, center, i]
         gains[~uncovered] = -1  # centers must be uncovered points
         pick = np.argmax(gains, axis=2)  # argmax ties break to smallest index
-        uncovered &= ~np.take_along_axis(covers, pick[:, :, None], axis=1)
+        uncovered &= ~covers[np.arange(len(covers))[:, None], pick]  # [pair, center, j]: pick's row
         before, left = left, np.count_nonzero(uncovered)
         if left == before:
             raise RuntimeError(f"greedy cover round {rounds} covered no point")

@@ -514,7 +514,9 @@ def molecule_projection(mu: Molecule, n: int) -> Molecule:
 
 
 def _projection_estimate(mu: Molecule, n: int) -> tuple[float, bool]:
-    """:func:`projection_bound` (summed in term order) and :func:`term_clamped`."""
+    """The duality transcription of the pointwise decay estimate at unit
+    constant, summed in term order, and whether the clamp onto the big cube
+    moves some support point."""
     level = GridLevel(n, mu.dim)
     support = SparseBatch.of(mu.support) if mu.kind == "l1" else mu.support
     bounds, clamped = _decay_estimates(support, _stack_points(support, level), level)
@@ -522,16 +524,6 @@ def _projection_estimate(mu: Molecule, n: int) -> tuple[float, bool]:
     for a, b in zip(mu.coefficients, bounds.tolist()):
         total += abs(a) * b
     return total, bool(clamped.any())
-
-
-def projection_bound(mu: Molecule, n: int) -> float:
-    """Duality transcription of the pointwise decay estimate, unit constant."""
-    return _projection_estimate(mu, n)[0]
-
-
-def term_clamped(mu: Molecule, n: int) -> bool:
-    """True when some support point is moved by the clamp onto the big cube."""
-    return _projection_estimate(mu, n)[1]
 
 
 @dataclass(frozen=True)

@@ -36,9 +36,6 @@ _WEIGHT_FAULT = False
 #: onto the cube.
 OUTSIDE_TOL = 1e-9
 
-#: Largest midpoint deviation that :func:`check_axis_affinity` passes.
-AFFINITY_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class TabulatedFunction:
@@ -221,28 +218,6 @@ def interpolate_recursive(data: VertexData, x) -> float:
     for ti in data.cube.barycentric(x):
         table = ti * table[1] + (1.0 - ti) * table[0]
     return float(table)
-
-
-@dataclass(frozen=True)
-class AffinityReport:
-    """Outcome of a midpoint-affinity scan along sampled segments."""
-
-    worst: float
-    segments: int
-    passed: bool
-
-
-def check_axis_affinity(data: VertexData, segments: Sequence[tuple[np.ndarray, np.ndarray]]) -> AffinityReport:
-    """Check midpoint affinity of the interpolant along given segments.
-
-    For each segment with endpoints ``a, b`` the deviation
-    ``|f(mid) - (f(a) + f(b)) / 2|`` is computed; axis-parallel segments must
-    pass, oblique ones are expected to fail (report only, never raises).
-    """
-    a, b = (np.array([seg[k] for seg in segments], dtype=float).reshape(-1, data.cube.dim) for k in (0, 1))
-    fa, fb, fm = (interpolate_batch(data, x) for x in (a, b, 0.5 * (a + b)))
-    worst = float(np.max(np.abs(fm - 0.5 * (fa + fb)), initial=0.0))
-    return AffinityReport(worst=worst, segments=len(segments), passed=worst <= AFFINITY_TOL)
 
 
 def sample_axis_segments(cube: Hypercube, count: int, rng: np.random.Generator):

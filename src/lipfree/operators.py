@@ -132,15 +132,6 @@ class LipFunction:
         return f"LipFunction({self.label or self.evaluator!r}{lip})"
 
 
-def lip_function(evaluator: Callable, declared_lip: float | None = None, *, dim: int | None = None,
-                 label: str = "") -> LipFunction:
-    """Wrap an evaluator, checking that it vanishes exactly at the origin."""
-    origin = FiniteSupportPoint.zero() if dim is None else np.zeros(dim)
-    if float(evaluator(origin)) != 0.0:
-        raise ValueError("evaluator must be exactly 0 at the origin")
-    return LipFunction(evaluator, declared_lip, label)
-
-
 def _unit_lip(label: str, on_sparse: Callable, on_coords: Callable) -> LipFunction:
     """A 1-Lipschitz builtin: ``on_sparse`` evaluates finitely supported
     sequences, ``on_coords`` coordinate vectors."""

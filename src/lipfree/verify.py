@@ -435,78 +435,79 @@ def _random_space(rng, k) -> extension.FinitePointedMetricSpace:
     return extension.FinitePointedMetricSpace.from_l1_points(pts)
 
 
+def _random_function(rng, space) -> interpolation.TabulatedFunction:
+    values = [float(rng.normal()) for _ in range(space.size)]
+    values[space.origin] = 0.0
+    return extension.space_function(space, values)
+
+
 def _suite_ext_partition(rng) -> SuiteResult:
+    """The weights of each chain prefix: nonnegative, zero on the prefix, summing to one off it."""
     worst = 0.0
     for scheme in extension.SCHEMES:
         for _ in range(5):
-            k = int(rng.integers(4, 12))
-            space = _random_space(rng, k)
-            size = int(rng.integers(1, k))
-            subset = sorted({space.origin} | set(map(int, rng.choice(k, size=size, replace=False))))
-            part = extension.build_partition(space, subset, scheme=scheme, p=1.0)
-            outside = [x for x in range(k) if x not in set(subset)]
-            if outside:
-                sums = part.weights[:, outside].sum(axis=0)
-                worst = max(worst, float(np.max(np.abs(sums - 1.0))))
-            worst = max(worst, max(0.0, -float(np.min(part.weights))))
+            space = _random_space(rng, int(rng.integers(4, 12)))
+            for subset in extension.farthest_point_chain(space):
+                sub = list(subset)
+                w, _ = extension._partition_weights(space.dist, sub, scheme, 1.0)
+                sums = np.delete(w, sub, axis=1).sum(axis=0)
+                worst = max(worst, float(np.max(np.abs(sums - 1.0), initial=0.0)),
+                            -float(np.min(w)), float(np.max(np.abs(w[:, sub]))))
     return SuiteResult("extension-partition", worst <= 1e-12, worst)
 
 
 def _suite_ext_operator(rng) -> SuiteResult:
+    """Every chain row: ``max_err <= (1 + lip_ratio) Lip(f) cov_radius``, and the full chain is exact."""
     worst = 0.0
-    k = 12
-    space = _random_space(rng, k)
-    values = [0.0] + [float(rng.normal()) for _ in range(k - 1)]
-    values[space.origin] = 0.0
-    f = extension.space_function(space, values)
+    space = _random_space(rng, 12)
+    f = _random_function(rng, space)
     lip_f = interpolation.lip_constant(f, space.dist)
-    for subset in extension.farthest_point_chain(space):
-        sf = extension.approximation_operator(f, extension.build_partition(space, subset))
-        for i in subset:
-            if sf.value_at(i) != f.value_at(i):
-                return SuiteResult("extension-operator", False, np.inf, "subset values moved")
-        err = max(abs(a - b) for a, b in zip(sf.values, f.values))
-        lip_sf = interpolation.lip_constant(sf, space.dist)
-        ratio = lip_sf / lip_f if lip_f else 0.0
-        cov = extension.covering_radius(space, subset)
-        bound = (1.0 + ratio) * lip_f * cov * (1 + 1e-9) + 1e-12
-        worst = max(worst, err - bound)
-        if len(subset) == space.size and err != 0.0:
-            return SuiteResult("extension-operator", False, err, "full chain not exact")
+    for scheme in extension.SCHEMES:
+        rows = extension.chain_table(space, f, scheme=scheme)
+        for row in rows:
+            bound = (1.0 + row.lip_ratio) * lip_f * row.cov_radius * (1 + 1e-9) + 1e-12
+            worst = max(worst, row.max_err - bound)
+        if rows[-1].max_err != 0.0:
+            return SuiteResult("extension-operator", False, rows[-1].max_err, "full chain not exact")
     return SuiteResult("extension-operator", worst <= 0.0, worst)
 
 
 def _suite_ext_lip_ratio(rng, cap: float = 10.0) -> SuiteResult:
+    """The largest Lipschitz inflation along the chain, over both schemes."""
     worst = 0.0
     for _ in range(4):
-        k = int(rng.integers(10, 40))
-        space = _random_space(rng, k)
-        values = [float(rng.normal()) for _ in range(k)]
-        values[space.origin] = 0.0
-        f = extension.space_function(space, values)
-        lip_f = interpolation.lip_constant(f, space.dist)
-        subset = sorted(
-            {space.origin} | set(map(int, rng.choice(k, size=k // 2, replace=False)))
-        )
-        sf = extension.approximation_operator(f, extension.build_partition(space, subset))
-        worst = max(worst, interpolation.lip_constant(sf, space.dist) / lip_f)
+        space = _random_space(rng, int(rng.integers(10, 40)))
+        f = _random_function(rng, space)
+        for scheme in extension.SCHEMES:
+            worst = max(worst, *(row.lip_ratio for row in extension.chain_table(space, f, scheme=scheme)))
     return SuiteResult("extension-lip-ratio", worst <= cap, worst, f"cap {cap}")
 
 
 def _suite_ext_scale_invariance(rng) -> SuiteResult:
+    """Row by row, the chain's gentleness is unchanged when the metric is scaled by 10."""
     worst = 0.0
-    k = 8
-    pts = rng.uniform(-2, 2, size=(k, 2))
+    base = extension.FinitePointedMetricSpace.from_l1_points(rng.uniform(-2, 2, size=(8, 2)))
+    scaled = extension.FinitePointedMetricSpace(labels=base.labels, dist=base.dist * 10.0, origin=base.origin)
     for scheme in extension.SCHEMES:
-        base = extension.FinitePointedMetricSpace.from_l1_points(pts)
-        scaled = extension.FinitePointedMetricSpace(
-            labels=base.labels, dist=base.dist * 10.0, origin=base.origin
-        )
-        subset = (base.origin, 1, 2)
-        k1 = extension.gentleness(extension.build_partition(base, subset, scheme, p=1.5)).k_hat
-        k2 = extension.gentleness(extension.build_partition(scaled, subset, scheme, p=1.5)).k_hat
-        worst = max(worst, abs(k1 - k2) / max(1.0, k1))
+        rows, again = (extension.chain_table(space, extension.space_function(space, space.dist[space.origin]),
+                                             scheme, p=1.5) for space in (base, scaled))
+        for a, b in zip(rows, again):
+            worst = max(worst, abs(a.k_hat - b.k_hat) / max(1.0, a.k_hat))
     return SuiteResult("extension-gentleness-scale", worst <= 1e-9, worst)
+
+
+def _suite_ext_multiplicity(rng) -> SuiteResult:
+    """On each chain prefix, ``inv-dist`` gives no point more than ``D**2`` anchors,
+    ``D`` the doubling estimate; reports the largest support over ``D**2``.  On
+    24 points of a line ``D**2`` is 16 or less, so the bound is not vacuous."""
+    worst = 0.0
+    for _ in range(3):
+        space = extension.FinitePointedMetricSpace.from_l1_points(rng.uniform(-3, 3, size=(24, 1)))
+        cap = extension.doubling_estimate(space) ** 2
+        for subset in extension.farthest_point_chain(space):
+            w, _ = extension._partition_weights(space.dist, list(subset), "inv-dist", 2.0)
+            worst = max(worst, int(np.count_nonzero(w > 0.0, axis=0).max()) / cap)
+    return SuiteResult("extension-multiplicity", worst <= 1.0, worst)
 
 
 def _suite_ext_doubling(rng) -> SuiteResult:
@@ -550,6 +551,7 @@ _SUITES = (
     ("extension-lip-ratio", _suite_ext_lip_ratio),
     ("extension-gentleness-scale", _suite_ext_scale_invariance),
     ("extension-doubling", _suite_ext_doubling),
+    ("extension-multiplicity", _suite_ext_multiplicity),
 )
 
 

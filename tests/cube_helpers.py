@@ -1,9 +1,14 @@
 """Views of cubes and corner data that only the tests use."""
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from lipfree.geometry import sign_vectors
-from lipfree.interpolation import TabulatedFunction, VertexData
+from lipfree.interpolation import TabulatedFunction, VertexData, interpolate_batch
+
+#: Largest midpoint deviation that :func:`check_axis_affinity` passes.
+AFFINITY_TOL = 1e-10
 
 
 def vertex_data(cube, mapping):
@@ -31,3 +36,24 @@ def cube_contains(cube, x):
     raises ValueError, as in the cube's own methods."""
     diff = np.abs(cube._points(x) - np.asarray(cube.center, dtype=float))
     return bool(np.max(diff) <= 0.5 * cube.edge)
+
+
+@dataclass(frozen=True)
+class AffinityReport:
+    """Outcome of a midpoint-affinity scan along sampled segments."""
+
+    worst: float
+    passed: bool
+
+
+def check_axis_affinity(data, segments):
+    """Check midpoint affinity of the interpolant along given segments.
+
+    For each segment with endpoints ``a, b`` the deviation
+    ``|f(mid) - (f(a) + f(b)) / 2|`` is computed; axis-parallel segments must
+    pass, oblique ones are expected to fail (report only, never raises).
+    """
+    a, b = (np.array([seg[k] for seg in segments], dtype=float).reshape(-1, data.cube.dim) for k in (0, 1))
+    fa, fb, fm = (interpolate_batch(data, x) for x in (a, b, 0.5 * (a + b)))
+    worst = float(np.max(np.abs(fm - 0.5 * (fa + fb)), initial=0.0))
+    return AffinityReport(worst=worst, passed=worst <= AFFINITY_TOL)

@@ -321,6 +321,42 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)["passed"] is False
 
+    @pytest.mark.parametrize("suite", ["extension-partition", "extension-operator", "extension-lip-ratio",
+                                       "extension-gentleness-scale", "extension-multiplicity"])
+    def test_an_injected_chain_fault_fails_the_extension_suite(self, capsys, monkeypatch, suite):
+        from dataclasses import replace
+
+        from lipfree import extension
+
+        weights, table, gentle = extension._partition_weights, extension.chain_table, extension._gentleness
+
+        def unnormalised(d, sub, scheme, p):
+            w, dx = weights(d, sub, scheme, p)
+            return w * 1.25, dx
+
+        def every_anchor(d, sub, scheme, p):
+            w, dx = weights(d, sub, scheme, p)
+            w[:, np.delete(np.arange(len(d)), sub)] = 1.0 / len(sub)
+            return w, dx
+
+        def scale_dependent(w, dx, den):
+            k_hat, best = gentle(w, dx, den)
+            return k_hat + float(np.max(dx)), best
+
+        fault = {
+            "extension-partition": ("_partition_weights", unnormalised),
+            "extension-operator": ("chain_table", lambda *args, **kwargs: [
+                replace(r, max_err=r.max_err + 1e3 * (r.cov_radius > 0)) for r in table(*args, **kwargs)]),
+            "extension-lip-ratio": ("chain_table", lambda *args, **kwargs: [
+                replace(r, lip_ratio=11.0) for r in table(*args, **kwargs)]),
+            "extension-gentleness-scale": ("_gentleness", scale_dependent),
+            "extension-multiplicity": ("_partition_weights", every_anchor),
+        }[suite]
+        monkeypatch.setattr(extension, *fault)
+        code, out, _ = run(capsys, ["verify", "--suite", suite])
+        assert code == 1
+        assert json.loads(out)["suites"][0]["passed"] is False
+
 
 class TestBap:
     def test_chain_rows_and_doubling_header(self, tmp_path, capsys):

@@ -33,6 +33,7 @@ from chain_oracles import (
     looped_farthest_point_chain,
     looped_gentleness,
     looped_partition_weights,
+    swept_doubling_estimate,
 )
 
 
@@ -522,7 +523,7 @@ class TestLoopOracles:
                 assert np.array_equal(part.weights,
                                       looped_partition_weights(space, subset, scheme, 1.5))
                 est = gentleness(part)
-                assert (est.k_hat, est.worst_pair) == looped_gentleness(part)
+                assert (est.k_hat, est.worst_pair) == looped_gentleness(space, subset, part.weights)
 
     @pytest.mark.parametrize("function", ["origin-distance", "random"])
     @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
@@ -599,6 +600,24 @@ def largest_inv_dist_support(space):
     """Most anchors with positive ``inv-dist`` weight at one point, over the chain's prefixes."""
     return max(int(np.count_nonzero(build_partition(space, subset).weights > 0.0, axis=0).max())
                for subset in farthest_point_chain(space))
+
+
+def slow_sweep_spaces(k):
+    """The two shapes whose doubling sweep is slowest at the space cap, at ``k``
+    points: a 16-d ``embed_l1`` space, and a metric with distances uniform in [1, 2]."""
+    high = FinitePointedMetricSpace.from_l1_points(np.random.default_rng(16).uniform(-4.0, 4.0, size=(k, 16)))
+    d = np.triu(np.random.default_rng(12).uniform(1.0, 2.0, size=(k, k)), 1)
+    return [high, FinitePointedMetricSpace(labels=tuple(range(k)), dist=d + d.T)]
+
+
+class TestSweptOracle:
+    def test_oracle_spaces(self):
+        for space in oracle_spaces():
+            assert doubling_estimate(space) == swept_doubling_estimate(space)
+
+    def test_benchmark_pool_and_slow_shapes(self, tmp_path):
+        for space in bap_pool_spaces(201, tmp_path) + slow_sweep_spaces(30):
+            assert doubling_estimate(space) == swept_doubling_estimate(space)
 
 
 class TestMultiplicity:

@@ -9,6 +9,7 @@ from lipfree.freespace import (
     Molecule,
     NormCertificate,
     _distance_matrix,
+    _projection_estimate,
     check_certificate,
     decomposition_report,
     free_norm,
@@ -16,8 +17,6 @@ from lipfree.freespace import (
     molecule_projection,
     molecules_close,
     pairing,
-    projection_bound,
-    term_clamped,
     transport_norm,
 )
 from lipfree.geometry import FiniteSupportPoint
@@ -241,7 +240,7 @@ class TestDecompositionReport:
 
     def test_bound_column_matches_formula(self):
         mu = Molecule.on_l1([(sparse([(1, 0.4), (3, 0.2)]), 2.0)])
-        assert projection_bound(mu, 2) == pytest.approx(2.0 * 2.0 * (0.2 + 2 * 0.5))
+        assert _projection_estimate(mu, 2)[0] == pytest.approx(2.0 * 2.0 * (0.2 + 2 * 0.5))
 
     def test_bound_and_clamp_are_the_unit_constant_convergence_columns(self):
         rng = np.random.default_rng(233)
@@ -252,8 +251,7 @@ class TestDecompositionReport:
                 total = 0.0
                 for a, b in zip(mu.coefficients, checks.bound.tolist()):
                     total += abs(a) * b
-                assert projection_bound(mu, n) == total
-                assert term_clamped(mu, n) == bool(checks.clamped.any())
+                assert _projection_estimate(mu, n) == (total, bool(checks.clamped.any()))
 
 
 class TestNormSize:

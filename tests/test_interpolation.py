@@ -7,7 +7,6 @@ from lipfree.geometry import FiniteSupportPoint, Hypercube, l1_distance, sign_ve
 from lipfree.interpolation import (
     TabulatedFunction,
     VertexData,
-    check_axis_affinity,
     interpolate,
     interpolate_batch,
     interpolate_recursive,
@@ -16,7 +15,7 @@ from lipfree.interpolation import (
     sample_axis_segments,
 )
 
-from cube_helpers import vertex_data, vertex_restriction
+from cube_helpers import check_axis_affinity, vertex_data, vertex_restriction
 
 
 def dyadic_cube(rng, dim):

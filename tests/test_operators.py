@@ -23,7 +23,6 @@ from lipfree.operators import (
     convergence_checks,
     coordinate_function,
     l1_norm_function,
-    lip_function,
     lip_projection,
     max_coordinate_function,
     mcshane_extension,
@@ -236,10 +235,6 @@ class TestFunctionFactories:
         for f in (coordinate_function(3), l1_norm_function(), max_coordinate_function()):
             assert f(zero_seq) == 0.0
             assert f(np.zeros(4)) == 0.0
-
-    def test_lip_function_rejects_nonvanishing_evaluator(self):
-        with pytest.raises(ValueError):
-            lip_function(lambda x: 1.0, dim=2)
 
     def test_declared_bound_is_respected_on_samples(self):
         rng = np.random.default_rng(10)
