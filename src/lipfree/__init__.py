@@ -2,8 +2,10 @@
 
 Modules:
 
-* :mod:`lipfree.geometry` - dyadic hypercube tilings, clamps, sparse l1 points
-* :mod:`lipfree.interpolation` - multilinear corner interpolation on cubes
+* :mod:`lipfree.geometry` - dyadic tilings named by int64 lattice keys, sparse
+  l1 points and their batch layout
+* :mod:`lipfree.interpolation` - tensor-product corner weights, the recursive
+  interpolation oracle, exact Lipschitz constants of tabulated data
 * :mod:`lipfree.operators` - finite-rank projections of Lipschitz functions
 * :mod:`lipfree.freespace` - molecules, exact norms (relay pruning plus one
   HiGHS solve per batch), grid projections
@@ -46,21 +48,15 @@ from .geometry import (
     FiniteSupportPoint,
     GridCell,
     Hypercube,
-    clamp_to_cube,
     embed_finite,
     l1_distance,
     locate_cube,
     sign_vectors,
-    tiling_vertex_count,
-    tiling_vertices,
 )
 from .interpolation import (
     TabulatedFunction,
     VertexData,
-    interpolate,
-    interpolate_batch,
     interpolate_recursive,
-    interpolation_weights,
     lip_constant,
 )
 from .operators import (

@@ -33,9 +33,6 @@ MAX_LEVEL = 20
 #: Largest ambient dimension for tilings (a cell has 2**dim corners).
 MAX_DIM = 16
 
-#: Ceiling on the number of points :func:`tiling_vertices` will build.
-VERTEX_LIMIT = 4_000_000
-
 #: How far (relative to the big cube's half-edge) :func:`locate_cube` accepts
 #: a point outside the big cube.
 LOCATE_TOL = 1e-9
@@ -90,14 +87,6 @@ class Hypercube:
     def dim(self) -> int:
         return len(self.center)
 
-    def vertex(self, delta: tuple[int, ...]) -> np.ndarray:
-        """The corner ``center + (edge / 2) * delta``."""
-        if len(delta) != self.dim:
-            raise ValueError(f"sign vector length {len(delta)} != dimension {self.dim}")
-        if any(s not in (-1, 1) for s in delta):
-            raise ValueError(f"sign vector entries must be -1 or +1, got {tuple(delta)}")
-        return np.asarray(self.center, dtype=float) + 0.5 * self.edge * np.asarray(delta, dtype=float)
-
     def vertices(self) -> np.ndarray:
         """All 2**dim corners, rows aligned with :func:`sign_vectors`."""
         c = np.asarray(self.center, dtype=float)
@@ -116,18 +105,6 @@ class Hypercube:
         """Per-axis offsets of ``x`` from the low corner, scaled to [0, 1]."""
         c = np.asarray(self.center, dtype=float)
         return (self._points(x) - c + 0.5 * self.edge) / self.edge
-
-
-def clamp_to_cube(x, edge: float) -> np.ndarray:
-    """Coordinatewise clamp onto the origin-centered cube of the given edge.
-
-    The nearest-point retraction onto the cube; 1-Lipschitz in l1 and exact
-    (pure comparisons, no rounding).
-    """
-    if not (edge > 0):
-        raise ValueError("edge must be positive")
-    half = 0.5 * edge
-    return np.clip(np.asarray(x, dtype=float), -half, half)
 
 
 def _check_level(level: int) -> None:
@@ -206,31 +183,6 @@ def locate_cube(u, level: int) -> GridCell:
     if np.max(np.abs(u)) > half * (1.0 + LOCATE_TOL) + LOCATE_TOL:
         raise ValueError(f"point {u.tolist()} lies outside the level-{level} cube of half-edge {half}")
     return GridCell(key=tuple(cell_low_corners(u, level)[0].tolist()), level=level)
-
-
-def tiling_vertex_count(level: int, dim: int) -> int:
-    """Exact cardinality of the level-n vertex grid: ``(2**(2n-1) + 1)**dim``."""
-    _check_level(level)
-    if not (1 <= dim <= MAX_DIM):
-        raise ValueError(f"dimension must be in 1..{MAX_DIM}, got {dim}")
-    return ((1 << (2 * level - 1)) + 1) ** dim
-
-
-def tiling_vertices(level: int, dim: int) -> np.ndarray:
-    """The full vertex grid of the level-n tiling as a (count, dim) array.
-
-    This is the uniform grid of spacing ``2**(1-n)`` on the big cube
-    ``[-2**(n-1), 2**(n-1)]**dim``: every lattice key, last axis fastest.
-    Raises with the computed cardinality when it would exceed
-    :data:`VERTEX_LIMIT`.
-    """
-    count = tiling_vertex_count(level, dim)
-    if count > VERTEX_LIMIT:
-        raise ValueError(
-            f"vertex grid for level={level}, dim={dim} has {count} points, exceeding the limit {VERTEX_LIMIT}"
-        )
-    per_axis = (1 << (2 * level - 1)) + 1
-    return lattice_coords(np.indices((per_axis,) * dim).reshape(dim, -1).T, level)
 
 
 @dataclass(frozen=True, order=True)

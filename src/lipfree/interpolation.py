@@ -1,20 +1,22 @@
-"""Multilinear interpolation of vertex data on hypercubes.
+"""Multilinear interpolation of corner data on dyadic cells.
 
-An assignment of one real value per corner of a cube extends to a unique
-function on the cube that is affine along every axis-parallel segment.  The
-extension is computed here through the tensor-product barycentric weights
+An assignment of one real value per corner of a cell extends to a unique
+function on the cell that is affine along every axis-parallel segment: the
+blend with the tensor-product weights
 
-    w_delta(x) = prod_i (t_i if delta_i = +1 else 1 - t_i),
-    t_i = (x_i - c_i + edge/2) / edge,
+    w_delta(t) = prod_i (t_i if delta_i = +1 else 1 - t_i),
 
-which reproduce the corner values exactly (the weights are exact 0/1 products
-at corners) and form a convex combination everywhere inside.  The staged
-one-axis-at-a-time blend that defines the same function is kept as
-:func:`interpolate_recursive` purely as a cross-check oracle.
+``t`` the per-axis offsets of the point in the cell, scaled to [0, 1].  The
+weights are exact 0/1 products at corners, so corner values are reproduced,
+and they form a convex combination everywhere inside.  They are computed by
+:func:`weights_from_offsets`, which :func:`lipfree.operators.cell_weights`
+runs on int64 lattice keys; the staged one-axis-at-a-time blend that defines
+the same function is kept as :func:`interpolate_recursive`, an oracle only.
 
 The central fact used throughout the package: under the l1 norm the Lipschitz
-constant of the extension equals the Lipschitz constant of its corner
-restriction, so blending never inflates Lipschitz bounds.
+constant of the blend equals the Lipschitz constant of its corner data, so
+blending never inflates Lipschitz bounds.  :func:`lip_constant` and
+:func:`max_quotient` give exact constants of tabulated data.
 """
 
 from __future__ import annotations
@@ -30,11 +32,6 @@ from .geometry import MAX_MAGNITUDE, Hypercube, check_magnitude, l1_distances, s
 # Test-build fault injection: when set, interpolation weights are corrupted
 # (left unnormalized) so that negative-control checks can observe a failure.
 _WEIGHT_FAULT = False
-
-#: How far outside its cube, relative to the edge, a point may lie for
-#: :func:`interpolate_batch` and its one-row views; such points are clipped
-#: onto the cube.
-OUTSIDE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -138,17 +135,6 @@ class VertexData:
     def from_function(cls, cube: Hypercube, fn: Callable) -> "VertexData":
         return cls(cube=cube, values=tuple(float(fn(v)) for v in cube.vertices()))
 
-    def corner_lip(self) -> float:
-        """Lipschitz constant of the corner restriction under l1.
-
-        Corner pairs differing in ``m`` signs are at l1 distance ``m * edge``.
-        """
-        signs = sign_matrix(self.cube.dim)
-        i, j = np.triu_indices(len(signs), 1)
-        ham = np.count_nonzero(signs[i] != signs[j], axis=1)
-        vals = np.asarray(self.values)
-        return float(np.max(np.abs(vals[i] - vals[j]) / (ham * self.cube.edge), initial=0.0))
-
 
 def weights_from_offsets(t: np.ndarray) -> np.ndarray:
     """Tensor-product weights from per-axis offsets ``t`` in [0, 1].
@@ -166,72 +152,15 @@ def weights_from_offsets(t: np.ndarray) -> np.ndarray:
     return w
 
 
-def _weights(cube: Hypercube, xs) -> np.ndarray:
-    """Rows of :func:`weights_from_offsets` at the :meth:`Hypercube.barycentric`
-    offsets of the rows of ``xs``."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    if xs.ndim != 2 or xs.shape[1] != cube.dim:
-        raise ValueError(f"expected points of dimension {cube.dim}, got shape {xs.shape}")
-    t = cube.barycentric(xs)
-    outside = np.flatnonzero(~((t >= -OUTSIDE_TOL) & (t <= 1.0 + OUTSIDE_TOL)).all(axis=1))
-    if outside.size:  # NaN offsets fail both comparisons
-        raise ValueError(f"point {outside[0]} {xs[outside[0]].tolist()} lies outside cube {cube}")
-    return weights_from_offsets(np.clip(t, 0.0, 1.0))
-
-
-def interpolation_weights(cube: Hypercube, x) -> np.ndarray:
-    """Barycentric corner weights of ``x`` in ``cube``: the one row of the
-    weights :func:`interpolate_batch` takes.
-
-    Returns the (2**dim,) weight vector aligned with :func:`sign_vectors`.
-    """
-    return _weights(cube, [x])[0]
-
-
-def interpolate(data: VertexData, x) -> float:
-    """Value at ``x`` of the axis-affine extension of the corner data: the
-    one row of :func:`interpolate_batch`."""
-    return float(interpolate_batch(data, [x])[0])
-
-
-def interpolate_batch(data: VertexData, xs) -> np.ndarray:
-    """Values of the axis-affine extension at the rows of ``xs``.
-
-    Raises on rows of the wrong dimension, and, naming the first such point
-    and the cube, when a point lies outside the cube beyond
-    :data:`OUTSIDE_TOL` or has a non-finite coordinate; tiny excursions are
-    clipped so weights stay in the simplex.
-    Each row is summed on its own, so a row's value does not depend on the
-    rest of the batch.
-    """
-    return (_weights(data.cube, xs) * np.asarray(data.values)).sum(axis=1)
-
-
 def interpolate_recursive(data: VertexData, x) -> float:
     """Oracle: the staged one-axis-at-a-time blend collapsing axis 1 first.
 
-    Kept only for cross-checking :func:`interpolate`; both compute the same
-    function.  The corner values, in :func:`sign_vectors` order, form a
-    ``(2,) * dim`` table whose index 0 on an axis is the sign -1.
+    Kept only for cross-checking :func:`lipfree.operators.cell_weights`;
+    both compute the same function.  The corner values, in
+    :func:`sign_vectors` order, form a ``(2,) * dim`` table whose index 0 on
+    an axis is the sign -1.
     """
     table = np.asarray(data.values).reshape((2,) * data.cube.dim)
     for ti in data.cube.barycentric(x):
         table = ti * table[1] + (1.0 - ti) * table[0]
     return float(table)
-
-
-def sample_axis_segments(cube: Hypercube, count: int, rng: np.random.Generator):
-    """Random axis-parallel segments inside the cube."""
-    segments = []
-    c = np.asarray(cube.center)
-    half = 0.5 * cube.edge
-    for _ in range(count):
-        axis = int(rng.integers(cube.dim))
-        base = c + rng.uniform(-half, half, size=cube.dim)
-        lo, hi = np.sort(rng.uniform(-half, half, size=2))
-        a = base.copy()
-        b = base.copy()
-        a[axis] = c[axis] + lo
-        b[axis] = c[axis] + hi
-        segments.append((a, b))
-    return segments

@@ -203,8 +203,9 @@ def tabulated_lip_function(f: TabulatedFunction) -> LipFunction:
 def _random_sparse(rng: np.random.Generator, spread: float = 2.0, max_index: int = 6) -> FiniteSupportPoint:
     """A random point with 1 to 3 nonzero coordinates at distinct indices in
     ``1 .. max_index``, each uniform in ``[-spread, spread]``."""
-    idx = rng.choice(np.arange(1, max_index + 1), size=int(rng.integers(1, 4)), replace=False)
-    return FiniteSupportPoint.from_pairs((int(i), float(rng.uniform(-spread, spread))) for i in idx)
+    idx = rng.choice(max_index, size=int(rng.integers(1, 4)), replace=False) + 1
+    # one array draw gives the numbers of one scalar draw per index, in order
+    return FiniteSupportPoint.from_pairs(zip(idx.tolist(), rng.uniform(-spread, spread, size=len(idx)).tolist()))
 
 
 def random_lattice_function(rng: np.random.Generator, *, dim: int | None = None,

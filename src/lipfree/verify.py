@@ -51,33 +51,47 @@ class VerificationReport:
         }
 
 
-def _random_cube(rng, dim) -> geometry.Hypercube:
-    # Dyadic center and edge, as in the tilings: corner coordinates then stay
-    # exact and corner values are reproduced without rounding.
-    center = tuple(float(v) * 2.0**-8 for v in rng.integers(-768, 769, size=dim))
-    return geometry.Hypercube(center=center, edge=float(rng.integers(128, 1025)) * 2.0**-8)
+def _random_cell(rng, dim):
+    """A random cell of a random level ``n`` in 1..3, by the key of its low
+    corner, and random corner values as a ``(2,) * dim`` table indexed by a
+    corner's key offset from that low corner."""
+    n = int(rng.integers(1, 4))
+    return n, rng.integers(0, 1 << (2 * n - 1), size=dim), rng.normal(size=(2,) * dim)
 
 
-def _random_vertex_data(rng, dim) -> interpolation.VertexData:
-    cube = _random_cube(rng, dim)
-    return interpolation.VertexData(cube=cube, values=tuple(rng.normal(size=2**dim)))
+def _corner_offsets(dim: int) -> np.ndarray:
+    """The key offsets ``{0, 1}**dim`` of a cell's corners as rows, in the
+    order of :func:`lipfree.geometry.sign_vectors`."""
+    return np.indices((2,) * dim).reshape(dim, -1).T
 
 
-def _point_in(rng, cube, count=None):
-    """A point uniform in ``cube``, or ``count`` of them as rows of one draw."""
-    c = np.asarray(cube.center)
-    return c + rng.uniform(-0.5, 0.5, size=cube.dim if count is None else (count, cube.dim)) * cube.edge
+def _points_in(rng, n, low, count) -> np.ndarray:
+    """``count`` points uniform in the level-n cell with low-corner key ``low``."""
+    return geometry.lattice_coords(low, n) + rng.uniform(0.0, 2.0 ** (1 - n), size=(count, len(low)))
+
+
+def _blend(xs, n, low, table) -> np.ndarray:
+    """Values at the rows ``xs`` that the level-n
+    :func:`lipfree.operators.cell_weights` blend from the corner values
+    ``table`` of the cell with low-corner key ``low``."""
+    rows, keys, w = operators.cell_weights(xs, operators.GridLevel(n, dim=len(low)))
+    return np.bincount(rows, weights=w * table[tuple((keys - low).T)], minlength=len(xs))
 
 
 def _suite_geometry_retraction(rng) -> SuiteResult:
+    """Points beyond the big cube get, bit for bit, the corner weights of their
+    coordinatewise clamp, and the clamp is idempotent and 1-Lipschitz in l1."""
     worst = 0.0
-    xs = rng.uniform(-8, 8, size=(10_000, 3))
-    ys = rng.uniform(-8, 8, size=(10_000, 3))
-    for edge in (1.0, 2.5, 8.0):
-        px = geometry.clamp_to_cube(xs, edge)
-        py = geometry.clamp_to_cube(ys, edge)
-        if not np.array_equal(geometry.clamp_to_cube(px, edge), px):
+    xs = rng.uniform(-8, 8, size=(2_000, 3))
+    ys = rng.uniform(-8, 8, size=(2_000, 3))
+    for n in (1, 2, 3):
+        half = 2.0 ** (n - 1)
+        px, py = np.clip(xs, -half, half), np.clip(ys, -half, half)
+        if not np.array_equal(np.clip(px, -half, half), px):
             return SuiteResult("geometry-retraction", False, np.inf, "clamp not idempotent")
+        level = operators.GridLevel(n, dim=3)
+        if not all(map(np.array_equal, operators.cell_weights(xs, level), operators.cell_weights(px, level))):
+            return SuiteResult("geometry-retraction", False, np.inf, f"weights beyond the level-{n} cube")
         lhs = np.abs(px - py).sum(axis=1)
         rhs = np.abs(xs - ys).sum(axis=1)
         worst = max(worst, float(np.max(lhs - rhs)))
@@ -92,7 +106,7 @@ def _tiling_cells(n: int, dim: int) -> np.ndarray:
     and centre ``2**(-k-1) eps + 2**(-k) (eps_1 h_1, ..., eps_d h_d)``.  The
     enumeration shares no arithmetic with the lattice keys of
     :mod:`lipfree.geometry`, so it checks :func:`lipfree.geometry.locate_cube`
-    and :func:`lipfree.geometry.tiling_vertices` independently.
+    and :func:`lipfree.geometry.cell_low_corners` independently.
     """
     per_axis = 1 << (2 * n - 2)
     h = np.tile(np.indices((per_axis,) * dim).reshape(dim, -1).T, (2**dim, 1))
@@ -118,95 +132,86 @@ def _suite_geometry_locate(rng) -> SuiteResult:
     return SuiteResult("geometry-locate", True, 0.0)
 
 
-def _unique_rows(a: np.ndarray) -> np.ndarray:
-    """Distinct rows in lexicographic order (faster than ``np.unique(axis=0)``)."""
-    a = a[np.lexsort(a.T[::-1])]
-    return a[np.r_[True, np.any(a[1:] != a[:-1], axis=1)]]
-
-
 def _suite_geometry_vertex_count(rng) -> SuiteResult:
+    """Every cell's corner keys, its low-corner key plus ``{0, 1}**dim``, are
+    the paper's corners, and they make ``(2**(2n-1) + 1)**dim`` vertices."""
     for n in (1, 2, 3):
         for dim in (1, 2, 3):
-            grid = geometry.tiling_vertices(n, dim)
-            expected = geometry.tiling_vertex_count(n, dim)
             centers = _tiling_cells(n, dim)
-            corners = centers[:, None, :] + 2.0 ** (-n) * np.array(geometry.sign_vectors(dim))
-            union = _unique_rows(corners.reshape(-1, dim))
-            if len(grid) != expected or not np.array_equal(_unique_rows(grid), union):
-                return SuiteResult(
-                    "geometry-vertex-count", False, np.inf, f"level {n} dim {dim}"
-                )
+            # the name cell_weights calls, so that a fault there shows here
+            keys = operators.cell_low_corners(centers, n)[:, None, :] + _corner_offsets(dim)
+            corners = centers[:, None, :] + 2.0 ** (-n) * geometry.sign_matrix(dim)
+            if not np.array_equal(geometry.lattice_coords(keys, n), corners):
+                return SuiteResult("geometry-vertex-count", False, np.inf, f"corners at level {n} dim {dim}")
+            per_axis = (1 << (2 * n - 1)) + 1
+            if len(np.unique(np.ravel_multi_index(keys.reshape(-1, dim).T, (per_axis,) * dim))) != per_axis**dim:
+                return SuiteResult("geometry-vertex-count", False, np.inf, f"vertex count at level {n} dim {dim}")
     return SuiteResult("geometry-vertex-count", True, 0.0)
 
 
 def _suite_interp_weight_simplex(rng) -> SuiteResult:
+    """Weights are nonnegative and sum to one, are ``2**-dim`` at a cell's
+    centre, and reproduce the corner values exactly."""
     worst = 0.0
     for _ in range(60):
         dim = int(rng.integers(1, 5))
-        data = _random_vertex_data(rng, dim)
-        x = _point_in(rng, data.cube)
-        w = interpolation.interpolation_weights(data.cube, x)
-        worst = max(worst, abs(float(np.sum(w)) - 1.0), max(0.0, float(-np.min(w))))
-        # corners reproduce exactly
-        for pos, delta in enumerate(geometry.sign_vectors(dim)):
-            if pos % max(1, 2 ** (dim - 1)) == 0:
-                val = interpolation.interpolate(data, data.cube.vertex(delta))
-                if val != data.values[pos]:
-                    return SuiteResult(
-                        "interp-weight-simplex", False, np.inf, "corner value not reproduced"
-                    )
-        wc = interpolation.interpolation_weights(data.cube, np.asarray(data.cube.center))
-        worst = max(worst, float(np.max(np.abs(wc - 2.0 ** (-dim)))))
+        n, low, table = _random_cell(rng, dim)
+        xs = np.vstack([_points_in(rng, n, low, 1), geometry.lattice_coords(low, n) + 2.0 ** -n])  # and the centre
+        rows, _, w = operators.cell_weights(xs, operators.GridLevel(n, dim))
+        sums = np.bincount(rows, weights=w)
+        worst = max(worst, float(np.max(np.abs(sums - 1.0))), max(0.0, float(-np.min(w))),
+                    float(np.max(np.abs(w[rows == 1] - 2.0 ** -dim))))
+        corners = geometry.lattice_coords(low + _corner_offsets(dim), n)
+        if not np.array_equal(_blend(corners, n, low, table), table.ravel()):
+            return SuiteResult("interp-weight-simplex", False, np.inf, "corner value not reproduced")
     return SuiteResult("interp-weight-simplex", worst <= 1e-12, worst)
 
 
 def _suite_interp_recursion(rng) -> SuiteResult:
+    """The weights' blend equals the staged one-axis-at-a-time oracle."""
     worst = 0.0
     for _ in range(100):
-        dim = int(rng.integers(1, 4))
-        data = _random_vertex_data(rng, dim)
-        x = _point_in(rng, data.cube)
-        a = interpolation.interpolate(data, x)
-        b = interpolation.interpolate_recursive(data, x)
-        worst = max(worst, abs(a - b))
+        dim = int(rng.integers(1, 5))
+        n, low, table = _random_cell(rng, dim)
+        cube = geometry.GridCell(key=tuple(low.tolist()), level=n).cube()
+        data = interpolation.VertexData(cube=cube, values=tuple(table.ravel()))
+        xs = _points_in(rng, n, low, 3)
+        worst = max(worst, *(abs(a - interpolation.interpolate_recursive(data, x))
+                             for a, x in zip(_blend(xs, n, low, table), xs)))
     return SuiteResult("interp-recursion-equivalence", worst <= 1e-12, worst)
 
 
 def _suite_interp_lip_constant(rng) -> SuiteResult:
+    """The blend is Lipschitz in l1 with its corner data's constant, and
+    attains it at the corners."""
     worst = 0.0
-    for dim in (1, 2, 3):
+    for dim in (1, 2, 3, 4):
+        i, j = np.triu_indices(2**dim, 1)
         for _ in range(10):
-            data = _random_vertex_data(rng, dim)
-            corner_lip = data.corner_lip()
-            xs = _point_in(rng, data.cube, 1500)
-            ys = _point_in(rng, data.cube, 1500)
-            fx = interpolation.interpolate_batch(data, xs)
-            fy = interpolation.interpolate_batch(data, ys)
-            gaps = np.abs(fx - fy) - corner_lip * np.abs(xs - ys).sum(axis=1) * (1 + 1e-9)
+            n, low, table = _random_cell(rng, dim)
+            verts = geometry.lattice_coords(low + _corner_offsets(dim), n)
+            dist = np.abs(verts[i] - verts[j]).sum(axis=1)
+            vals = table.ravel()
+            lip = float(np.max(np.abs(vals[i] - vals[j]) / dist))
+            xs, ys = _points_in(rng, n, low, 1200).reshape(2, 600, dim)
+            fx, fy, at = np.split(_blend(np.vstack([xs, ys, verts]), n, low, table), [600, 1200])
+            gaps = np.abs(fx - fy) - lip * np.abs(xs - ys).sum(axis=1) * (1 + 1e-9)
             worst = max(worst, float(np.max(gaps)))
-            verts = data.cube.vertices()
-            vals = interpolation.interpolate_batch(data, verts)
-            i, j = np.triu_indices(len(verts), 1)
-            best = float(np.max(np.abs(vals[i] - vals[j]) / np.abs(verts[i] - verts[j]).sum(axis=1)))
-            worst = max(worst, abs(best - corner_lip))
+            worst = max(worst, abs(float(np.max(np.abs(at[i] - at[j]) / dist)) - lip))
     return SuiteResult("interp-lip-constant", worst <= 1e-9, worst)
 
 
 def _suite_interp_linearity(rng) -> SuiteResult:
     worst = 0.0
     for _ in range(40):
-        dim = int(rng.integers(1, 4))
-        cube = _random_cube(rng, dim)
-        f = interpolation.VertexData(cube=cube, values=tuple(rng.normal(size=2**dim)))
-        g = interpolation.VertexData(cube=cube, values=tuple(rng.normal(size=2**dim)))
+        dim = int(rng.integers(1, 5))
+        n, low, f = _random_cell(rng, dim)
+        g = rng.normal(size=f.shape)
         a, b = rng.normal(size=2)
-        combo = interpolation.VertexData(
-            cube=cube, values=tuple(a * u + b * v for u, v in zip(f.values, g.values))
-        )
-        x = _point_in(rng, cube)
-        lhs = interpolation.interpolate(combo, x)
-        rhs = a * interpolation.interpolate(f, x) + b * interpolation.interpolate(g, x)
-        worst = max(worst, abs(lhs - rhs))
+        xs = _points_in(rng, n, low, 3)
+        lhs = _blend(xs, n, low, a * f + b * g)
+        rhs = a * _blend(xs, n, low, f) + b * _blend(xs, n, low, g)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return SuiteResult("interp-linearity", worst <= 1e-12, worst)
 
 
@@ -311,10 +316,13 @@ def _suite_op_boundary_affinity(rng) -> SuiteResult:
             # cells beyond or touching the level-1 big cube [-1, 1]^2
             ix = int(rng.integers(0, 3))
             low = np.array([1.0 + ix * s, float(rng.integers(-2, 2)) * s])
-            cube = geometry.Hypercube(center=tuple(low + s / 2), edge=s)
-            for a, b in interpolation.sample_axis_segments(cube, 12, rng):
-                va, vb, vm = operators.project_values(g, [a, b, 0.5 * (a + b)], level)
-                worst = max(worst, abs(vm - 0.5 * (va + vb)))
+            # 12 axis-parallel segments a -> b in the cell
+            a = low + rng.uniform(0.0, s, size=(12, 2))
+            b = a.copy()
+            axis = rng.integers(2, size=12)
+            b[np.arange(12), axis] = low[axis] + rng.uniform(0.0, s, size=12)
+            va, vb, vm = operators.project_values(g, np.vstack([a, b, 0.5 * (a + b)]), level).reshape(3, 12)
+            worst = max(worst, float(np.max(np.abs(vm - 0.5 * (va + vb)))))
     return SuiteResult("operators-boundary-affinity", worst <= 1e-10, worst)
 
 
@@ -457,7 +465,10 @@ def _suite_ext_partition(rng) -> SuiteResult:
 
 
 def _suite_ext_operator(rng) -> SuiteResult:
-    """Every chain row: ``max_err <= (1 + lip_ratio) Lip(f) cov_radius``, and the full chain is exact."""
+    """Every chain row: ``max_err <= (1 + lip_ratio) Lip(f) cov_radius``, and the full chain is exact.
+
+    Reports the largest ``max_err`` over that bound among rows of positive
+    covering radius, so the margin shows."""
     worst = 0.0
     space = _random_space(rng, 12)
     f = _random_function(rng, space)
@@ -465,11 +476,12 @@ def _suite_ext_operator(rng) -> SuiteResult:
     for scheme in extension.SCHEMES:
         rows = extension.chain_table(space, f, scheme=scheme)
         for row in rows:
-            bound = (1.0 + row.lip_ratio) * lip_f * row.cov_radius * (1 + 1e-9) + 1e-12
-            worst = max(worst, row.max_err - bound)
+            if row.cov_radius > 0.0:
+                bound = (1.0 + row.lip_ratio) * lip_f * row.cov_radius * (1 + 1e-9) + 1e-12
+                worst = max(worst, row.max_err / bound)
         if rows[-1].max_err != 0.0:
             return SuiteResult("extension-operator", False, rows[-1].max_err, "full chain not exact")
-    return SuiteResult("extension-operator", worst <= 0.0, worst)
+    return SuiteResult("extension-operator", worst <= 1.0, worst)
 
 
 def _suite_ext_lip_ratio(rng, cap: float = 10.0) -> SuiteResult:

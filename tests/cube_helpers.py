@@ -1,11 +1,13 @@
 """Views of cubes and corner data that only the tests use."""
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from lipfree.geometry import sign_vectors
-from lipfree.interpolation import TabulatedFunction, VertexData, interpolate_batch
+from lipfree.geometry import GridCell, sign_vectors
+from lipfree.interpolation import TabulatedFunction, VertexData
+from lipfree.operators import GridLevel, project_values
 
 #: Largest midpoint deviation that :func:`check_axis_affinity` passes.
 AFFINITY_TOL = 1e-10
@@ -38,6 +40,45 @@ def cube_contains(cube, x):
     return bool(np.max(diff) <= 0.5 * cube.edge)
 
 
+def lattice_cube(rng, dim):
+    """A random cell of a random level in 1..3, as a cube."""
+    level = int(rng.integers(1, 4))
+    key = tuple(int(k) for k in rng.integers(0, 1 << (2 * level - 1), size=dim))
+    return GridCell(key=key, level=level).cube()
+
+
+def cell_level(cube):
+    """The grid level, in the cube's dimension, whose cells have the cube's edge."""
+    return GridLevel(1 - int(np.log2(cube.edge)), dim=cube.dim)
+
+
+def cell_interpolant(data, xs):
+    """Values at the rows ``xs`` of the interpolant of corner data on a cell of
+    the tiling, computed as ``project`` computes them: by
+    :func:`lipfree.operators.project_values`, of a function that reads each
+    weighted corner's value off ``data`` by the corner's side of the centre
+    on every axis."""
+    cube = data.cube
+    place = 2 ** np.arange(cube.dim)[::-1]  # sign_vectors order: the first axis slowest
+    values = np.asarray(data.values)
+    corners = SimpleNamespace(eval_many=lambda rows: values[(np.asarray(rows) > np.asarray(cube.center)) @ place])
+    return project_values(corners, np.asarray(xs, dtype=float).reshape(-1, cube.dim), cell_level(cube))
+
+
+def axis_segments(cube, count, rng):
+    """``count`` random axis-parallel segments inside the cube, as ``(a, b)`` pairs."""
+    segments = []
+    c = np.asarray(cube.center)
+    half = 0.5 * cube.edge
+    for _ in range(count):
+        axis = int(rng.integers(cube.dim))
+        a = c + rng.uniform(-half, half, size=cube.dim)
+        b = a.copy()
+        a[axis], b[axis] = c[axis] + np.sort(rng.uniform(-half, half, size=2))
+        segments.append((a, b))
+    return segments
+
+
 @dataclass(frozen=True)
 class AffinityReport:
     """Outcome of a midpoint-affinity scan along sampled segments."""
@@ -50,10 +91,11 @@ def check_axis_affinity(data, segments):
     """Check midpoint affinity of the interpolant along given segments.
 
     For each segment with endpoints ``a, b`` the deviation
-    ``|f(mid) - (f(a) + f(b)) / 2|`` is computed; axis-parallel segments must
-    pass, oblique ones are expected to fail (report only, never raises).
+    ``|f(mid) - (f(a) + f(b)) / 2|`` of :func:`cell_interpolant` is computed;
+    axis-parallel segments must pass, oblique ones are expected to fail
+    (report only, never raises).
     """
     a, b = (np.array([seg[k] for seg in segments], dtype=float).reshape(-1, data.cube.dim) for k in (0, 1))
-    fa, fb, fm = (interpolate_batch(data, x) for x in (a, b, 0.5 * (a + b)))
+    fa, fb, fm = (cell_interpolant(data, x) for x in (a, b, 0.5 * (a + b)))
     worst = float(np.max(np.abs(fm - 0.5 * (fa + fb)), initial=0.0))
     return AffinityReport(worst=worst, passed=worst <= AFFINITY_TOL)

@@ -29,11 +29,12 @@ from lipfree.freespace import (
     pairing,
     transport_norm,
 )
-from lipfree.geometry import FiniteSupportPoint, Hypercube, l1_distance, tiling_vertex_count
-from lipfree.interpolation import VertexData, interpolate_batch, lip_constant
+from lipfree.geometry import FiniteSupportPoint, l1_distance, lattice_coords
+from lipfree.interpolation import lip_constant
 from lipfree.operators import (
     GridLevel,
     LipFunction,
+    cell_weights,
     convergence_check,
     lip_projection,
     random_lattice_function,
@@ -43,11 +44,6 @@ from lipfree.verify import DEFAULT_SEED, run_verification
 
 def _report(name, ok, elapsed, detail=""):
     print(f"{'PASS' if ok else 'FAIL'} {name} ({elapsed:.1f}s) {detail}")
-
-
-def dyadic_cube(rng, dim):
-    center = tuple(float(v) * 2.0**-8 for v in rng.integers(-768, 769, size=dim))
-    return Hypercube(center=center, edge=float(rng.integers(128, 1025)) * 2.0**-8)
 
 
 def random_sparse(rng, spread=2.0, max_index=8, size=None):
@@ -62,28 +58,39 @@ def random_l1_molecule(rng, size, spread=2.0, max_index=8):
     )
 
 
+def blend(points, n, low, table):
+    """Values at ``points`` that the level-n ``cell_weights`` blend from the
+    corner values ``table``, indexed by a corner's key offset from ``low``."""
+    rows, keys, w = cell_weights(points, GridLevel(n, dim=len(low)))
+    return np.bincount(rows, weights=w * table[tuple((keys - low).T)], minlength=len(points))
+
+
 def test_criterion_1_interpolation_lipschitz_constant():
     t0 = time.perf_counter()
     rng = np.random.default_rng(101)
     worst_upper = -np.inf
     worst_attained = 0.0
     for dim in (1, 2, 3, 4):
+        offsets = np.indices((2,) * dim).reshape(dim, -1).T
+        i, j = np.triu_indices(2**dim, 1)
         for _ in range(50):
-            cube = dyadic_cube(rng, dim)
-            data = VertexData(cube=cube, values=tuple(rng.normal(size=2**dim)))
-            corner = data.corner_lip()
-            c = np.asarray(cube.center)
-            xs = c + rng.uniform(-0.5, 0.5, size=(10_000, dim)) * cube.edge
-            ys = c + rng.uniform(-0.5, 0.5, size=(10_000, dim)) * cube.edge
+            # a random cell of a random level, by its low-corner key, with
+            # random corner values indexed by a corner's key offset
+            n = int(rng.integers(1, 4))
+            low = rng.integers(0, 1 << (2 * n - 1), size=dim)
+            table = rng.normal(size=(2,) * dim)
+            verts = lattice_coords(low + offsets, n)
+            vd = np.abs(verts[i] - verts[j]).sum(axis=1)
+            corner = float(np.max(np.abs(table.ravel()[i] - table.ravel()[j]) / vd))
+            xs, ys = lattice_coords(low, n) + rng.uniform(0.0, 2.0 ** (1 - n), size=(2, 10_000, dim))
+            # one expansion holds at most 2**17 corners: 20,016 points of 16 corners go in three parts
+            parts = np.array_split(np.vstack([xs, ys, verts]), 3)
+            fx, fy, at = np.split(np.concatenate([blend(part, n, low, table) for part in parts]), [10_000, 20_000])
             dist = np.abs(xs - ys).sum(axis=1)
             keep = dist > 0
-            q = np.abs(interpolate_batch(data, xs) - interpolate_batch(data, ys))[keep] / dist[keep]
+            q = np.abs(fx - fy)[keep] / dist[keep]
             worst_upper = max(worst_upper, float(np.max(q - corner * (1 + 1e-9))))
-            verts = cube.vertices()
-            vals = interpolate_batch(data, verts)
-            vd = np.abs(verts[:, None, :] - verts[None, :, :]).sum(axis=2)
-            np.fill_diagonal(vd, np.inf)
-            vertex_max = float(np.max(np.abs(vals[:, None] - vals[None, :]) / vd))
+            vertex_max = float(np.max(np.abs(at[i] - at[j]) / vd))
             worst_attained = max(worst_attained, abs(vertex_max - corner))
     elapsed = time.perf_counter() - t0
     ok = worst_upper <= 0.0 and worst_attained <= 1e-9 and elapsed < 10.0

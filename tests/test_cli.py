@@ -310,16 +310,37 @@ class TestVerify:
         code, _, _ = run(capsys, ["verify", "--suite", "no-such-suite"])
         assert code == 2
 
-    def test_injected_weight_fault_fails_the_suite(self, capsys):
-        import lipfree.interpolation as interpolation
+    def test_the_25_suites_keep_their_names_and_order(self):
+        from lipfree.verify import suite_names
 
-        interpolation._WEIGHT_FAULT = True
-        try:
-            code, out, _ = run(capsys, ["verify", "--suite", "interp-weight-simplex"])
-        finally:
-            interpolation._WEIGHT_FAULT = False
+        assert suite_names() == (
+            "geometry-retraction", "geometry-locate", "geometry-vertex-count", "interp-weight-simplex",
+            "interp-recursion-equivalence", "interp-lip-constant", "interp-linearity", "operators-contractivity",
+            "operators-finite-rank", "operators-commuting", "operators-linearity", "operators-convergence",
+            "operators-boundary-affinity", "freespace-norm-axioms", "freespace-dirac-isometry",
+            "freespace-line-oracle", "freespace-transport-oracle", "freespace-adjointness",
+            "freespace-monotone-lattice", "extension-partition", "extension-operator", "extension-lip-ratio",
+            "extension-gentleness-scale", "extension-doubling", "extension-multiplicity")
+
+    def test_the_extension_operator_suite_reports_its_margin(self, capsys):
+        # the largest max_err over its bound, among rows of positive covering radius
+        code, out, _ = run(capsys, ["verify", "--suite", "extension-operator"])
+        assert code == 0
+        assert 0.0 < json.loads(out)["suites"][0]["worst_case"] <= 1.0
+
+    @pytest.mark.parametrize("suite", ["interp-weight-simplex", "interp-recursion-equivalence",
+                                       "interp-lip-constant", "geometry-vertex-count", "geometry-retraction"])
+    def test_an_injected_grid_fault_fails_the_suite(self, capsys, monkeypatch, suite):
+        from lipfree import interpolation, operators
+
+        if suite.startswith("geometry-"):
+            low_corners = operators.cell_low_corners
+            monkeypatch.setattr(operators, "cell_low_corners", lambda u, level: low_corners(u, level) + 1)
+        else:
+            monkeypatch.setattr(interpolation, "_WEIGHT_FAULT", True)
+        code, out, _ = run(capsys, ["verify", "--suite", suite])
         assert code == 1
-        assert json.loads(out)["passed"] is False
+        assert json.loads(out)["suites"][0]["passed"] is False
 
     @pytest.mark.parametrize("suite", ["extension-partition", "extension-operator", "extension-lip-ratio",
                                        "extension-gentleness-scale", "extension-multiplicity"])

@@ -10,16 +10,15 @@ from lipfree.geometry import (
     Hypercube,
     SparseBatch,
     cell_low_corners,
-    clamp_to_cube,
     embed_finite,
     l1_distance,
     l1_distances,
     lattice_coords,
     locate_cube,
     sign_vectors,
-    tiling_vertex_count,
-    tiling_vertices,
 )
+from lipfree.interpolation import interpolate_recursive
+from lipfree.operators import GridLevel, cell_weights
 
 from cube_helpers import cube_contains, vertex_data
 
@@ -37,23 +36,30 @@ def all_cells(level, dim):
     return out
 
 
+def vertex(cube, delta):
+    """The row of ``cube.vertices()`` for the sign vector ``delta``."""
+    return tuple(cube.vertices()[sign_vectors(cube.dim).index(delta)])
+
+
 class TestVertex:
     def test_unit_cases(self):
-        assert tuple(Hypercube(center=(0, 0), edge=2).vertex((1, -1))) == (1.0, -1.0)
-        assert tuple(Hypercube(center=(0.5,), edge=1).vertex((-1,))) == (0.0,)
+        assert vertex(Hypercube(center=(0, 0), edge=2), (1, -1)) == (1.0, -1.0)
+        assert vertex(Hypercube(center=(0.5,), edge=1), (-1,)) == (0.0,)
+
+    def test_rows_follow_the_sign_vectors(self):
+        # the order VertexData and the recursive oracle read corner values in
+        cube = Hypercube(center=(0.5, -1.0, 2.0), edge=0.5)
+        assert cube.vertices().tolist() == [list(np.array(cube.center) + 0.25 * np.array(delta))
+                                            for delta in sign_vectors(3)]
 
     def test_three_dim_cross_checked_by_enumeration(self):
         cube = Hypercube(center=(1, 1, 1), edge=4)
-        assert tuple(cube.vertex((1, 1, -1))) == (3.0, 3.0, -1.0)
+        assert vertex(cube, (1, 1, -1)) == (3.0, 3.0, -1.0)
         verts = cube.vertices()
         assert verts.shape == (8, 3)
         assert len({tuple(v) for v in verts}) == 8
         sup = np.max(np.abs(verts - np.array(cube.center)), axis=1)
         assert np.all(sup == 2.0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            Hypercube(center=(0, 0), edge=1).vertex((1,))
 
     @pytest.mark.parametrize("x", [[0.5], [0.5, 0.5, 0.5], 0.5])
     def test_point_of_another_dimension_is_refused(self, x):
@@ -88,17 +94,23 @@ class TestGridPoint:
 
 
 class TestClamp:
-    def test_cube_cases(self):
-        assert tuple(clamp_to_cube([3, 0.2], 2)) == (1.0, 0.2)
-        assert tuple(clamp_to_cube([0.0], 2)) == (0.0,)
+    """Points beyond the big cube are clamped onto it coordinatewise."""
 
-    def test_idempotent_and_one_lipschitz(self):
+    def test_cube_cases(self):
+        # [3, 0.2] clamps to [1, 0.2] on the level-1 cube [-1, 1]**2: the top
+        # cell on axis 1, at its far face
+        rows, keys, w = cell_weights([[3.0, 0.2], [1.0, 0.2]], GridLevel(1, dim=2))
+        assert rows.tolist() == [0, 0, 1, 1]
+        assert keys.tolist() == [[2, 1], [2, 2]] * 2 and w.tolist() == [0.8, 0.2] * 2
+        assert cell_low_corners([[0.0], [-5.0], [5.0]], 1).tolist() == [[1], [0], [1]]
+
+    def test_weights_beyond_the_cube_are_those_of_the_clamp(self):
         rng = np.random.default_rng(11)
         xs = rng.uniform(-6, 6, size=(10_000, 3))
-        ys = rng.uniform(-6, 6, size=(10_000, 3))
-        px, py = clamp_to_cube(xs, 3.0), clamp_to_cube(ys, 3.0)
-        assert np.array_equal(clamp_to_cube(px, 3.0), px)
-        assert np.all(np.abs(px - py).sum(axis=1) <= np.abs(xs - ys).sum(axis=1))
+        for n in (1, 2, 3):
+            level, half = GridLevel(n, dim=3), 2.0 ** (n - 1)
+            for got, clamped in zip(cell_weights(xs, level), cell_weights(np.clip(xs, -half, half), level)):
+                assert np.array_equal(got, clamped)
 
 
 class TestSparsePoints:
@@ -210,8 +222,6 @@ class TestLocateCube:
     def test_boundary_values_agree_across_the_shared_face(self):
         # Interpolating any data through either adjacent cell gives the same
         # value on the shared face, so the tie-break cannot matter.
-        from lipfree.interpolation import interpolate
-
         g = {(-1.0,): 2.0, (0.0,): -1.0, (1.0,): 5.0}
         left = vertex_data(
             GridCell(key=(0,), level=1).cube(), {(-1,): g[(-1.0,)], (1,): g[(0.0,)]}
@@ -219,7 +229,7 @@ class TestLocateCube:
         right = vertex_data(
             GridCell(key=(1,), level=1).cube(), {(-1,): g[(0.0,)], (1,): g[(1.0,)]}
         )
-        assert interpolate(left, [0.0]) == interpolate(right, [0.0]) == -1.0
+        assert interpolate_recursive(left, [0.0]) == interpolate_recursive(right, [0.0]) == -1.0
 
     def test_dim2_level2_slab_enumeration(self):
         u = np.array([2.0**-2 * 3, -(2.0**-2)])
@@ -258,11 +268,11 @@ class TestLocateCube:
 
 
 class TestTilingVertices:
+    """The vertex grid is every lattice key ``0 .. 2**(2n-1)`` per axis."""
+
     def test_unit_cases(self):
-        assert tiling_vertices(1, 1).ravel().tolist() == [-1.0, 0.0, 1.0]
-        v21 = tiling_vertices(2, 1).ravel().tolist()
-        assert v21 == [-2.0 + 0.5 * i for i in range(9)]
-        assert len(tiling_vertices(1, 2)) == 9
+        assert lattice_coords(np.arange(3), 1).tolist() == [-1.0, 0.0, 1.0]
+        assert lattice_coords(np.arange(9), 2).tolist() == [-2.0 + 0.5 * i for i in range(9)]
 
     @pytest.mark.parametrize("level", [1, 2, 3])
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -271,24 +281,18 @@ class TestTilingVertices:
         for cell in all_cells(level, dim):
             for v in cell.vertices():
                 union.add(tuple(v))
-        grid = tiling_vertices(level, dim)
-        assert len(grid) == tiling_vertex_count(level, dim) == len(union)
-        assert {tuple(v) for v in grid} == union
+        centers = np.array([cell.center for cell in all_cells(level, dim)])
+        offsets = np.indices((2,) * dim).reshape(dim, -1).T
+        keys = cell_low_corners(centers, level)[:, None, :] + offsets
+        grid = {tuple(v) for v in lattice_coords(keys, level).reshape(-1, dim)}
+        assert len(grid) == ((1 << (2 * level - 1)) + 1) ** dim == len(union)
+        assert grid == union
 
     def test_grid_coordinates_are_exact_dyadics(self):
         for level in (1, 2, 3, 5):
-            grid = tiling_vertices(level, 1).ravel()
+            grid = lattice_coords(np.arange((1 << (2 * level - 1)) + 1), level)
             scaled = grid * 2.0 ** (level - 1)
             assert np.array_equal(scaled, np.round(scaled))
-
-    @pytest.mark.parametrize("dim", [0, geometry.MAX_DIM + 1, 40])
-    def test_count_checks_the_dimension_cap(self, dim):
-        with pytest.raises(ValueError, match=f"dimension must be in 1..{geometry.MAX_DIM}, got {dim}"):
-            tiling_vertex_count(1, dim)
-
-    def test_overflow_reports_cardinality(self):
-        with pytest.raises(ValueError, match=str(tiling_vertex_count(4, 4))):
-            tiling_vertices(4, 4)
 
 
 def test_l1_distance_dispatch():

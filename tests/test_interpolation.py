@@ -3,115 +3,101 @@ import re
 import numpy as np
 import pytest
 
-from lipfree.geometry import FiniteSupportPoint, Hypercube, l1_distance, sign_vectors
-from lipfree.interpolation import (
-    TabulatedFunction,
-    VertexData,
-    interpolate,
-    interpolate_batch,
-    interpolate_recursive,
-    interpolation_weights,
-    lip_constant,
-    sample_axis_segments,
+from lipfree.geometry import FiniteSupportPoint, GridCell, Hypercube, l1_distance, lattice_coords
+from lipfree.interpolation import TabulatedFunction, VertexData, interpolate_recursive, lip_constant
+from lipfree.operators import GridLevel, cell_weights
+
+from cube_helpers import (
+    axis_segments,
+    cell_interpolant,
+    cell_level,
+    check_axis_affinity,
+    lattice_cube,
+    vertex_data,
+    vertex_restriction,
 )
-
-from cube_helpers import check_axis_affinity, vertex_data, vertex_restriction
-
-
-def dyadic_cube(rng, dim):
-    center = tuple(float(v) * 2.0**-8 for v in rng.integers(-768, 769, size=dim))
-    return Hypercube(center=center, edge=float(rng.integers(128, 1025)) * 2.0**-8)
 
 
 def bilinear_bump():
-    cube = Hypercube(center=(0, 0), edge=2)
+    """The bump on the level-1 cell ``[0, 1]**2``: 1 at the corner (1, 1), 0 at the others."""
+    cube = GridCell(key=(1, 1), level=1).cube()
     return vertex_data(cube, {(-1, -1): 0, (-1, 1): 0, (1, -1): 0, (1, 1): 1})
+
+
+def random_data(rng, dim):
+    return VertexData(cube=lattice_cube(rng, dim), values=tuple(rng.normal(size=2**dim)))
+
+
+def points_in(rng, cube, count):
+    return np.array(cube.center) + rng.uniform(-0.5, 0.5, size=(count, cube.dim)) * cube.edge
 
 
 class TestInterpolate:
     def test_one_dim_affine(self):
-        data = vertex_data(Hypercube(center=(0,), edge=2), {(-1,): 0, (1,): 4})
-        assert interpolate(data, [0.5]) == 3.0  # barycentric offset 0.75
+        data = vertex_data(GridCell(key=(1,), level=1).cube(), {(-1,): 0, (1,): 4})
+        assert cell_interpolant(data, [0.75]).tolist() == [3.0]  # offset 0.75 in [0, 1]
 
     def test_bilinear_center(self):
         data = bilinear_bump()
-        assert interpolate(data, (0, 0)) == 0.25
+        assert cell_interpolant(data, (0.5, 0.5)).tolist() == [0.25]
         # hand expansion: w(1,1) = t1*t2 = 0.25, all others hit value 0
-        w = interpolation_weights(data.cube, (0, 0))
-        assert np.allclose(w, 0.25)
+        rows, keys, w = cell_weights([[0.5, 0.5]], cell_level(data.cube))
+        assert keys.tolist() == [[1, 1], [1, 2], [2, 1], [2, 2]] and w.tolist() == [0.25] * 4
         # brute-force weight summation agrees with the recursion
-        assert interpolate_recursive(data, (0, 0)) == 0.25
+        assert interpolate_recursive(data, (0.5, 0.5)) == 0.25
 
     def test_corners_reproduced_exactly(self):
         rng = np.random.default_rng(2)
         for _ in range(30):
-            dim = int(rng.integers(1, 5))
-            data = VertexData(cube=dyadic_cube(rng, dim), values=tuple(rng.normal(size=2**dim)))
-            for pos, delta in enumerate(sign_vectors(dim)):
-                assert interpolate(data, data.cube.vertex(delta)) == data.values[pos]
+            data = random_data(rng, int(rng.integers(1, 5)))
+            assert cell_interpolant(data, data.cube.vertices()).tolist() == list(data.values)
 
-    def test_outside_cube_raises(self):
-        data = bilinear_bump()
-        with pytest.raises(ValueError):
-            interpolate(data, (1.5, 0))
-
-    def test_nan_point_lies_outside(self):
-        data = bilinear_bump()
-        with pytest.raises(ValueError, match=re.escape(f"point 0 [nan, 0.0] lies outside cube {data.cube}")):
-            interpolate(data, [np.nan, 0.0])
-        with pytest.raises(ValueError, match="point 0 "):
-            interpolation_weights(data.cube, [0.0, np.nan])
+    def test_nan_point_is_refused_naming_it(self):
+        with pytest.raises(ValueError, match=re.escape("point 0 [nan, 0.0] has a non-finite coordinate")):
+            cell_weights([[np.nan, 0.0]], GridLevel(1, dim=2))
 
     def test_point_of_the_wrong_dimension_is_refused(self):
-        data = bilinear_bump()  # a point of dimension 1 or 3 used to be broadcast
-        with pytest.raises(ValueError, match=re.escape("expected points of dimension 2, got shape (1, 1)")):
-            interpolate(data, [0.5])
-        with pytest.raises(ValueError, match=re.escape("expected points of dimension 2, got shape (2, 3)")):
-            interpolate_batch(data, np.zeros((2, 3)))
-
-    def test_batch_error_names_the_first_point_outside(self):
-        data = bilinear_bump()
-        xs = [[0.0, 0.0], [1.0, -1.0], [1.5, 0.0], [np.nan, 0.0]]
-        with pytest.raises(ValueError, match=re.escape(f"point 2 [1.5, 0.0] lies outside cube {data.cube}")):
-            interpolate_batch(data, xs)
+        with pytest.raises(ValueError, match=re.escape("expected points of dimension 2, got shape (1,)")):
+            cell_weights([[0.5]], GridLevel(1, dim=2))
 
 
 class TestWeights:
     def test_center_weights_are_uniform(self):
         for dim in (1, 2, 3, 4):
-            cube = Hypercube(center=tuple(np.zeros(dim)), edge=2)
-            w = interpolation_weights(cube, np.zeros(dim))
-            assert np.all(w == 2.0**-dim)
+            rows, keys, w = cell_weights([np.full(dim, 0.5)], GridLevel(1, dim=dim))
+            assert len(w) == 2**dim and np.all(w == 2.0**-dim)
 
     def test_vertex_weights_are_one_hot(self):
-        cube = Hypercube(center=(0.5, -0.5), edge=1)
-        for pos, delta in enumerate(sign_vectors(2)):
-            w = interpolation_weights(cube, cube.vertex(delta))
-            expected = np.zeros(4)
-            expected[pos] = 1.0
-            assert np.array_equal(w, expected)
+        cube = GridCell(key=(2, 5), level=2).cube()
+        for delta, v in zip(np.indices((2, 2)).reshape(2, -1).T, cube.vertices()):
+            rows, keys, w = cell_weights([v], cell_level(cube))
+            assert keys.tolist() == [[2 + delta[0], 5 + delta[1]]] and w.tolist() == [1.0]
 
     def test_simplex_property(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
-            dim = int(rng.integers(1, 4))
-            cube = dyadic_cube(rng, dim)
-            x = np.array(cube.center) + rng.uniform(-0.5, 0.5, size=dim) * cube.edge
-            w = interpolation_weights(cube, x)
+            cube = lattice_cube(rng, int(rng.integers(1, 4)))
+            rows, keys, w = cell_weights(points_in(rng, cube, 1), cell_level(cube))
             assert np.min(w) >= 0.0
             assert abs(float(np.sum(w)) - 1.0) <= 1e-12
+            assert {tuple(c) for c in lattice_coords(keys, cell_level(cube).n)} <= {tuple(v) for v in cube.vertices()}
+
+    def test_weights_are_the_tensor_products_of_the_offsets(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            cube = lattice_cube(rng, int(rng.integers(1, 5)))
+            x = points_in(rng, cube, 1)
+            rows, keys, w = cell_weights(x, cell_level(cube))
+            t = cube.barycentric(x[0])
+            high = lattice_coords(keys, cell_level(cube).n) > np.asarray(cube.center)  # which side, per axis
+            assert w == pytest.approx(np.prod(np.where(high, t, 1.0 - t), axis=1), rel=1e-15, abs=0.0)
 
     def test_matches_recursion_oracle(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
-            dim = int(rng.integers(1, 4))
-            cube = dyadic_cube(rng, dim)
-            values = tuple(rng.normal(size=2**dim))
-            data = VertexData(cube=cube, values=values)
-            x = np.array(cube.center) + rng.uniform(-0.5, 0.5, size=dim) * cube.edge
-            direct = float(interpolation_weights(cube, x) @ np.asarray(values))
-            assert direct == pytest.approx(interpolate_recursive(data, x), abs=1e-12)
-            assert direct == pytest.approx(interpolate(data, x), abs=1e-12)
+            data = random_data(rng, int(rng.integers(1, 4)))
+            x = points_in(rng, data.cube, 1)[0]
+            assert cell_interpolant(data, x)[0] == pytest.approx(interpolate_recursive(data, x), abs=1e-12)
 
 
 class TestLinearity:
@@ -119,14 +105,14 @@ class TestLinearity:
         rng = np.random.default_rng(5)
         for _ in range(50):
             dim = int(rng.integers(1, 4))
-            cube = dyadic_cube(rng, dim)
+            cube = lattice_cube(rng, dim)
             va, vb = rng.normal(size=(2, 2**dim))
             alpha, beta = rng.normal(size=2)
             combined = VertexData(cube=cube, values=tuple(alpha * va + beta * vb))
-            x = np.array(cube.center) + rng.uniform(-0.5, 0.5, size=dim) * cube.edge
-            lhs = interpolate(combined, x)
-            rhs = alpha * interpolate(VertexData(cube=cube, values=tuple(va)), x)
-            rhs += beta * interpolate(VertexData(cube=cube, values=tuple(vb)), x)
+            x = points_in(rng, cube, 1)
+            lhs = cell_interpolant(combined, x)[0]
+            rhs = alpha * cell_interpolant(VertexData(cube=cube, values=tuple(va)), x)[0]
+            rhs += beta * cell_interpolant(VertexData(cube=cube, values=tuple(vb)), x)[0]
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -153,22 +139,8 @@ class TestLipConstant:
     def test_bump_vertex_data(self):
         # six corner pairs; the closest value-separating pairs sit at l1
         # distance 2, giving 1/2
-        data = bilinear_bump()
-        assert data.corner_lip() == 0.5
+        data = vertex_data(Hypercube(center=(0, 0), edge=2), {(-1, -1): 0, (-1, 1): 0, (1, -1): 0, (1, 1): 1})
         assert lip_constant(vertex_restriction(data)) == 0.5
-
-    def test_corner_lip_matches_the_pair_loop(self):
-        # the loop corner_lip replaced: every corner pair, at distance
-        # (number of differing signs) * edge
-        rng = np.random.default_rng(11)
-        for dim in (1, 2, 3, 4, 5):
-            data = VertexData(cube=dyadic_cube(rng, dim), values=tuple(rng.normal(size=2**dim)))
-            signs, vals, best = sign_vectors(dim), data.values, 0.0
-            for i in range(len(signs)):
-                for j in range(i + 1, len(signs)):
-                    ham = sum(1 for a, b in zip(signs[i], signs[j]) if a != b)
-                    best = max(best, abs(vals[i] - vals[j]) / (ham * data.cube.edge))
-            assert data.corner_lip() == best
 
     def test_duplicate_points_rejected(self):
         f = TabulatedFunction(points=(0, 1), values=(0.0, 1.0))
@@ -239,36 +211,36 @@ class TestLipConstantOracle:
 
 class TestAffinity:
     def test_affine_data_has_zero_deviation(self):
-        cube = Hypercube(center=(0, 0), edge=2)
+        cube = GridCell(key=(1, 0), level=1).cube()
         data = VertexData.from_function(cube, lambda v: 2 * v[0] - 3 * v[1] + 1)
         rng = np.random.default_rng(7)
-        report = check_axis_affinity(data, sample_axis_segments(cube, 50, rng))
+        report = check_axis_affinity(data, axis_segments(cube, 50, rng))
         assert report.passed and report.worst <= 1e-12
 
     def test_bilinear_data_is_axis_affine(self):
         data = bilinear_bump()
         rng = np.random.default_rng(8)
-        report = check_axis_affinity(data, sample_axis_segments(data.cube, 100, rng))
+        report = check_axis_affinity(data, axis_segments(data.cube, 100, rng))
         assert report.passed
 
     def test_batched_scan_matches_the_segment_loop(self):
-        # the scan as it was, one interpolate call per endpoint and midpoint
+        # the scan by the oracle, one recursive blend per endpoint and midpoint
         rng = np.random.default_rng(10)
         for dim in (1, 2, 3, 4):
-            data = VertexData(cube=dyadic_cube(rng, dim), values=tuple(rng.normal(size=2**dim)))
-            segments = sample_axis_segments(data.cube, 20, rng)
-            segments += [tuple(np.asarray(data.cube.center) + rng.uniform(-0.5, 0.5, size=(2, dim))
-                               * data.cube.edge)]  # an oblique one
-            worst = max(abs(interpolate(data, 0.5 * (a + b)) - 0.5 * (interpolate(data, a) + interpolate(data, b)))
+            data = random_data(rng, dim)
+            segments = axis_segments(data.cube, 20, rng)
+            segments += [tuple(points_in(rng, data.cube, 2))]  # an oblique one
+            worst = max(abs(interpolate_recursive(data, 0.5 * (a + b))
+                            - 0.5 * (interpolate_recursive(data, a) + interpolate_recursive(data, b)))
                         for a, b in segments)
-            assert check_axis_affinity(data, segments).worst == worst
+            assert check_axis_affinity(data, segments).worst == pytest.approx(worst, abs=1e-12)
         assert check_axis_affinity(data, []).worst == 0.0
 
     def test_diagonal_control_fails(self):
-        # along the main diagonal the bump restricts to ((s+1)/2)**2, which is
-        # not affine; the full diagonal shows midpoint deviation 0.25
+        # along the main diagonal the bump restricts to s**2, which is not
+        # affine; the full diagonal shows midpoint deviation 0.25
         data = bilinear_bump()
-        report = check_axis_affinity(data, [(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))])
+        report = check_axis_affinity(data, [(np.array([0.0, 0.0]), np.array([1.0, 1.0]))])
         assert not report.passed
         assert report.worst == pytest.approx(0.25)
 
@@ -294,9 +266,9 @@ class TestValidation:
     def test_batch_matches_scalar(self):
         data = bilinear_bump()
         rng = np.random.default_rng(9)
-        xs = rng.uniform(-1, 1, size=(20, 2))
-        batch = interpolate_batch(data, xs)
-        assert np.array_equal(batch, [interpolate(data, x) for x in xs])
+        xs = rng.uniform(0, 1, size=(20, 2))
+        batch = cell_interpolant(data, xs)
+        assert np.array_equal(batch, [cell_interpolant(data, x)[0] for x in xs])
 
 
 class TestLipConstantPreservation:
@@ -306,11 +278,9 @@ class TestLipConstantPreservation:
     def test_random_datasets(self, dim):
         rng = np.random.default_rng(40 + dim)
         for _ in range(10):
-            cube = dyadic_cube(rng, dim)
-            data = VertexData(cube=cube, values=tuple(rng.normal(size=2**dim)))
-            corner = data.corner_lip()
-            xs = np.array(cube.center) + rng.uniform(-0.5, 0.5, size=(2000, dim)) * cube.edge
-            ys = np.array(cube.center) + rng.uniform(-0.5, 0.5, size=(2000, dim)) * cube.edge
-            fx, fy = interpolate_batch(data, xs), interpolate_batch(data, ys)
+            data = random_data(rng, dim)
+            corner = lip_constant(vertex_restriction(data))
+            xs, ys = points_in(rng, data.cube, 2000), points_in(rng, data.cube, 2000)
+            fx, fy = cell_interpolant(data, xs), cell_interpolant(data, ys)
             dist = np.abs(xs - ys).sum(axis=1)
             assert np.all(np.abs(fx - fy) <= corner * dist * (1 + 1e-9) + 1e-15)

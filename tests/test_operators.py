@@ -12,7 +12,7 @@ from lipfree.geometry import (
     lattice_coords,
     locate_cube,
 )
-from lipfree.interpolation import VertexData, interpolate_recursive, sample_axis_segments
+from lipfree.interpolation import VertexData, interpolate_recursive
 from lipfree.operators import (
     MAX_CORNERS,
     GridLevel,
@@ -31,6 +31,8 @@ from lipfree.operators import (
     tabulated_lip_function,
 )
 from lipfree.interpolation import TabulatedFunction
+
+from cube_helpers import axis_segments
 
 
 CHECK_FIELDS = ("value", "exact", "error", "bound", "clamped", "ok")
@@ -220,7 +222,7 @@ class TestBoundaryAffinity:
             for k in range(3):
                 low = np.array([1.0 + k * s, -0.5])
                 cell = Hypercube(center=tuple(low + s / 2), edge=s)
-                for a, b in sample_axis_segments(cell, 15, rng):
+                for a, b in axis_segments(cell, 15, rng):
                     mid = 0.5 * (a + b)
                     va = grid_value(g, a, 1)
                     vb = grid_value(g, b, 1)
