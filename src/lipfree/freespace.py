@@ -24,9 +24,9 @@ The grid projection :func:`molecule_projection` pushes each point's mass onto
 the weighted corners of its tiling cell through the same sparse corner
 triplets as the function projection; by construction its pairing with any
 function equals the pairing of the projected function with the original
-molecule.  :func:`decomposition_report` solves every norm of a report in one
-batch and checks the commuting lattice of the level projections in one pass
-over int64 lattice keys, truncating each support point once.
+molecule.  :func:`decomposition_report` runs as array passes over one table
+of distinct points: one expansion for all levels, one distance matrix, one
+relay-pruning pass, one HiGHS solve, and one lattice expansion.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .extension import FinitePointedMetricSpace
-from .geometry import (MAX_LEVEL, FiniteSupportPoint, SparseBatch, check_magnitude, l1_distance, l1_distances,
-                       lattice_coords, pack_key_rows)
+from .geometry import (MAX_LEVEL, MAX_MAGNITUDE, FiniteSupportPoint, SparseBatch, check_magnitude, l1_distance,
+                       l1_distances, lattice_coords, pack_key_rows)
 from .operators import GridLevel, TooManyCorners, _decay_estimates, _stack_points, cell_weights
 
 KINDS = ("l1", "l1N", "finite")
@@ -110,6 +110,15 @@ class Molecule:
 
     @classmethod
     def on_rn(cls, pairs: Iterable[tuple[object, float]], dim: int | None = None) -> "Molecule":
+        """One ``np.asarray`` of all points, checked at once; else point by point, naming the first bad one."""
+        pairs = list(pairs)
+        try:
+            pts, coeffs = (np.asarray([pair[k] for pair in pairs], dtype=float) for k in (0, 1))
+        except (TypeError, ValueError, OverflowError):
+            pts = coeffs = np.zeros(0)
+        if (pts.ndim == 2 and dim in (None, pts.shape[1]) and np.all(np.abs(pts) <= MAX_MAGNITUDE)
+                and np.all(np.abs(coeffs) <= MAX_MAGNITUDE)):  # NaN fails the comparison too
+            return cls(kind="l1N", terms=(), dim=pts.shape[1])._rebuild(zip(map(tuple, pts.tolist()), coeffs.tolist()))
         terms = []
         for p, a in pairs:
             arr = np.asarray(p, dtype=float)
@@ -315,15 +324,19 @@ def _chain_reach(d: np.ndarray) -> np.ndarray:
     """Best one-intermediate relay distance in the symmetric distance matrix
     ``d``, excluding trivial relays: off the diagonal, entry ``[i, j]`` is the
     least ``d[i, r] + d[r, j]`` over ``r`` other than ``i`` and ``j``.  An
-    infinite diagonal rules the trivial relays out.  Each block of rows,
-    about :data:`_RELAY_ELEMENTS` sums and at least one row, is reduced over
-    all relays at once."""
-    k = d.shape[0]
+    infinite diagonal rules the trivial relays out.  ``d`` may be a stack of
+    such matrices, each reduced over its own relays; a matrix padded with
+    ``inf`` rows and columns keeps its reach.  Each block of rows, about
+    :data:`_RELAY_ELEMENTS` sums over the stack and at least one row, is
+    reduced over all relays at once, for the columns from the block's first
+    row on: the reach is symmetric, and the entries left of those stay
+    ``inf``."""
+    k = d.shape[-1]
     dd = d + np.diag(np.full(k, np.inf))
-    rows = max(1, _RELAY_ELEMENTS // (k * k))
-    reach = np.empty((k, k))
+    rows = max(1, _RELAY_ELEMENTS // d.size)
+    reach = np.full(d.shape, np.inf)
     for lo in range(0, k, rows):
-        np.min(dd[:, lo:lo + rows, None] + dd[:, None, :], axis=0, out=reach[lo:lo + rows])
+        np.min(dd[..., lo:lo + rows, None] + dd[..., None, lo:], axis=-3, out=reach[..., lo:lo + rows, lo:])
     return reach
 
 
@@ -360,10 +373,9 @@ def _power_of_two_above(v: float) -> float:
     return 2.0 ** math.frexp(v)[1]
 
 
-def _check_norm_size(mu: Molecule, what: str) -> None:
-    if len(mu.terms) > MAX_NORM_SUPPORT:
-        raise ValueError(f"{what} has {len(mu.terms)} support points; "
-                         f"exact norms take at most {MAX_NORM_SUPPORT}")
+def _check_norm_size(size: int, what: str) -> None:
+    if size > MAX_NORM_SUPPORT:
+        raise ValueError(f"{what} has {size} support points; exact norms take at most {MAX_NORM_SUPPORT}")
 
 
 def free_norm(mu: Molecule) -> NormCertificate:
@@ -373,16 +385,40 @@ def free_norm(mu: Molecule) -> NormCertificate:
     return free_norms([mu])[0]
 
 
-def _norm_program(mu: Molecule):
-    """The scaled program of a nonzero molecule: ``(c, pairs, b, bound,
-    scale)``, solved by ``solve_box_lp(c, pairs, b, -bound, bound)`` and
-    multiplied back by ``scale``."""
-    coeffs = np.asarray(mu.coefficients)
-    d = _distance_matrix(mu)
-    i, j = np.nonzero(np.triu(_chain_reach(d) > d * (1.0 + 1e-12), 1)[1:, 1:])
-    scale = _power_of_two_above(float(np.max(d)))
-    return (coeffs / _power_of_two_above(float(np.max(np.abs(coeffs)))), np.column_stack([i, j]),
-            d[i + 1, j + 1] / scale, d[0, 1:] / scale, scale)
+def _norm_programs(coeffs: Sequence[np.ndarray], ds: Sequence[np.ndarray]) -> list:
+    """The scaled ``(c, pairs, b, bound, scale)`` program of each nonzero
+    molecule from its coefficients and distances over origin + support.
+    Relays are pruned on stacks of consecutive matrices padded with ``inf``,
+    each within one :func:`_chain_reach` block; a larger matrix goes alone."""
+    programs, lo = [], 0
+    while lo < len(ds):
+        hi, size = lo + 1, len(ds[lo])
+        while hi < len(ds) and (hi + 1 - lo) * max(size, len(ds[hi])) ** 2 <= _RELAY_ELEMENTS:
+            hi, size = hi + 1, max(size, len(ds[hi]))
+        stack = np.full((hi - lo, size, size), np.inf)
+        for s, d in zip(stack, ds[lo:hi]):
+            s[:len(d), :len(d)] = d
+        kept = np.triu(_chain_reach(stack) > stack * (1.0 + 1e-12), 1)
+        for c, d, keep in zip(coeffs[lo:hi], ds[lo:hi], kept):
+            i, j = np.nonzero(keep[1:len(d), 1:len(d)])
+            scale = _power_of_two_above(float(np.max(d)))
+            programs.append((c / _power_of_two_above(float(np.max(np.abs(c)))), np.column_stack([i, j]),
+                             d[i + 1, j + 1] / scale, d[0, 1:] / scale, scale))
+        lo = hi
+    return programs
+
+
+def _solve_programs(programs: list) -> list[np.ndarray]:
+    """Each program's optimal function, scaled back: the programs share no
+    variable, so one HiGHS call solves them stacked block-diagonally."""
+    if not programs:
+        return []
+    c, pairs, b, bound, scales = zip(*programs)
+    starts = np.cumsum([0] + [len(ck) for ck in c])
+    upper = np.concatenate(bound)
+    x = solve_box_lp(np.concatenate(c), np.concatenate([p + s for p, s in zip(pairs, starts)]),
+                     np.concatenate(b), -upper, upper).x
+    return [x[lo:hi] * scale for lo, hi, scale in zip(starts, starts[1:], scales)]
 
 
 def free_norms(mus: Sequence[Molecule]) -> list[NormCertificate]:
@@ -397,29 +433,23 @@ def free_norms(mus: Sequence[Molecule]) -> list[NormCertificate]:
     ignores small reduced costs, so each molecule's distances are divided by
     its own power of two ``2^e >= max d`` and its coefficients by one above
     their largest magnitude; both divisions are exact, and the witness is
-    multiplied back.  The programs share no variable, so they are stacked
-    block-diagonally and solved in one HiGHS call, each block at its own
-    optimum.  Zero molecules take no variable; a batch of them solves
-    nothing.  A support larger than :data:`MAX_NORM_SUPPORT` raises
-    ValueError before any solve.
+    multiplied back.  All programs go to one HiGHS call
+    (:func:`_solve_programs`).  Zero molecules take no variable; a batch of
+    them solves nothing.  A support larger than :data:`MAX_NORM_SUPPORT`
+    raises ValueError before any solve.
     """
     mus = list(mus)
     for mu in mus:
-        _check_norm_size(mu, "the molecule")
-    programs = [_norm_program(mu) for mu in mus if not mu.is_zero]
-    if programs:
-        c, pairs, b, bound, scales = zip(*programs)
-        starts = np.cumsum([0] + [len(ck) for ck in c])
-        upper = np.concatenate(bound)
-        x = solve_box_lp(np.concatenate(c), np.concatenate([p + s for p, s in zip(pairs, starts)]),
-                         np.concatenate(b), -upper, upper).x
-    certs, k = [], 0
+        _check_norm_size(len(mu.terms), "the molecule")
+    solved = [mu for mu in mus if not mu.is_zero]
+    coeffs = [np.asarray(mu.coefficients) for mu in solved]
+    xs = iter(_solve_programs(_norm_programs(coeffs, [_distance_matrix(mu) for mu in solved])))
+    certs = []
     for mu in mus:
         origin, value = mu.origin_point(), 0.0
         witness = {} if origin is None else {origin: 0.0}
         if not mu.is_zero:
-            xk = x[starts[k]:starts[k + 1]] * scales[k]
-            k += 1
+            xk = next(xs)
             witness.update(zip(mu.support, xk.tolist()))
             value = max(float(np.asarray(mu.coefficients) @ xk), 0.0)
         certs.append(NormCertificate(value=value, witness=witness))
@@ -491,39 +521,54 @@ def line_norm(mu: Molecule) -> float:
     return total
 
 
+def _level_corners(rows: np.ndarray, coeffs: np.ndarray, levels: np.ndarray, wide: GridLevel):
+    """``(level, keys, mass)`` per corner of the projections of ``rows`` with
+    masses ``coeffs`` at ``levels``, by level and key: one :func:`cell_weights`
+    call, one level per row, then masses added by ``(level, key)`` in
+    expansion order, as canonicalization adds them.  Zero sums and the
+    origin corner are left out."""
+    n = np.repeat(levels, len(rows))
+    entry, keys, weights = cell_weights(np.tile(rows, (len(levels), 1)), wide, n)
+    distinct, corner_of = np.unique(pack_key_rows(np.column_stack([n[entry], keys])), return_inverse=True)
+    mass = np.bincount(corner_of, weights=coeffs[entry % max(len(rows), 1)] * weights)
+    corners = distinct.view(">i8").reshape(-1, 1 + keys.shape[1]).astype(np.int64)
+    level, keys = corners[:, 0], corners[:, 1:]
+    keep = (mass != 0.0) & (keys != (1 << (2 * level - 2))[:, None]).any(axis=1)
+    return level[keep], keys[keep], mass[keep]
+
+
 def molecule_projection(mu: Molecule, n: int) -> Molecule:
     """Push each point's mass onto its tiling-cell corners (the predual step).
 
     For every term the (clamped, truncated) point is located in the level-n
     tiling and its coefficient is spread over the weighted corners that
-    :func:`lipfree.operators.cell_weights` yields; canonicalization merges
-    corners shared by several terms and drops those landing on the origin.
-    By construction pairing any function against the result equals pairing
-    its projection against the input.
+    :func:`lipfree.operators.cell_weights` yields; corners shared by several
+    terms are merged and those on the origin dropped.  This is the one-level
+    view of :func:`_level_corners`, which :func:`decomposition_report` runs
+    at all levels at once.  By construction pairing any function against the
+    result equals pairing its projection against the input.
     """
     if mu.kind == "finite":
         raise ValueError("grid projections act on l1-type molecules only")
     if mu.is_zero:
         return mu
     level = GridLevel(n, mu.dim)  # sequence mode for l1 molecules, which have no dim
-    rows, keys, weights = cell_weights(mu.support, level)
-    mass = np.asarray(mu.coefficients)[rows] * weights
+    _, keys, mass = _level_corners(_stack_points(mu.support, level), np.asarray(mu.coefficients), np.array([n]), level)
     coords = lattice_coords(keys, n)
     points = SparseBatch.from_rows(coords) if mu.kind == "l1" else map(tuple, coords.tolist())
     return mu._rebuild(zip(points, mass.tolist()))
 
 
-def _projection_estimate(mu: Molecule, n: int) -> tuple[float, bool]:
-    """The duality transcription of the pointwise decay estimate at unit
-    constant, summed in term order, and whether the clamp onto the big cube
-    moves some support point."""
-    level = GridLevel(n, mu.dim)
-    support = SparseBatch.of(mu.support) if mu.kind == "l1" else mu.support
-    bounds, clamped = _decay_estimates(support, _stack_points(support, level), level)
-    total = 0.0
-    for a, b in zip(mu.coefficients, bounds.tolist()):
-        total += abs(a) * b
-    return total, bool(clamped.any())
+def _projection_estimates(mu: Molecule, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per level ``1..n_max``, the duality transcription of the pointwise
+    decay estimate at unit constant, ``sum |a_i| 2 (tail_i + cell_dim
+    2^(1-n))`` added in term order (down axis 0), and whether the clamp onto
+    the big cube moves some support point."""
+    level = GridLevel(n_max, mu.dim)
+    support = SparseBatch.of(mu.support) if mu.dim is None else mu.support
+    bounds, clamped = _decay_estimates(support, _stack_points(support, level), level, n=np.arange(1, n_max + 1))
+    terms = np.abs(np.asarray(mu.coefficients, dtype=float))[:, None] * bounds
+    return np.cumsum(np.vstack([np.zeros(n_max), terms]), axis=0)[-1], clamped.any(axis=0)
 
 
 @dataclass(frozen=True)
@@ -554,62 +599,112 @@ class FddReport:
         return {**vars(self), "rows": [vars(r) for r in self.rows], "passed": self.passed}
 
 
-def _stacked_cell_weights(rows: np.ndarray, bounds, level: GridLevel):
-    """:func:`cell_weights` of the stacked support rows of several molecules,
-    molecule ``k`` being ``rows[bounds[k]:bounds[k + 1]]``.  A stack past
-    :data:`~lipfree.operators.MAX_CORNERS` is expanded one molecule at a
-    time, so only a molecule that one projection cannot expand raises."""
-    try:
-        return cell_weights(rows, level)
-    except TooManyCorners:
-        spans = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-        r, k, w = zip(*(cell_weights(rows[lo:hi], level) for lo, hi in spans))
-        return np.concatenate([ri + lo for ri, (lo, _) in zip(r, spans)]), np.concatenate(k), np.concatenate(w)
+def _point_table(support, coords: np.ndarray):
+    """``(table, pos)``: the distinct points of a support and the corner rows
+    ``coords`` in :class:`Molecule` order, origin first, with the support's
+    points, then the corners, at ``table[pos]``.  Rows sort with ``-0.0`` as
+    ``0.0``; sparse points by padded ``(index rank, value)`` rows, rank 0
+    past a point's end so that a prefix sorts first."""
+    sparse = isinstance(support, SparseBatch)
+    if sparse:
+        corners = SparseBatch.from_rows(coords)
+        indptr = np.concatenate([support.indptr, corners.indptr[1:] + support.indptr[-1]])
+        indices, rank = np.unique(np.concatenate([support.index, corners.index]), return_inverse=True)
+        entry = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+        item = 2 * (np.arange(len(entry)) - indptr[entry])
+        x = np.zeros((len(indptr) - 1, int(item.max(initial=0)) + 2))
+        x[entry, item], x[entry, item + 1] = rank + 1, np.concatenate([support.value, corners.value])
+    else:
+        x = np.vstack([support, coords]) + 0.0
+    order = np.lexsort(x.T[::-1])
+    first = np.concatenate([[True], np.any(x[order[1:]] != x[order[:-1]], axis=1)])[:len(x)]
+    pos = np.empty(len(x), dtype=np.intp)
+    pos[order] = np.cumsum(first)
+    table = np.vstack([np.zeros((1, x.shape[1])), x[order[first]]])
+    if sparse:
+        items = table[:, 0::2] > 0
+        table = SparseBatch(np.concatenate([[0], np.cumsum(np.count_nonzero(items, axis=1))]),
+                            indices[table[:, 0::2][items].astype(np.intp) - 1], table[:, 1::2][items])
+    return table, pos
 
 
-def _lattice_ok(projections: dict[int, Molecule]) -> bool:
+def _ranges(start: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The ranges ``start[k] .. start[k] + size[k] - 1``, concatenated."""
+    return np.repeat(start - np.cumsum(size) + size, size) + np.arange(size.sum())
+
+
+def _lattice_ok(coords: np.ndarray, mass: np.ndarray, level_of: np.ndarray, n_max: int, dim: int | None,
+                pairs: tuple | None = None) -> bool:
     """True when the level projections commute with the coarser level winning:
-    for all levels ``m, n``, projecting ``projections[n]`` to level ``m``
-    gives ``projections[min(m, n)]``, coefficient by coefficient within
-    :data:`LATTICE_TOL`.
+    for all levels ``m, n`` in ``1..n_max``, projecting the level-``n``
+    projection to level ``m`` gives the level-``min(m, n)`` one, coefficient
+    by coefficient within :data:`LATTICE_TOL`.
 
-    One pass over int64 lattice keys: the supports of all levels are stacked
-    once, at the widest level, and per target level ``m`` one
-    :func:`cell_weights` call projects the leading columns of those rows.
-    The expected side enters with negated masses, each point named by its
-    exact level-``m`` key (a point off the level-``m`` grid fails).  One
-    ``np.unique`` and one ``bincount`` sum the masses by ``(m, n, key)``; the
-    origin corner, which canonical molecules drop, is left out.
-    """
-    levels = sorted(projections)
-    first = projections[levels[0]]
-    sizes = [len(projections[n].terms) for n in levels]
-    bounds = np.cumsum([0] + sizes)
-    span = {n: np.arange(lo, hi) for n, lo, hi in zip(levels, bounds, bounds[1:])}
-    support = [p for n in levels for p in projections[n].support]
-    if not support:
-        return True
-    mass = np.array([a for n in levels for a in projections[n].coefficients])
-    level_of = np.repeat(levels, sizes)
-    coords = _stack_points(support, GridLevel(levels[-1], first.dim))
-    groups, masses = [], []
-    for m in levels:
-        level = GridLevel(m, first.dim)
-        d = level.cell_dim
-        rows, keys, weights = _stacked_cell_weights(coords[:, :d], bounds, level)
-        keep = (keys != 1 << (2 * m - 2)).any(axis=1)
-        expect = np.concatenate([span[min(m, n)] for n in levels])
-        scaled = (coords[expect, :d] + 2.0 ** (m - 1)) * 2.0 ** (m - 1)
-        if np.any(coords[expect, d:]) or np.any(scaled != np.floor(scaled)):
-            return False
-        tags = np.concatenate([level_of[rows[keep]], np.repeat(levels, [len(span[min(m, n)]) for n in levels])])
-        key_rows = np.zeros((len(tags), 2 + coords.shape[1]), dtype=np.int64)
-        key_rows[:, 0], key_rows[:, 1] = m, tags
-        key_rows[:, 2:2 + d] = np.concatenate([keys[keep], scaled.astype(np.int64)])
-        groups.append(key_rows)
-        masses.append(np.concatenate([mass[rows[keep]] * weights[keep], -mass[expect]]))
-    _, group_of = np.unique(pack_key_rows(np.concatenate(groups)), return_inverse=True)
-    return bool(np.all(np.abs(np.bincount(group_of, weights=np.concatenate(masses))) <= LATTICE_TOL))
+    The rows ``coords`` (at level ``n_max``'s width), masses ``mass``, are
+    grouped by level ``level_of``, in level order.  One :func:`cell_weights`
+    call projects the rows of every pair ``(m, n)`` to level ``m``; the
+    expected side enters negated, named by exact level-``m`` keys (a point
+    off that grid fails); masses add by ``(m, n, key)``, the origin corner
+    left out.  Past the corner cap the ``pairs`` go in halves."""
+    levels = np.arange(1, n_max + 1)
+    pair_m, pair_n = pairs or (np.repeat(levels, n_max), np.tile(levels, n_max))
+    count = np.bincount(level_of, minlength=n_max + 1)[1:]
+    first, low = np.cumsum(count) - count, np.minimum(pair_m, pair_n) - 1
+    source, target = _ranges(first[pair_n - 1], count[pair_n - 1]), np.repeat(pair_m, count[pair_n - 1])
+    try:
+        entry, keys, weights = cell_weights(coords[source], GridLevel(n_max, dim), target)
+    except TooManyCorners:
+        if len(pair_m) == 1:
+            raise
+        halves = (slice(None, len(pair_m) // 2), slice(len(pair_m) // 2, None))
+        return all(_lattice_ok(coords, mass, level_of, n_max, dim, (pair_m[h], pair_n[h])) for h in halves)
+    m, source = target[entry], source[entry]
+    keep = (keys != (1 << (2 * m - 2))[:, None]).any(axis=1)
+    expect, at = _ranges(first[low], count[low]), np.repeat(pair_m, count[low])[:, None]
+    scaled = (coords[expect] + 2.0 ** (at - 1)) * 2.0 ** (at - 1)
+    if np.any(scaled != np.floor(scaled)) or dim is None and np.any(coords[expect] * (levels > at)):
+        return False
+    key_rows = np.vstack([np.column_stack([m, level_of[source], keys])[keep],
+                          np.column_stack([at, np.repeat(pair_n, count[low]), scaled.astype(np.int64)])])
+    _, group_of = np.unique(pack_key_rows(key_rows), return_inverse=True)
+    sums = np.bincount(group_of, weights=np.concatenate([mass[source[keep]] * weights[keep], -mass[expect]]))
+    return bool(np.all(np.abs(sums) <= LATTICE_TOL))
+
+
+def _level_programs(support, rows: np.ndarray, coeffs: np.ndarray, wide: GridLevel, lo: int, hi: int):
+    """Levels ``lo..hi`` of a report on one point table: ``(programs, sizes,
+    lattice)``, slot 0 the input (when ``lo`` is 1), ``n`` the level-``n``
+    projection, ``n_max + n`` its error; ``None`` past the corner cap or
+    ``2 * MAX_NORM_SUPPORT + 1`` table points, unless ``lo == hi``.  Levels
+    are sized in order, so the first too large raises ValueError."""
+    try:
+        level, keys, mass = _level_corners(rows, coeffs, np.arange(lo, hi + 1), wide)
+    except TooManyCorners:
+        if lo == hi:
+            raise
+        return None
+    coords = lattice_coords(keys, level[:, None])
+    table, pos = _point_table(support, coords)
+    if lo < hi and len(table) > 2 * MAX_NORM_SUPPORT + 1:
+        return None
+    proj = np.zeros((hi - lo + 1, len(table)))
+    proj[level - lo, pos[len(rows):]] = mass
+    err = proj.copy()
+    err[:, pos[:len(rows)]] -= coeffs
+    slots, sizes = [(0, coeffs, pos[:len(rows)])] if lo == 1 and len(rows) <= MAX_NORM_SUPPORT else [], {}
+    for n, p, e in zip(range(lo, hi + 1), proj, err):
+        for k, what, row in ((n, "projection", p), (wide.n + n, "projection error", e)):
+            idx = np.flatnonzero(row)
+            sizes[k] = len(idx)
+            _check_norm_size(len(idx), f"the level-{n} {what}")
+            slots.append((k, row[idx], idx))
+    slots = [slot for slot in slots if len(slot[2])]
+    dist = np.triu(l1_distances(table, table), 1)
+    dist += dist.T
+    ds = [dist[at[:, None], at] for at in (np.concatenate([[0], idx]) for _, _, idx in slots)]
+    programs = zip((c for _, c, _ in slots), _norm_programs([c for _, c, _ in slots], ds))
+    order = np.lexsort((pos[len(rows):], level))
+    return dict(zip((k for k, _, _ in slots), programs)), sizes, (coords[order], mass[order], level[order])
 
 
 def decomposition_report(mu: Molecule, n_max: int) -> FddReport:
@@ -620,29 +715,42 @@ def decomposition_report(mu: Molecule, n_max: int) -> FddReport:
     bound while no clamp is active; and across levels the projections form a
     commuting lattice (:func:`_lattice_ok`).  The error trend check asks the
     final error not to exceed the first.  ``n_max`` must lie in
-    ``1..MAX_LEVEL``.  Every level is projected and sized before the norms
-    are solved, so a level beyond :data:`MAX_NORM_SUPPORT` raises ValueError
-    at once; the input, its projections and their errors then go to
-    :func:`free_norms` as one batch, one HiGHS solve.
+    ``1..MAX_LEVEL``.
+
+    All levels go as one group, halved while too large
+    (:func:`_level_programs`): one expansion, projections and errors as mass
+    rows over one table of distinct points (:func:`_point_table`), and one
+    distance matrix giving each program its slice.  Every level is sized
+    before one HiGHS solve of all programs.
     """
     if not (1 <= n_max <= MAX_LEVEL):
         raise ValueError(f"n_max must be in 1..{MAX_LEVEL}, got {n_max}")
-    projections, errors = {}, {}
-    for n in range(1, n_max + 1):
-        projections[n] = molecule_projection(mu, n)
-        errors[n] = projections[n].minus(mu)
-        _check_norm_size(projections[n], f"the level-{n} projection")
-        _check_norm_size(errors[n], f"the level-{n} projection error")
-    certs = free_norms([mu, *projections.values(), *errors.values()])
-    rows = []
-    for n, proj in projections.items():
-        err_value = certs[n_max + n].value
-        bound, clamped = _projection_estimate(mu, n)
-        bound_ok = None if clamped else bool(err_value <= bound + FDD_TOL * max(1.0, bound))
-        rows.append(FddRow(n=n, norm_value=certs[n].value, err_value=err_value, bound=bound,
-                           support_size=len(proj.terms), clamped=clamped, bound_ok=bound_ok))
-    base = certs[0].value
-    return FddReport(base_norm=base, rows=tuple(rows),
-                     monotone_ok=all(r.norm_value <= base * (1.0 + FDD_TOL) + FDD_TOL for r in rows),
-                     trend_ok=rows[-1].err_value <= rows[0].err_value + FDD_TOL,
-                     lattice_ok=_lattice_ok(projections))
+    if mu.kind == "finite":
+        raise ValueError("grid projections act on l1-type molecules only")
+    wide = GridLevel(n_max, mu.dim)
+    support = SparseBatch.of(mu.support) if mu.dim is None else _stack_points(mu.support, wide)
+    rows, coeffs = _stack_points(support, wide), np.asarray(mu.coefficients, dtype=float)
+    programs, sizes, lattice, pending = {}, {}, [], [(1, n_max)]
+    while pending:
+        lo, hi = pending.pop()
+        group = _level_programs(support, rows, coeffs, wide, lo, hi)
+        if group is None:
+            pending += [((lo + hi) // 2 + 1, hi), (lo, (lo + hi) // 2)]
+        else:
+            programs.update(group[0])
+            sizes.update(group[1])
+            lattice.append(group[2])
+    _check_norm_size(len(mu.terms), "the molecule")
+    values = np.zeros(2 * n_max + 1)
+    for k, x in zip(sorted(programs), _solve_programs([programs[k][1] for k in sorted(programs)])):
+        values[k] = max(float(programs[k][0] @ x), 0.0)
+    report = []
+    for n, bound, clamped in zip(range(1, n_max + 1), *(a.tolist() for a in _projection_estimates(mu, n_max))):
+        err = float(values[n_max + n])
+        report.append(FddRow(n=n, norm_value=float(values[n]), err_value=err, bound=bound, support_size=sizes[n],
+                           clamped=clamped, bound_ok=None if clamped else err <= bound + FDD_TOL * max(1.0, bound)))
+    base = float(values[0])
+    return FddReport(base_norm=base, rows=tuple(report),
+                     monotone_ok=all(r.norm_value <= base * (1.0 + FDD_TOL) + FDD_TOL for r in report),
+                     trend_ok=report[-1].err_value <= report[0].err_value + FDD_TOL,
+                     lattice_ok=_lattice_ok(*map(np.concatenate, zip(*lattice)), n_max, mu.dim))

@@ -107,17 +107,17 @@ class Hypercube:
         return (self._points(x) - c + 0.5 * self.edge) / self.edge
 
 
-def _check_level(level: int) -> None:
-    if not (1 <= level <= MAX_LEVEL):
+def _check_level(level) -> None:
+    if not np.all((np.asarray(level) >= 1) & (np.asarray(level) <= MAX_LEVEL)):
         raise ValueError(f"level must be in 1..{MAX_LEVEL}, got {level}")
 
 
-def lattice_coords(keys, level: int) -> np.ndarray:
+def lattice_coords(keys, level) -> np.ndarray:
     """Coordinates ``key * 2**(1-n) - 2**(n-1)`` of int64 lattice keys.
 
     Key ``j`` on an axis names the level-n grid line at that coordinate, so
     the vertex grid is keys ``0 .. 2**(2n-1)`` per axis; exact up to
-    :data:`MAX_LEVEL`.
+    :data:`MAX_LEVEL`.  ``level`` may be an array broadcast against ``keys``.
     """
     return np.asarray(keys, dtype=np.int64) * 2.0 ** (1 - level) - 2.0 ** (level - 1)
 
@@ -130,7 +130,7 @@ def pack_key_rows(keys) -> np.ndarray:
     return keys.astype(">i8").view(np.dtype((np.void, 8 * keys.shape[1]))).reshape(-1)
 
 
-def cell_low_corners(u, level: int) -> np.ndarray:
+def cell_low_corners(u, level) -> np.ndarray:
     """Lattice keys of the low corners of the level-n cells containing the
     rows of ``u``.
 
@@ -140,7 +140,7 @@ def cell_low_corners(u, level: int) -> np.ndarray:
     its right endpoint.  ``u`` of shape (m, d) gives int64 keys of shape
     (m, d) in ``0 .. 2**(2n-1) - 1``; the cell spans
     ``[lattice_coords(key), lattice_coords(key + 1)]`` per axis.  A row with
-    a non-finite coordinate raises ValueError naming it.
+    a non-finite coordinate raises ValueError naming it.  ``level`` may be an ``(m, 1)`` column.
     """
     _check_level(level)
     u = np.atleast_2d(np.asarray(u, dtype=float))

@@ -252,16 +252,26 @@ def _stack_points(points, level: GridLevel) -> np.ndarray:
     return np.asarray(points, dtype=float).reshape(0, d)  # the empty batch; any other raises
 
 
-def _decay_estimates(points, rows: np.ndarray, level: GridLevel, lip: float = 1.0):
+def _decay_estimates(points, rows: np.ndarray, level: GridLevel, lip: float = 1.0, n=None):
     """Per point of a batch with stacked ``rows``: the decay estimate
-    ``2 L (tail + cell_dim 2^(1-n))`` and whether the clamp moves the point."""
-    n = level.n
-    tails = SparseBatch.of(points).tail(n) if level.dim is None else np.zeros(len(rows))
-    return (2.0 * lip * (tails + level.cell_dim * 2.0 ** (1 - n)),
-            np.abs(rows).max(axis=1, initial=0.0) > 2.0 ** (n - 1))
+    ``2 L (tail + cell_dim 2^(1-n))`` and whether the clamp moves the point.
+    Given an array of levels ``n`` (the rows at ``level``'s width), one
+    column per level; the tails then come from one ``bincount``."""
+    levels = np.atleast_1d(level.n if n is None else n)
+    if level.dim is None:
+        batch = SparseBatch.of(points)
+        entry, col = np.nonzero(batch.index[:, None] > levels)
+        tails = np.bincount(batch.entry_rows()[entry] * len(levels) + col, weights=np.abs(batch.value)[entry],
+                            minlength=len(rows) * len(levels)).reshape(len(rows), len(levels))
+        reach = np.maximum.accumulate(np.abs(rows), axis=1)[:, levels - 1]
+    else:
+        tails, reach = np.zeros((len(rows), 1)), np.abs(rows).max(axis=1, initial=0.0)[:, None]
+    bound = 2.0 * lip * (tails + (levels if level.dim is None else level.dim) * 2.0 ** (1 - levels))
+    clamped = reach > 2.0 ** (levels - 1)
+    return (bound, clamped) if n is not None else (bound[:, 0], clamped[:, 0])
 
 
-def cell_weights(points: Sequence, level: GridLevel):
+def cell_weights(points: Sequence, level: GridLevel, n=None):
     """Clamp, locate and weight a batch of points or stacked rows: sparse corner triplets.
 
     Returns ``(rows, keys, weights)``: point ``rows[e]`` puts weight
@@ -274,18 +284,23 @@ def cell_weights(points: Sequence, level: GridLevel):
     most ``2**a`` entries.  Entries are ordered by row, then by key.  A batch
     of more than :data:`MAX_CORNERS` such entries raises
     :class:`TooManyCorners`, a ValueError, before any is made.
+    Given ``n``, row ``r`` (at ``level``'s width) is expanded at level
+    ``n[r]``, in sequence mode on its leading ``n[r]`` coordinates only.
     """
     u = _stack_points(points, level)
-    keys = cell_low_corners(u, level.n)
     m, d = u.shape
+    n = level.n if n is None else np.asarray(n).reshape(m, 1)
+    if np.ndim(n) and level.dim is None:  # zeros add no branch
+        u = np.where(np.arange(d) < n, u, 0.0)
+    keys = cell_low_corners(u, n)
     # Per point and axis, the low-side and the high-side weight factor.  A
     # coordinate beyond the big cube is beyond its edge cell too, so clipping
     # its offset onto [0, 1] is the clamp onto the cube.
-    offsets = np.clip((u - lattice_coords(keys, level.n)) / 2.0 ** (1 - level.n), 0.0, 1.0)
+    offsets = np.clip((u - lattice_coords(keys, n)) / 2.0 ** (1 - n), 0.0, 1.0)
     factors = weights_from_offsets(offsets.reshape(m * d, 1)).reshape(m, d, 2)
     corners = int((1 << np.count_nonzero(factors.all(axis=2), axis=1)).sum())
     if corners > MAX_CORNERS:
-        raise TooManyCorners(f"the points reach {corners} weighted cell corners at level {level.n}, "
+        raise TooManyCorners(f"the points reach {corners} weighted cell corners at level {np.max(n)}, "
                              f"more than the {MAX_CORNERS} one projection expands", corners)
     rows = np.arange(m)
     weights = np.ones(m)

@@ -70,18 +70,26 @@ def _points_in(rng, n, low, count) -> np.ndarray:
     return geometry.lattice_coords(low, n) + rng.uniform(0.0, 2.0 ** (1 - n), size=(count, len(low)))
 
 
+class _OutsideCell(ValueError):
+    """A blend's weight on a key outside its cell; the suite fails."""
+
+
 def _blend(xs, n, low, table) -> np.ndarray:
     """Values at the rows ``xs`` that the level-n
     :func:`lipfree.operators.cell_weights` blend from the corner values
-    ``table`` of the cell with low-corner key ``low``."""
+    ``table`` of the cell with low-corner key ``low``, or :class:`_OutsideCell`."""
     rows, keys, w = operators.cell_weights(xs, operators.GridLevel(n, dim=len(low)))
+    outside = np.flatnonzero(((keys < low) | (keys > low + 1)).any(axis=1))
+    if outside.size:
+        raise _OutsideCell(f"weight on key {keys[outside[0]].tolist()} outside the level-{n} cell {low.tolist()}")
     return np.bincount(rows, weights=w * table[tuple((keys - low).T)], minlength=len(xs))
 
 
 def _suite_geometry_retraction(rng) -> SuiteResult:
     """Points beyond the big cube get, bit for bit, the corner weights of their
-    coordinatewise clamp, and the clamp is idempotent and 1-Lipschitz in l1."""
-    worst = 0.0
+    coordinatewise clamp, and the clamp is idempotent and 1-Lipschitz in l1
+    (the largest signed slack is reported)."""
+    worst = -np.inf
     xs = rng.uniform(-8, 8, size=(2_000, 3))
     ys = rng.uniform(-8, 8, size=(2_000, 3))
     for n in (1, 2, 3):
@@ -183,8 +191,8 @@ def _suite_interp_recursion(rng) -> SuiteResult:
 
 def _suite_interp_lip_constant(rng) -> SuiteResult:
     """The blend is Lipschitz in l1 with its corner data's constant, and
-    attains it at the corners."""
-    worst = 0.0
+    attains it at the corners: the largest signed slack, or a failed gap."""
+    worst, attained = -np.inf, 0.0
     for dim in (1, 2, 3, 4):
         i, j = np.triu_indices(2**dim, 1)
         for _ in range(10):
@@ -197,7 +205,8 @@ def _suite_interp_lip_constant(rng) -> SuiteResult:
             fx, fy, at = np.split(_blend(np.vstack([xs, ys, verts]), n, low, table), [600, 1200])
             gaps = np.abs(fx - fy) - lip * np.abs(xs - ys).sum(axis=1) * (1 + 1e-9)
             worst = max(worst, float(np.max(gaps)))
-            worst = max(worst, abs(float(np.max(np.abs(at[i] - at[j]) / dist)) - lip))
+            attained = max(attained, abs(float(np.max(np.abs(at[i] - at[j]) / dist)) - lip))
+    worst = max(worst, attained) if attained > 1e-9 else worst
     return SuiteResult("interp-lip-constant", worst <= 1e-9, worst)
 
 
@@ -580,5 +589,8 @@ def run_verification(seed: int = DEFAULT_SEED, only: str | None = None) -> Verif
         if only is not None and only != name:
             continue
         rng = np.random.default_rng([seed, pos])
-        results.append(fn(rng))
+        try:
+            results.append(fn(rng))
+        except _OutsideCell as exc:
+            results.append(SuiteResult(name, False, np.inf, str(exc)))
     return VerificationReport(seed=seed, suites=tuple(results))

@@ -22,7 +22,7 @@ from lipfree.extension import (
 )
 from lipfree.freespace import (
     Molecule,
-    _projection_estimate,
+    _projection_estimates,
     free_norm,
     line_norm,
     molecule_projection,
@@ -205,7 +205,7 @@ def test_criterion_5_quantitative_convergence():
         n = int(rng.integers(1, 6))
         reach = 0.9 * min(1.5, 2.0 ** (n - 1))
         mu = random_l1_molecule(rng, size=int(rng.integers(1, 4)), spread=reach)
-        bound, clamped = _projection_estimate(mu, n)
+        bound, clamped = (a[-1] for a in _projection_estimates(mu, n))
         assert not clamped
         err = free_norm(molecule_projection(mu, n).minus(mu)).value
         worst_mu = max(worst_mu, err - bound)

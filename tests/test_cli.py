@@ -292,6 +292,9 @@ class TestFddTable:
         assert payload["monotone_ok"] and payload["lattice_ok"]
 
 
+INTERP_SUITES = ("interp-weight-simplex", "interp-recursion-equivalence", "interp-lip-constant")
+
+
 class TestVerify:
     def test_single_suite_runs_clean(self, capsys):
         code, out, _ = run(capsys, ["verify", "--suite", "interp-weight-simplex"])
@@ -328,16 +331,30 @@ class TestVerify:
         assert code == 0
         assert 0.0 < json.loads(out)["suites"][0]["worst_case"] <= 1.0
 
-    @pytest.mark.parametrize("suite", ["interp-weight-simplex", "interp-recursion-equivalence",
-                                       "interp-lip-constant", "geometry-vertex-count", "geometry-retraction"])
-    def test_an_injected_grid_fault_fails_the_suite(self, capsys, monkeypatch, suite):
+    @pytest.mark.parametrize("suite, fault", [
+        *(pytest.param(s, "weights", id=s) for s in INTERP_SUITES),
+        *(pytest.param(s, "low-corners", id=s) for s in ("geometry-vertex-count", "geometry-retraction")),
+        *((s, f) for f in ("swapped-branches", "reversed-factors") for s in INTERP_SUITES)])
+    def test_an_injected_grid_fault_fails_the_suite(self, capsys, monkeypatch, suite, fault):
         from lipfree import interpolation, operators
 
-        if suite.startswith("geometry-"):
+        if fault == "low-corners":
             low_corners = operators.cell_low_corners
             monkeypatch.setattr(operators, "cell_low_corners", lambda u, level: low_corners(u, level) + 1)
-        else:
+        elif fault == "weights":
             monkeypatch.setattr(interpolation, "_WEIGHT_FAULT", True)
+        elif fault == "swapped-branches":  # each axis's low-side factor on the high corner, and back
+            cell_weights = operators.cell_weights
+
+            def swapped(points, level, n=None):
+                rows, keys, weights = cell_weights(points, level, n)
+                low = operators.cell_low_corners(operators._stack_points(points, level), level.n)[rows]
+                return rows, 2 * low + 1 - keys, weights
+
+            monkeypatch.setattr(operators, "cell_weights", swapped)
+        else:
+            from_offsets = operators.weights_from_offsets
+            monkeypatch.setattr(operators, "weights_from_offsets", lambda t: from_offsets(t)[:, ::-1])
         code, out, _ = run(capsys, ["verify", "--suite", suite])
         assert code == 1
         assert json.loads(out)["suites"][0]["passed"] is False

@@ -1,3 +1,8 @@
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,7 +14,7 @@ from lipfree.freespace import (
     Molecule,
     NormCertificate,
     _distance_matrix,
-    _projection_estimate,
+    _projection_estimates,
     check_certificate,
     decomposition_report,
     free_norm,
@@ -19,8 +24,10 @@ from lipfree.freespace import (
     pairing,
     transport_norm,
 )
-from lipfree.geometry import FiniteSupportPoint
-from lipfree.operators import GridLevel, convergence_checks, l1_norm_function, lip_projection, random_lattice_function
+from lipfree.geometry import FiniteSupportPoint, SparseBatch
+from lipfree.operators import (GridLevel, TooManyCorners, convergence_checks, l1_norm_function, lip_projection,
+                               random_lattice_function)
+from report_oracle import dict_lattice_ok, lattice_arrays, oracle_report
 
 
 def sparse(pairs):
@@ -240,18 +247,19 @@ class TestDecompositionReport:
 
     def test_bound_column_matches_formula(self):
         mu = Molecule.on_l1([(sparse([(1, 0.4), (3, 0.2)]), 2.0)])
-        assert _projection_estimate(mu, 2)[0] == pytest.approx(2.0 * 2.0 * (0.2 + 2 * 0.5))
+        assert _projection_estimates(mu, 2)[0][1] == pytest.approx(2.0 * 2.0 * (0.2 + 2 * 0.5))
 
     def test_bound_and_clamp_are_the_unit_constant_convergence_columns(self):
         rng = np.random.default_rng(233)
         for _ in range(10):
             mu = random_report_molecule(rng)
+            bounds, clamps = _projection_estimates(mu, 8)
             for n in range(1, 9):
                 checks = convergence_checks(l1_norm_function(), mu.support, n, dim=mu.dim)
                 total = 0.0
                 for a, b in zip(mu.coefficients, checks.bound.tolist()):
                     total += abs(a) * b
-                assert _projection_estimate(mu, n) == (total, bool(checks.clamped.any()))
+                assert (bounds[n - 1], clamps[n - 1]) == (total, bool(checks.clamped.any()))
 
 
 class TestNormSize:
@@ -333,6 +341,31 @@ def test_rn_points_must_be_flat():
     for bad in ([[1.0]], 1.0, [[0.5, 0.5]]):
         with pytest.raises(ValueError, match="not a flat list"):
             Molecule.on_rn([(bad, 1.0)])
+
+
+class TestOnRn:
+    """``Molecule.on_rn`` checks all points in one array pass, and names the
+    first bad point as the point-by-point checks do."""
+
+    def test_the_canonical_molecule_of_the_terms(self):
+        rng = np.random.default_rng(990)
+        pts = rng.choice([-1.5, -0.0, 0.0, 0.25, 3.0], size=(40, 3))
+        pairs = [(p, float(a)) for p, a in zip(pts, rng.normal(size=40))]
+        mu = Molecule.on_rn(pairs)
+        expect = Molecule(kind="l1N", terms=(), dim=3)._rebuild([(tuple(map(float, p)), a) for p, a in pairs])
+        assert mu.dim == 3 and repr(mu.terms) == repr(expect.terms)  # repr tells -0.0 from 0.0
+        assert repr(Molecule.on_rn([(list(p), a) for p, a in pairs], dim=3).terms) == repr(expect.terms)
+
+    @pytest.mark.parametrize("pairs, message", [
+        ([((1.0, 2.0), 1.0), ((1.0, float("nan")), 1.0), ((1e200, 0.0), 1.0)], r"point \(1.0, nan\) has a non-finite"),
+        ([((1.0, 2.0), 1.0), ((1e200, 0.0), 1.0), ((float("inf"), 0.0), 1.0)], r"coordinate of point \(1e\+200, 0.0\)"),
+        ([((1.0, 2.0), float("inf")), ((1e200, 0.0), 1.0)], "coefficient inf is not finite"),
+        ([((1.0, 2.0), 1e120), ((float("nan"), 0.0), 1.0)], "coefficient is 1e\\+120"),
+        ([((1.0, 2.0), 1.0), ((1.0,), 1.0), ((float("nan"), 0.0), 1.0)], "share one dimension"),
+    ])
+    def test_the_first_bad_point_is_named(self, pairs, message):
+        with pytest.raises(ValueError, match=message):
+            Molecule.on_rn(pairs)
 
 
 def oracle_cases(seed):
@@ -480,13 +513,22 @@ def random_report_molecule(rng):
                            for _ in range(int(rng.integers(1, 6)))], dim=dim)
 
 
+def perturbed_level(args, n, factor):
+    """``lattice_arrays`` output with the masses of level ``n`` scaled by ``factor``."""
+    coords, mass, level_of, n_max, dim = args
+    return coords, np.where(level_of == n, mass * factor, mass), level_of, n_max, dim
+
+
 class TestLatticeCheck:
+    """The array lattice check, on the rows that ``lattice_arrays`` lays out
+    from a dict of projections, against the pairwise check and the
+    dict-based oracle."""
+
     def test_report_flags_one_perturbed_level(self, monkeypatch):
         mu = Molecule.on_l1([(sparse([(1, 1.0 / 3.0), (2, -0.7)]), 1.0), (sparse([(3, 1.3)]), -0.5)])
         assert decomposition_report(mu, 8).lattice_ok
-        project = freespace.molecule_projection
-        monkeypatch.setattr(freespace, "molecule_projection",
-                            lambda m, n: project(m, n).scaled(1.0 + 1e-6) if n == 5 else project(m, n))
+        lattice_ok = freespace._lattice_ok
+        monkeypatch.setattr(freespace, "_lattice_ok", lambda *args: lattice_ok(*perturbed_level(args, 5, 1.0 + 1e-6)))
         assert not decomposition_report(mu, 8).lattice_ok
 
     @pytest.mark.parametrize("change", ["scale", "drop", "move", "tiny"])
@@ -508,7 +550,9 @@ class TestLatticeCheck:
                 projections[n] = proj._rebuild([(moved, a), *proj.terms[1:]])
             else:
                 projections[n] = proj.scaled(1.0 + 1e-14)
-            assert freespace._lattice_ok(projections) == pairwise_lattice_ok(projections) == (change == "tiny")
+            expect = change == "tiny"
+            assert freespace._lattice_ok(*lattice_arrays(projections)) == pairwise_lattice_ok(projections) == expect
+            assert dict_lattice_ok(projections) == expect
 
     def test_agrees_with_the_pairwise_check_on_20_random_reports(self):
         rng = np.random.default_rng(940)
@@ -517,26 +561,19 @@ class TestLatticeCheck:
             n_max = int(rng.integers(1, 9))
             assert decomposition_report(mu, n_max).lattice_ok == pairwise_lattice_ok(level_projections(mu, n_max))
 
-    def test_a_report_truncates_each_lattice_point_once(self, monkeypatch):
+    def test_a_report_expands_every_level_in_one_call(self, monkeypatch):
         mu = Molecule.on_l1([(sparse([(1, 1.0 / 3.0), (2, -0.7), (9, 0.2)]), 1.0),
                              (sparse([(3, 1.3), (5, 0.6)]), -0.5)])
-        truncated, points = [], []
-        lay_out, lattice_ok = geometry.SparseBatch.of, freespace._lattice_ok
-
-        def spy(projections):
-            truncated.clear()
-            points.extend(p for proj in projections.values() for p in proj.support)
-            return lattice_ok(projections)
-
-        def spy_layout(cls, pts):
-            truncated.extend([] if isinstance(pts, (cls, np.ndarray)) else pts)
-            return lay_out(pts)
-
-        monkeypatch.setattr(geometry.SparseBatch, "of", classmethod(spy_layout))
-        monkeypatch.setattr(freespace, "_lattice_ok", spy)
+        calls, distances = [], []
+        cell_weights, l1_distances = freespace.cell_weights, freespace.l1_distances
+        monkeypatch.setattr(freespace, "cell_weights",
+                            lambda rows, level, n: calls.append(n) or cell_weights(rows, level, n))
+        monkeypatch.setattr(freespace, "l1_distances", lambda a, b: distances.append(len(a)) or l1_distances(a, b))
         assert decomposition_report(mu, 8).lattice_ok
-        assert len(points) > 8
-        assert sorted(map(id, truncated)) == sorted(map(id, points))
+        # one expansion of the support at every level, one of the projections at every target level
+        assert len(calls) == 2 and sorted(set(calls[0].tolist())) == list(range(1, 9))
+        assert sorted(set(calls[1].tolist())) == list(range(1, 9))
+        assert len(distances) == 1
 
     def test_a_stack_past_the_corner_cap_goes_one_level_at_a_time(self, monkeypatch):
         from lipfree import operators
@@ -547,9 +584,139 @@ class TestLatticeCheck:
         stacked = [sum(len(operators.cell_weights(p.support, GridLevel(m, dim=8))[0]) for p in projections.values())
                    for m in projections]
         assert max(stacked) > operators.MAX_CORNERS
-        assert freespace._lattice_ok(projections)
-        projections[4] = projections[4].scaled(1.0 + 1e-6)
-        assert not freespace._lattice_ok(projections)
+        args = lattice_arrays(projections)
+        assert freespace._lattice_ok(*args)
+        assert not freespace._lattice_ok(*perturbed_level(args, 4, 1.0 + 1e-6))
         monkeypatch.setattr(operators, "MAX_CORNERS", 2**10)
         with pytest.raises(ValueError, match="weighted cell corners"):
-            freespace._lattice_ok(projections)
+            freespace._lattice_ok(*args)
+
+
+def fdd_pool_molecules(seed, tmp_path):
+    """The molecules of the benchmark's ``fdd`` pool for a seed."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclass looks the module up
+    try:
+        spec.loader.exec_module(workloads)
+        ops = workloads.make_pool("fdd", seed, tmp_path)
+    finally:
+        del sys.modules[spec.name]
+    return [(Molecule.from_json(json.loads(op.input_path.read_text())), int(op.argv[op.argv.index("--n-max") + 1]))
+            for op in ops]
+
+
+def edge_molecules():
+    """Named ``(molecule, n_max)`` cases at the edges of the report's table."""
+    rng = np.random.default_rng(950)
+    plane = rng.uniform(-3, 3, size=(12, 2))
+    point = [(i, 0.01 + 0.98 * ((i * 0.618034) % 1.0)) for i in range(1, 9)]
+    return {
+        "zero-l1": (Molecule.on_l1([]), 4),
+        "zero-l1N": (Molecule.on_rn([], dim=2), 3),
+        "zero-l1N-no-dim": (Molecule.on_rn([]), 3),
+        "n_max-1": (random_l1_molecule(rng, size=4, spread=3.0), 1),
+        "n_max-1-l1N": (Molecule.on_rn([(p, float(rng.normal())) for p in plane[:4]], dim=2), 1),
+        "n_max-12": (random_l1_molecule(rng, size=3, spread=3.0, max_index=14), 12),
+        "n_max-12-l1N": (Molecule.on_rn([(p, float(rng.normal())) for p in plane], dim=2), 12),
+        "grid-points": (Molecule.on_rn([((0.5, 0.25), 1.0), ((1.0, -2.0), -2.0), ((0.3, 0.1), 0.5)], dim=2), 6),
+        "grid-points-l1": (Molecule.on_l1([(sparse([(1, 0.5), (2, 1.0)]), 1.0), (sparse([(1, 0.3)]), 0.7)]), 5),
+        # (0.5, 0.5) is a corner at levels 2 and 3
+        "corner-of-two-levels": (Molecule.on_rn([((0.3, 0.3), 1.0)], dim=2), 3),
+        "error-cancels": (Molecule.on_rn([((0.5, 0.5), 1.0), ((0.75, 0.5), 1.0)], dim=2), 4),
+        "error-cancels-l1": (Molecule.on_l1([(sparse([(1, 0.5)]), 1.0), (sparse([(1, 0.75)]), 2.0)]), 4),
+        "negative-zero": (Molecule.on_rn([((-0.0, 0.5), 1.0), ((0.3, -0.0), -1.0), ((0.6, 0.5), 0.25)], dim=2), 5),
+        "negative-zero-3d": (Molecule.on_rn([((-0.0, -0.0, 0.7), 1.0), ((0.2, -0.0, 0.0), -0.3)], dim=3), 6),
+        "indices-past-n_max": (Molecule.on_l1([(sparse([(1, 0.4), (15, 0.2)]), 1.0),
+                                               (sparse([(2, -0.3), (30, 1.5)]), 0.5)]), 12),
+        "indices-past-int64": (Molecule.on_l1([(sparse([(1, 0.4), (2**70, 0.2)]), 1.0),
+                                               (sparse([(2**64 + 3, 1.5)]), -0.5), (sparse([(2, 0.25)]), 0.5)]), 6),
+        "clamped": (Molecule.on_rn([((5.0, -7.5), 1.0), ((0.2, 9.0), -1.0), ((1.5, 0.25), 2.0)], dim=2), 5),
+        "clamped-l1": (Molecule.on_l1([(sparse([(1, 5.0), (2, -3.0)]), 1.0), (sparse([(3, 2.5)]), -0.3)]), 6),
+        # 8 free coordinates: the table of all levels passes 2 * MAX_NORM_SUPPORT + 1 points, so levels are halved
+        "halved-levels": (Molecule.on_l1([(sparse(point), 1.0)]), 8),
+    }
+
+
+class TestReportOracle:
+    """The array report equals the per-level oracle, ``to_json()`` exactly."""
+
+    @pytest.mark.parametrize("seed", range(201, 211))
+    def test_on_the_benchmark_pool(self, seed, tmp_path):
+        for mu, n_max in fdd_pool_molecules(seed, tmp_path):
+            assert decomposition_report(mu, n_max).to_json() == oracle_report(mu, n_max).to_json()
+
+    @pytest.mark.parametrize("name", edge_molecules())
+    def test_on_an_edge_case(self, name):
+        mu, n_max = edge_molecules()[name]
+        assert decomposition_report(mu, n_max).to_json() == oracle_report(mu, n_max).to_json()
+
+    def test_levels_halved_past_the_corner_cap(self, monkeypatch):
+        rng = np.random.default_rng(960)
+        mu = Molecule.on_rn([(p, float(rng.normal())) for p in rng.uniform(-3, 3, size=(5, 3))], dim=3)
+        expect = oracle_report(mu, 6).to_json()
+        groups, level_corners = [], freespace._level_corners
+
+        def capped(rows, coeffs, levels, wide):  # a cap that holds two levels
+            groups.append((int(levels[0]), int(levels[-1])))
+            if len(levels) > 2:
+                raise TooManyCorners("past the cap", 0)
+            return level_corners(rows, coeffs, levels, wide)
+
+        monkeypatch.setattr(freespace, "_level_corners", capped)
+        assert decomposition_report(mu, 6).to_json() == expect
+        assert groups == [(1, 6), (1, 3), (1, 2), (3, 3), (4, 6), (4, 5), (6, 6)]
+
+    @pytest.mark.parametrize("cap, refusal", [(2**17, "level-9 projection error has 513"),
+                                              (2**8, "512 weighted cell corners at level 9")])
+    def test_the_first_refused_level_is_reported(self, monkeypatch, cap, refusal):
+        from lipfree import operators
+
+        # 12 free coordinates: level n reaches 2**n corners, and its error molecule 2**n + 1 points
+        mu = Molecule.on_l1([(sparse([(i, 0.01 + 0.98 * ((i * 0.618034) % 1.0)) for i in range(1, 13)]), 1.0)])
+        monkeypatch.setattr(operators, "MAX_CORNERS", cap)
+        with pytest.raises(ValueError, match=refusal) as expect:
+            oracle_report(mu, 12)
+        with pytest.raises(ValueError) as got:
+            decomposition_report(mu, 12)
+        assert str(got.value) == str(expect.value)
+
+
+class TestPointTable:
+    def test_l1_points_sort_as_molecules_do(self):
+        rng = np.random.default_rng(970)
+        support = sorted({sparse((int(i), float(rng.choice([-1.5, 0.5, 2.0])))
+                                 for i in rng.choice(np.array([1, 2, 3, 2**70], dtype=object), size=k, replace=False))
+                          for k in rng.integers(1, 4, size=25)})
+        corners = rng.choice([-1.0, 0.0, 0.5], size=(12, 3))
+        corners = corners[corners.any(axis=1)]
+        table, pos = freespace._point_table(SparseBatch.of(support), corners)
+        points = list(table)
+        assert points[0].is_zero and points[1:] == sorted(set(support) | set(SparseBatch.from_rows(corners)))
+        assert [points[k] for k in pos] == support + list(SparseBatch.from_rows(corners))
+
+    def test_coordinate_rows_sort_with_negative_zero_as_zero(self):
+        support = np.array([[0.5, -0.0], [-0.0, 1.0], [0.0, 0.5]])
+        corners = np.array([[0.0, 1.0], [0.5, 0.0], [-1.0, 2.0]])
+        table, pos = freespace._point_table(support, corners)
+        assert table.tolist() == [[0.0, 0.0], [-1.0, 2.0], [0.0, 0.5], [0.0, 1.0], [0.5, 0.0]]
+        assert pos.tolist() == [4, 3, 2, 3, 4, 1]
+        assert not np.any(np.signbit(table) & (table == 0.0))
+
+
+class TestRelayStack:
+    def test_a_padded_stack_keeps_each_reach(self):
+        rng = np.random.default_rng(980)
+        ds = [_distance_matrix(Molecule.on_rn([(p, 1.0) for p in rng.uniform(-3, 3, size=(k, 2))], dim=2))
+              for k in (3, 9, 1, 6)]
+        stack = np.full((len(ds), 10, 10), np.inf)
+        for s, d in zip(stack, ds):
+            s[:len(d), :len(d)] = d
+        for d, reach in zip(ds, freespace._chain_reach(stack)):
+            alone = freespace._chain_reach(d)
+            k = len(d)
+            assert np.array_equal(np.triu(reach[:k, :k], 1), np.triu(alone, 1))
+            brute = np.array([[min((d[i, r] + d[r, j] for r in range(k) if r not in (i, j)), default=np.inf)
+                               for j in range(k)] for i in range(k)])
+            assert np.array_equal(np.triu(alone, 1), np.triu(brute, 1))
