@@ -24,9 +24,9 @@ The grid projection :func:`molecule_projection` pushes each point's mass onto
 the weighted corners of its tiling cell through the same sparse corner
 triplets as the function projection; by construction its pairing with any
 function equals the pairing of the projected function with the original
-molecule.  :func:`decomposition_report` runs as array passes over one table
-of distinct points: one expansion for all levels, one distance matrix, one
-relay-pruning pass, one HiGHS solve, and one lattice expansion.
+molecule.  :func:`decomposition_report` projects each level with it, then
+runs array passes over one table of distinct points: one distance matrix,
+one relay-pruning pass, one HiGHS solve, and one lattice expansion.
 """
 
 from __future__ import annotations
@@ -114,11 +114,12 @@ class Molecule:
         pairs = list(pairs)
         try:
             pts, coeffs = (np.asarray([pair[k] for pair in pairs], dtype=float) for k in (0, 1))
+            if (pts.ndim == 2 and dim in (None, pts.shape[1]) and np.all(np.abs(pts) <= MAX_MAGNITUDE)
+                    and np.all(np.abs(coeffs) <= MAX_MAGNITUDE)):  # NaN fails the comparison too
+                return cls(kind="l1N", terms=(), dim=pts.shape[1])._rebuild(zip(map(tuple, pts.tolist()),
+                                                                                coeffs.tolist()))
         except (TypeError, ValueError, OverflowError):
-            pts = coeffs = np.zeros(0)
-        if (pts.ndim == 2 and dim in (None, pts.shape[1]) and np.all(np.abs(pts) <= MAX_MAGNITUDE)
-                and np.all(np.abs(coeffs) <= MAX_MAGNITUDE)):  # NaN fails the comparison too
-            return cls(kind="l1N", terms=(), dim=pts.shape[1])._rebuild(zip(map(tuple, pts.tolist()), coeffs.tolist()))
+            pass
         terms = []
         for p, a in pairs:
             arr = np.asarray(p, dtype=float)
@@ -324,13 +325,11 @@ def _chain_reach(d: np.ndarray) -> np.ndarray:
     """Best one-intermediate relay distance in the symmetric distance matrix
     ``d``, excluding trivial relays: off the diagonal, entry ``[i, j]`` is the
     least ``d[i, r] + d[r, j]`` over ``r`` other than ``i`` and ``j``.  An
-    infinite diagonal rules the trivial relays out.  ``d`` may be a stack of
-    such matrices, each reduced over its own relays; a matrix padded with
-    ``inf`` rows and columns keeps its reach.  Each block of rows, about
-    :data:`_RELAY_ELEMENTS` sums over the stack and at least one row, is
-    reduced over all relays at once, for the columns from the block's first
-    row on: the reach is symmetric, and the entries left of those stay
-    ``inf``."""
+    infinite diagonal rules the trivial relays out; ``inf`` padding keeps a
+    matrix's reach, so ``d`` may be a padded stack.  Each block of rows, about
+    :data:`_RELAY_ELEMENTS` sums over the stack, is reduced over all relays at
+    once from its first row's column on (the reach is symmetric; the lower
+    triangle stays ``inf``)."""
     k = d.shape[-1]
     dd = d + np.diag(np.full(k, np.inf))
     rows = max(1, _RELAY_ELEMENTS // d.size)
@@ -388,8 +387,8 @@ def free_norm(mu: Molecule) -> NormCertificate:
 def _norm_programs(coeffs: Sequence[np.ndarray], ds: Sequence[np.ndarray]) -> list:
     """The scaled ``(c, pairs, b, bound, scale)`` program of each nonzero
     molecule from its coefficients and distances over origin + support.
-    Relays are pruned on stacks of consecutive matrices padded with ``inf``,
-    each within one :func:`_chain_reach` block; a larger matrix goes alone."""
+    Relays are pruned on ``inf``-padded stacks of at most
+    :data:`_RELAY_ELEMENTS` entries, so small matrices share blocks."""
     programs, lo = [], 0
     while lo < len(ds):
         hi, size = lo + 1, len(ds[lo])
@@ -442,8 +441,8 @@ def free_norms(mus: Sequence[Molecule]) -> list[NormCertificate]:
     for mu in mus:
         _check_norm_size(len(mu.terms), "the molecule")
     solved = [mu for mu in mus if not mu.is_zero]
-    coeffs = [np.asarray(mu.coefficients) for mu in solved]
-    xs = iter(_solve_programs(_norm_programs(coeffs, [_distance_matrix(mu) for mu in solved])))
+    xs = iter(_solve_programs(_norm_programs([np.asarray(mu.coefficients) for mu in solved],
+                                             [_distance_matrix(mu) for mu in solved])))
     certs = []
     for mu in mus:
         origin, value = mu.origin_point(), 0.0
@@ -521,39 +520,23 @@ def line_norm(mu: Molecule) -> float:
     return total
 
 
-def _level_corners(rows: np.ndarray, coeffs: np.ndarray, levels: np.ndarray, wide: GridLevel):
-    """``(level, keys, mass)`` per corner of the projections of ``rows`` with
-    masses ``coeffs`` at ``levels``, by level and key: one :func:`cell_weights`
-    call, one level per row, then masses added by ``(level, key)`` in
-    expansion order, as canonicalization adds them.  Zero sums and the
-    origin corner are left out."""
-    n = np.repeat(levels, len(rows))
-    entry, keys, weights = cell_weights(np.tile(rows, (len(levels), 1)), wide, n)
-    distinct, corner_of = np.unique(pack_key_rows(np.column_stack([n[entry], keys])), return_inverse=True)
-    mass = np.bincount(corner_of, weights=coeffs[entry % max(len(rows), 1)] * weights)
-    corners = distinct.view(">i8").reshape(-1, 1 + keys.shape[1]).astype(np.int64)
-    level, keys = corners[:, 0], corners[:, 1:]
-    keep = (mass != 0.0) & (keys != (1 << (2 * level - 2))[:, None]).any(axis=1)
-    return level[keep], keys[keep], mass[keep]
-
-
 def molecule_projection(mu: Molecule, n: int) -> Molecule:
     """Push each point's mass onto its tiling-cell corners (the predual step).
 
     For every term the (clamped, truncated) point is located in the level-n
     tiling and its coefficient is spread over the weighted corners that
-    :func:`lipfree.operators.cell_weights` yields; corners shared by several
-    terms are merged and those on the origin dropped.  This is the one-level
-    view of :func:`_level_corners`, which :func:`decomposition_report` runs
-    at all levels at once.  By construction pairing any function against the
-    result equals pairing its projection against the input.
+    :func:`lipfree.operators.cell_weights` yields; canonicalization merges
+    corners shared by several terms and drops those landing on the origin.
+    By construction pairing any function against the result equals pairing
+    its projection against the input.
     """
     if mu.kind == "finite":
         raise ValueError("grid projections act on l1-type molecules only")
     if mu.is_zero:
         return mu
     level = GridLevel(n, mu.dim)  # sequence mode for l1 molecules, which have no dim
-    _, keys, mass = _level_corners(_stack_points(mu.support, level), np.asarray(mu.coefficients), np.array([n]), level)
+    rows, keys, weights = cell_weights(mu.support, level)
+    mass = np.asarray(mu.coefficients)[rows] * weights
     coords = lattice_coords(keys, n)
     points = SparseBatch.from_rows(coords) if mu.kind == "l1" else map(tuple, coords.tolist())
     return mu._rebuild(zip(points, mass.tolist()))
@@ -564,9 +547,9 @@ def _projection_estimates(mu: Molecule, n_max: int) -> tuple[np.ndarray, np.ndar
     decay estimate at unit constant, ``sum |a_i| 2 (tail_i + cell_dim
     2^(1-n))`` added in term order (down axis 0), and whether the clamp onto
     the big cube moves some support point."""
-    level = GridLevel(n_max, mu.dim)
-    support = SparseBatch.of(mu.support) if mu.dim is None else mu.support
-    bounds, clamped = _decay_estimates(support, _stack_points(support, level), level, n=np.arange(1, n_max + 1))
+    support = SparseBatch.of(mu.support) if mu.kind == "l1" else mu.support
+    rows = _stack_points(support, GridLevel(n_max, mu.dim))
+    bounds, clamped = _decay_estimates(support, rows, mu.dim, np.arange(1, n_max + 1))
     terms = np.abs(np.asarray(mu.coefficients, dtype=float))[:, None] * bounds
     return np.cumsum(np.vstack([np.zeros(n_max), terms]), axis=0)[-1], clamped.any(axis=0)
 
@@ -599,58 +582,26 @@ class FddReport:
         return {**vars(self), "rows": [vars(r) for r in self.rows], "passed": self.passed}
 
 
-def _point_table(support, coords: np.ndarray):
-    """``(table, pos)``: the distinct points of a support and the corner rows
-    ``coords`` in :class:`Molecule` order, origin first, with the support's
-    points, then the corners, at ``table[pos]``.  Rows sort with ``-0.0`` as
-    ``0.0``; sparse points by padded ``(index rank, value)`` rows, rank 0
-    past a point's end so that a prefix sorts first."""
-    sparse = isinstance(support, SparseBatch)
-    if sparse:
-        corners = SparseBatch.from_rows(coords)
-        indptr = np.concatenate([support.indptr, corners.indptr[1:] + support.indptr[-1]])
-        indices, rank = np.unique(np.concatenate([support.index, corners.index]), return_inverse=True)
-        entry = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-        item = 2 * (np.arange(len(entry)) - indptr[entry])
-        x = np.zeros((len(indptr) - 1, int(item.max(initial=0)) + 2))
-        x[entry, item], x[entry, item + 1] = rank + 1, np.concatenate([support.value, corners.value])
-    else:
-        x = np.vstack([support, coords]) + 0.0
-    order = np.lexsort(x.T[::-1])
-    first = np.concatenate([[True], np.any(x[order[1:]] != x[order[:-1]], axis=1)])[:len(x)]
-    pos = np.empty(len(x), dtype=np.intp)
-    pos[order] = np.cumsum(first)
-    table = np.vstack([np.zeros((1, x.shape[1])), x[order[first]]])
-    if sparse:
-        items = table[:, 0::2] > 0
-        table = SparseBatch(np.concatenate([[0], np.cumsum(np.count_nonzero(items, axis=1))]),
-                            indices[table[:, 0::2][items].astype(np.intp) - 1], table[:, 1::2][items])
-    return table, pos
-
-
-def _ranges(start: np.ndarray, size: np.ndarray) -> np.ndarray:
-    """The ranges ``start[k] .. start[k] + size[k] - 1``, concatenated."""
-    return np.repeat(start - np.cumsum(size) + size, size) + np.arange(size.sum())
-
-
 def _lattice_ok(coords: np.ndarray, mass: np.ndarray, level_of: np.ndarray, n_max: int, dim: int | None,
                 pairs: tuple | None = None) -> bool:
     """True when the level projections commute with the coarser level winning:
     for all levels ``m, n`` in ``1..n_max``, projecting the level-``n``
     projection to level ``m`` gives the level-``min(m, n)`` one, coefficient
-    by coefficient within :data:`LATTICE_TOL`.
+    by coefficient within :data:`LATTICE_TOL`.  Pairs with ``m > n`` are
+    implied: once ``(n, n)`` holds, a level-``n`` point is a grid point, its
+    own expansion with weight exactly 1 at every finer level.
 
-    The rows ``coords`` (at level ``n_max``'s width), masses ``mass``, are
-    grouped by level ``level_of``, in level order.  One :func:`cell_weights`
-    call projects the rows of every pair ``(m, n)`` to level ``m``; the
-    expected side enters negated, named by exact level-``m`` keys (a point
-    off that grid fails); masses add by ``(m, n, key)``, the origin corner
-    left out.  Past the corner cap the ``pairs`` go in halves."""
+    The rows ``coords`` (at level ``n_max``'s width) have masses ``mass`` and
+    levels ``level_of``.  One :func:`cell_weights` call projects the rows of
+    every pair ``(m, n)`` to level ``m``; the expected side enters negated at
+    exact level-``m`` keys (a point off that grid fails); masses add by ``(m,
+    n, key)``, the origin corner left out.  Past the corner cap the ``pairs``
+    go in halves."""
     levels = np.arange(1, n_max + 1)
-    pair_m, pair_n = pairs or (np.repeat(levels, n_max), np.tile(levels, n_max))
-    count = np.bincount(level_of, minlength=n_max + 1)[1:]
-    first, low = np.cumsum(count) - count, np.minimum(pair_m, pair_n) - 1
-    source, target = _ranges(first[pair_n - 1], count[pair_n - 1]), np.repeat(pair_m, count[pair_n - 1])
+    pair_m, pair_n = pairs or tuple(k + 1 for k in np.triu_indices(n_max))
+    span = [np.flatnonzero(level_of == n) for n in range(n_max + 1)]
+    count = np.array([len(rows) for rows in span])
+    source, target = np.concatenate([span[n] for n in pair_n]), np.repeat(pair_m, count[pair_n])
     try:
         entry, keys, weights = cell_weights(coords[source], GridLevel(n_max, dim), target)
     except TooManyCorners:
@@ -660,51 +611,50 @@ def _lattice_ok(coords: np.ndarray, mass: np.ndarray, level_of: np.ndarray, n_ma
         return all(_lattice_ok(coords, mass, level_of, n_max, dim, (pair_m[h], pair_n[h])) for h in halves)
     m, source = target[entry], source[entry]
     keep = (keys != (1 << (2 * m - 2))[:, None]).any(axis=1)
-    expect, at = _ranges(first[low], count[low]), np.repeat(pair_m, count[low])[:, None]
+    expect, at = np.concatenate([span[k] for k in pair_m]), np.repeat(pair_m, count[pair_m])[:, None]
     scaled = (coords[expect] + 2.0 ** (at - 1)) * 2.0 ** (at - 1)
     if np.any(scaled != np.floor(scaled)) or dim is None and np.any(coords[expect] * (levels > at)):
         return False
     key_rows = np.vstack([np.column_stack([m, level_of[source], keys])[keep],
-                          np.column_stack([at, np.repeat(pair_n, count[low]), scaled.astype(np.int64)])])
+                          np.column_stack([at, np.repeat(pair_n, count[pair_m]), scaled.astype(np.int64)])])
     _, group_of = np.unique(pack_key_rows(key_rows), return_inverse=True)
     sums = np.bincount(group_of, weights=np.concatenate([mass[source[keep]] * weights[keep], -mass[expect]]))
     return bool(np.all(np.abs(sums) <= LATTICE_TOL))
 
 
-def _level_programs(support, rows: np.ndarray, coeffs: np.ndarray, wide: GridLevel, lo: int, hi: int):
-    """Levels ``lo..hi`` of a report on one point table: ``(programs, sizes,
-    lattice)``, slot 0 the input (when ``lo`` is 1), ``n`` the level-``n``
-    projection, ``n_max + n`` its error; ``None`` past the corner cap or
-    ``2 * MAX_NORM_SUPPORT + 1`` table points, unless ``lo == hi``.  Levels
-    are sized in order, so the first too large raises ValueError."""
-    try:
-        level, keys, mass = _level_corners(rows, coeffs, np.arange(lo, hi + 1), wide)
-    except TooManyCorners:
-        if lo == hi:
-            raise
-        return None
-    coords = lattice_coords(keys, level[:, None])
-    table, pos = _point_table(support, coords)
-    if lo < hi and len(table) > 2 * MAX_NORM_SUPPORT + 1:
-        return None
-    proj = np.zeros((hi - lo + 1, len(table)))
-    proj[level - lo, pos[len(rows):]] = mass
-    err = proj.copy()
-    err[:, pos[:len(rows)]] -= coeffs
-    slots, sizes = [(0, coeffs, pos[:len(rows)])] if lo == 1 and len(rows) <= MAX_NORM_SUPPORT else [], {}
-    for n, p, e in zip(range(lo, hi + 1), proj, err):
-        for k, what, row in ((n, "projection", p), (wide.n + n, "projection error", e)):
-            idx = np.flatnonzero(row)
-            sizes[k] = len(idx)
-            _check_norm_size(len(idx), f"the level-{n} {what}")
-            slots.append((k, row[idx], idx))
-    slots = [slot for slot in slots if len(slot[2])]
-    dist = np.triu(l1_distances(table, table), 1)
-    dist += dist.T
-    ds = [dist[at[:, None], at] for at in (np.concatenate([[0], idx]) for _, _, idx in slots)]
-    programs = zip((c for _, c, _ in slots), _norm_programs([c for _, c, _ in slots], ds))
-    order = np.lexsort((pos[len(rows):], level))
-    return dict(zip((k for k, _, _ in slots), programs)), sizes, (coords[order], mass[order], level[order])
+def _level_programs(mu: Molecule, projections: list[Molecule], n_max: int) -> dict:
+    """The norm programs of a report, ``{slot: (c, program)}``: slot 0 the
+    input, ``n`` the level-``n`` projection, ``n_max + n`` its error ``P_n -
+    mu``.  Runs of levels with at most ``2 * MAX_NORM_SUPPORT + 1`` points
+    share one table of distinct points in :class:`Molecule` order, a mass row
+    per molecule, and one distance matrix; errors are sized, in level order,
+    before any distance."""
+    sizes, programs, lo = [len(proj.terms) for proj in projections], {}, 1
+    while lo <= len(sizes):
+        hi = lo
+        while hi < len(sizes) and len(mu.terms) + sum(sizes[lo - 1:hi + 1]) <= 2 * MAX_NORM_SUPPORT + 1:
+            hi += 1
+        k, group = hi - lo + 1, [mu, *projections[lo - 1:hi]]
+        table = [mu.origin_point(), *sorted({p for part in group for p in part.support})]
+        where = {p: i for i, p in enumerate(table)}
+        rows = np.zeros((2 * k + 1, len(table)))  # input, projections, errors
+        for row, part in zip(rows, group):
+            row[[where[p] for p in part.support]] = part.coefficients
+        rows[k + 1:] = rows[1:k + 1] - rows[0]
+        if lo > 1 or len(mu.terms) > MAX_NORM_SUPPORT:
+            rows[0] = 0.0
+        for n, err in zip(range(lo, hi + 1), rows[k + 1:]):
+            _check_norm_size(np.count_nonzero(err), f"the level-{n} projection error")
+        used = [(slot, row[i], np.concatenate([[0], i])) for slot, row, i in
+                zip([0, *range(lo, hi + 1), *range(n_max + lo, n_max + hi + 1)], rows, map(np.flatnonzero, rows))
+                if len(i)]
+        dist = np.triu(_distances(mu, table), 1) if used else np.zeros((1, 1))
+        dist += dist.T
+        cs = [c for _, c, _ in used]
+        programs.update(zip([slot for slot, _, _ in used],
+                            zip(cs, _norm_programs(cs, [dist[at[:, None], at] for _, _, at in used]))))
+        lo = hi + 1
+    return programs
 
 
 def decomposition_report(mu: Molecule, n_max: int) -> FddReport:
@@ -717,29 +667,24 @@ def decomposition_report(mu: Molecule, n_max: int) -> FddReport:
     final error not to exceed the first.  ``n_max`` must lie in
     ``1..MAX_LEVEL``.
 
-    All levels go as one group, halved while too large
-    (:func:`_level_programs`): one expansion, projections and errors as mass
-    rows over one table of distinct points (:func:`_point_table`), and one
-    distance matrix giving each program its slice.  Every level is sized
-    before one HiGHS solve of all programs.
+    Each level is projected by :func:`molecule_projection`; the norm programs
+    are cut from shared distance matrices (:func:`_level_programs`) and solved
+    in one HiGHS call.  A level past the corner cap or
+    :data:`MAX_NORM_SUPPORT` raises ValueError after the earlier levels.
     """
     if not (1 <= n_max <= MAX_LEVEL):
         raise ValueError(f"n_max must be in 1..{MAX_LEVEL}, got {n_max}")
     if mu.kind == "finite":
         raise ValueError("grid projections act on l1-type molecules only")
-    wide = GridLevel(n_max, mu.dim)
-    support = SparseBatch.of(mu.support) if mu.dim is None else _stack_points(mu.support, wide)
-    rows, coeffs = _stack_points(support, wide), np.asarray(mu.coefficients, dtype=float)
-    programs, sizes, lattice, pending = {}, {}, [], [(1, n_max)]
-    while pending:
-        lo, hi = pending.pop()
-        group = _level_programs(support, rows, coeffs, wide, lo, hi)
-        if group is None:
-            pending += [((lo + hi) // 2 + 1, hi), (lo, (lo + hi) // 2)]
-        else:
-            programs.update(group[0])
-            sizes.update(group[1])
-            lattice.append(group[2])
+    projections = []
+    try:
+        for n in range(1, n_max + 1):
+            projections.append(molecule_projection(mu, n))
+            _check_norm_size(len(projections[-1].terms), f"the level-{n} projection")
+    except ValueError:
+        _level_programs(mu, projections[:n - 1], n_max)  # an earlier level's error is refused first
+        raise
+    programs = _level_programs(mu, projections, n_max)
     _check_norm_size(len(mu.terms), "the molecule")
     values = np.zeros(2 * n_max + 1)
     for k, x in zip(sorted(programs), _solve_programs([programs[k][1] for k in sorted(programs)])):
@@ -747,10 +692,15 @@ def decomposition_report(mu: Molecule, n_max: int) -> FddReport:
     report = []
     for n, bound, clamped in zip(range(1, n_max + 1), *(a.tolist() for a in _projection_estimates(mu, n_max))):
         err = float(values[n_max + n])
-        report.append(FddRow(n=n, norm_value=float(values[n]), err_value=err, bound=bound, support_size=sizes[n],
-                           clamped=clamped, bound_ok=None if clamped else err <= bound + FDD_TOL * max(1.0, bound)))
+        report.append(FddRow(n=n, norm_value=float(values[n]), err_value=err, bound=bound,
+                             support_size=len(projections[n - 1].terms), clamped=clamped,
+                             bound_ok=None if clamped else err <= bound + FDD_TOL * max(1.0, bound)))
     base = float(values[0])
+    points = [p for proj in projections for p in proj.support]
+    mass = np.array([a for proj in projections for a in proj.coefficients], dtype=float)
+    level_of = np.repeat(np.arange(1, n_max + 1), [len(proj.terms) for proj in projections])
     return FddReport(base_norm=base, rows=tuple(report),
                      monotone_ok=all(r.norm_value <= base * (1.0 + FDD_TOL) + FDD_TOL for r in report),
                      trend_ok=report[-1].err_value <= report[0].err_value + FDD_TOL,
-                     lattice_ok=_lattice_ok(*map(np.concatenate, zip(*lattice)), n_max, mu.dim))
+                     lattice_ok=_lattice_ok(_stack_points(points, GridLevel(n_max, mu.dim)), mass, level_of, n_max,
+                                            mu.dim))

@@ -252,23 +252,20 @@ def _stack_points(points, level: GridLevel) -> np.ndarray:
     return np.asarray(points, dtype=float).reshape(0, d)  # the empty batch; any other raises
 
 
-def _decay_estimates(points, rows: np.ndarray, level: GridLevel, lip: float = 1.0, n=None):
-    """Per point of a batch with stacked ``rows``: the decay estimate
-    ``2 L (tail + cell_dim 2^(1-n))`` and whether the clamp moves the point.
-    Given an array of levels ``n`` (the rows at ``level``'s width), one
-    column per level; the tails then come from one ``bincount``."""
-    levels = np.atleast_1d(level.n if n is None else n)
-    if level.dim is None:
+def _decay_estimates(points, rows: np.ndarray, dim: int | None, levels: np.ndarray, lip: float = 1.0):
+    """Per point of a batch with stacked ``rows`` (in sequence mode reaching
+    the largest level) and per grid index in ``levels``, one column each: the
+    decay estimate ``2 L (tail + cell_dim 2^(1-n))`` and whether the clamp
+    moves the point."""
+    levels = np.asarray(levels)
+    if dim is None:
         batch = SparseBatch.of(points)
-        entry, col = np.nonzero(batch.index[:, None] > levels)
-        tails = np.bincount(batch.entry_rows()[entry] * len(levels) + col, weights=np.abs(batch.value)[entry],
-                            minlength=len(rows) * len(levels)).reshape(len(rows), len(levels))
+        tails = np.column_stack([batch.tail(n) for n in levels.tolist()])
         reach = np.maximum.accumulate(np.abs(rows), axis=1)[:, levels - 1]
     else:
         tails, reach = np.zeros((len(rows), 1)), np.abs(rows).max(axis=1, initial=0.0)[:, None]
-    bound = 2.0 * lip * (tails + (levels if level.dim is None else level.dim) * 2.0 ** (1 - levels))
-    clamped = reach > 2.0 ** (levels - 1)
-    return (bound, clamped) if n is not None else (bound[:, 0], clamped[:, 0])
+    bound = 2.0 * lip * (tails + (levels if dim is None else dim) * 2.0 ** (1 - levels))
+    return bound, reach > 2.0 ** (levels - 1)
 
 
 def cell_weights(points: Sequence, level: GridLevel, n=None):
@@ -283,9 +280,9 @@ def cell_weights(points: Sequence, level: GridLevel, n=None):
     branch, and a point strictly inside its cell along ``a`` axes gets at
     most ``2**a`` entries.  Entries are ordered by row, then by key.  A batch
     of more than :data:`MAX_CORNERS` such entries raises
-    :class:`TooManyCorners`, a ValueError, before any is made.
-    Given ``n``, row ``r`` (at ``level``'s width) is expanded at level
-    ``n[r]``, in sequence mode on its leading ``n[r]`` coordinates only.
+    :class:`TooManyCorners`, a ValueError, before any is made.  Given ``n``,
+    row ``r`` (at ``level``'s width) is expanded at level ``n[r]`` instead,
+    in sequence mode on its leading ``n[r]`` coordinates.
     """
     u = _stack_points(points, level)
     m, d = u.shape
@@ -423,7 +420,7 @@ def convergence_checks(f, points: Sequence, n: int, dim: int | None = None) -> C
     value = project_values(f, rows, level)
     exact = np.asarray(f.eval_many(points), dtype=float)
     error = np.abs(value - exact)
-    bound, clamped = _decay_estimates(points, rows, level, f.declared_lip)
+    bound, clamped = (a[:, 0] for a in _decay_estimates(points, rows, dim, [n], f.declared_lip))
     return ConvergenceChecks(value, exact, error, bound, clamped, ok=error <= bound + BOUND_SLACK)
 
 

@@ -24,7 +24,7 @@ def projection_estimate(mu: Molecule, n: int) -> tuple[float, bool]:
     moves some support point."""
     level = GridLevel(n, mu.dim)
     support = SparseBatch.of(mu.support) if mu.kind == "l1" else mu.support
-    bounds, clamped = _decay_estimates(support, _stack_points(support, level), level)
+    bounds, clamped = (a[:, 0] for a in _decay_estimates(support, _stack_points(support, level), mu.dim, [n]))
     total = 0.0
     for a, b in zip(mu.coefficients, bounds.tolist()):
         total += abs(a) * b

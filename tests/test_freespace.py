@@ -24,9 +24,8 @@ from lipfree.freespace import (
     pairing,
     transport_norm,
 )
-from lipfree.geometry import FiniteSupportPoint, SparseBatch
-from lipfree.operators import (GridLevel, TooManyCorners, convergence_checks, l1_norm_function, lip_projection,
-                               random_lattice_function)
+from lipfree.geometry import FiniteSupportPoint
+from lipfree.operators import GridLevel, convergence_checks, l1_norm_function, lip_projection, random_lattice_function
 from report_oracle import dict_lattice_ok, lattice_arrays, oracle_report
 
 
@@ -561,18 +560,21 @@ class TestLatticeCheck:
             n_max = int(rng.integers(1, 9))
             assert decomposition_report(mu, n_max).lattice_ok == pairwise_lattice_ok(level_projections(mu, n_max))
 
-    def test_a_report_expands_every_level_in_one_call(self, monkeypatch):
+    def test_a_report_projects_each_level_once(self, monkeypatch):
         mu = Molecule.on_l1([(sparse([(1, 1.0 / 3.0), (2, -0.7), (9, 0.2)]), 1.0),
                              (sparse([(3, 1.3), (5, 0.6)]), -0.5)])
-        calls, distances = [], []
-        cell_weights, l1_distances = freespace.cell_weights, freespace.l1_distances
+        levels, targets, distances = [], [], []
+        project, cell_weights = freespace.molecule_projection, freespace.cell_weights
+        l1_distances = freespace.l1_distances
+        monkeypatch.setattr(freespace, "molecule_projection", lambda mu, n: levels.append(n) or project(mu, n))
         monkeypatch.setattr(freespace, "cell_weights",
-                            lambda rows, level, n: calls.append(n) or cell_weights(rows, level, n))
+                            lambda rows, level, n=None: targets.append(n) or cell_weights(rows, level, n))
         monkeypatch.setattr(freespace, "l1_distances", lambda a, b: distances.append(len(a)) or l1_distances(a, b))
         assert decomposition_report(mu, 8).lattice_ok
-        # one expansion of the support at every level, one of the projections at every target level
-        assert len(calls) == 2 and sorted(set(calls[0].tolist())) == list(range(1, 9))
-        assert sorted(set(calls[1].tolist())) == list(range(1, 9))
+        # one projection per level; the lattice check projects them to every target level in one call
+        assert levels == list(range(1, 9))
+        assert [n is None for n in targets] == [True] * 8 + [False]
+        assert sorted(set(targets[-1].tolist())) == list(range(1, 9))
         assert len(distances) == 1
 
     def test_a_stack_past_the_corner_cap_goes_one_level_at_a_time(self, monkeypatch):
@@ -634,8 +636,8 @@ def edge_molecules():
                                                (sparse([(2**64 + 3, 1.5)]), -0.5), (sparse([(2, 0.25)]), 0.5)]), 6),
         "clamped": (Molecule.on_rn([((5.0, -7.5), 1.0), ((0.2, 9.0), -1.0), ((1.5, 0.25), 2.0)], dim=2), 5),
         "clamped-l1": (Molecule.on_l1([(sparse([(1, 5.0), (2, -3.0)]), 1.0), (sparse([(3, 2.5)]), -0.3)]), 6),
-        # 8 free coordinates: the table of all levels passes 2 * MAX_NORM_SUPPORT + 1 points, so levels are halved
-        "halved-levels": (Molecule.on_l1([(sparse(point), 1.0)]), 8),
+        # 8 free coordinates: all levels pass 2 * MAX_NORM_SUPPORT + 1 points, so they go in several tables
+        "levels-in-runs": (Molecule.on_l1([(sparse(point), 1.0)]), 8),
     }
 
 
@@ -652,21 +654,15 @@ class TestReportOracle:
         mu, n_max = edge_molecules()[name]
         assert decomposition_report(mu, n_max).to_json() == oracle_report(mu, n_max).to_json()
 
-    def test_levels_halved_past_the_corner_cap(self, monkeypatch):
+    def test_levels_past_one_table_go_in_runs(self, monkeypatch):
         rng = np.random.default_rng(960)
         mu = Molecule.on_rn([(p, float(rng.normal())) for p in rng.uniform(-3, 3, size=(5, 3))], dim=3)
+        monkeypatch.setattr(freespace, "MAX_NORM_SUPPORT", 48)  # a table holds 97 points
         expect = oracle_report(mu, 6).to_json()
-        groups, level_corners = [], freespace._level_corners
-
-        def capped(rows, coeffs, levels, wide):  # a cap that holds two levels
-            groups.append((int(levels[0]), int(levels[-1])))
-            if len(levels) > 2:
-                raise TooManyCorners("past the cap", 0)
-            return level_corners(rows, coeffs, levels, wide)
-
-        monkeypatch.setattr(freespace, "_level_corners", capped)
+        tables, distances = [], freespace._distances
+        monkeypatch.setattr(freespace, "_distances", lambda mu, pts: tables.append(len(pts)) or distances(mu, pts))
         assert decomposition_report(mu, 6).to_json() == expect
-        assert groups == [(1, 6), (1, 3), (1, 2), (3, 3), (4, 6), (4, 5), (6, 6)]
+        assert len(tables) > 1 and max(tables) <= 98  # origin + 97 points
 
     @pytest.mark.parametrize("cap, refusal", [(2**17, "level-9 projection error has 513"),
                                               (2**8, "512 weighted cell corners at level 9")])
@@ -681,28 +677,6 @@ class TestReportOracle:
         with pytest.raises(ValueError) as got:
             decomposition_report(mu, 12)
         assert str(got.value) == str(expect.value)
-
-
-class TestPointTable:
-    def test_l1_points_sort_as_molecules_do(self):
-        rng = np.random.default_rng(970)
-        support = sorted({sparse((int(i), float(rng.choice([-1.5, 0.5, 2.0])))
-                                 for i in rng.choice(np.array([1, 2, 3, 2**70], dtype=object), size=k, replace=False))
-                          for k in rng.integers(1, 4, size=25)})
-        corners = rng.choice([-1.0, 0.0, 0.5], size=(12, 3))
-        corners = corners[corners.any(axis=1)]
-        table, pos = freespace._point_table(SparseBatch.of(support), corners)
-        points = list(table)
-        assert points[0].is_zero and points[1:] == sorted(set(support) | set(SparseBatch.from_rows(corners)))
-        assert [points[k] for k in pos] == support + list(SparseBatch.from_rows(corners))
-
-    def test_coordinate_rows_sort_with_negative_zero_as_zero(self):
-        support = np.array([[0.5, -0.0], [-0.0, 1.0], [0.0, 0.5]])
-        corners = np.array([[0.0, 1.0], [0.5, 0.0], [-1.0, 2.0]])
-        table, pos = freespace._point_table(support, corners)
-        assert table.tolist() == [[0.0, 0.0], [-1.0, 2.0], [0.0, 0.5], [0.0, 1.0], [0.5, 0.0]]
-        assert pos.tolist() == [4, 3, 2, 3, 4, 1]
-        assert not np.any(np.signbit(table) & (table == 0.0))
 
 
 class TestRelayStack:

@@ -65,8 +65,6 @@ def test_a_traced_run_of_each_workload_counts_with_ints_and_restores_the_program
         ["norm", "--input", write(tmp_path / "l1n.json", l1n)],
         ["fdd-table", "--input", write(tmp_path / "l1.json", l1), "--n-max", "3"],
         ["bap", "--input", write(tmp_path / "space.json", space)],
-        # the report no longer calls molecule_projection; this suite still does
-        ["verify", "--suite", "freespace-adjointness"],
     ]
     tracer = tracing.Tracer()
     start = time.perf_counter()
