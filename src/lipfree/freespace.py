@@ -18,7 +18,8 @@ is its one-molecule view; :func:`transport_norm` solves the mass-transport
 side, also with HiGHS, and serves as an oracle; :func:`line_norm` evaluates
 the closed-form total-variation expression available for molecules on the
 real line, with no LP solver.  SciPy is imported by the two solvers when
-they run.
+they run: :func:`solve_box_lp` calls the HiGHS bindings SciPy ships
+directly, and :func:`transport_norm` goes through ``linprog``.
 
 The grid projection :func:`molecule_projection` pushes each point's mass onto
 the weighted corners of its tiling cell through the same sparse corner
@@ -346,25 +347,38 @@ class SolverError(RuntimeError):
 @dataclass
 class LpResult:
     x: np.ndarray
-    #: Simplex iterations; not reported by ``milp``, so always 0.
+    #: Simplex iterations, as HiGHS reports them.
     iterations: int
 
 
 def solve_box_lp(c, pairs, b, lower, upper) -> LpResult:
     """Maximize ``c . x`` subject to ``-b[r] <= x[i] - x[j] <= b[r]`` for each
     row ``r = (i, j)`` of the ``(m, 2)`` index array ``pairs`` and to
-    ``lower <= x <= upper``: one HiGHS solve through ``scipy.optimize.milp``
-    with no integrality."""
-    from scipy import optimize, sparse
+    ``lower <= x <= upper``: one HiGHS solve with default options, through
+    the bindings SciPy ships (``scipy.optimize._highspy``).  The column-wise
+    matrix comes straight from ``pairs``: a stable sort of its entries puts
+    each column's rows in order, with ``+1`` for ``i`` and ``-1`` for ``j``.
+    Any model status but optimal raises :class:`SolverError`."""
+    from scipy.optimize._highspy import _core
 
-    m = len(pairs)
-    rows = sparse.csr_array((np.tile([1.0, -1.0], m), pairs.ravel(), np.arange(0, 2 * m + 1, 2)),
-                            shape=(m, len(c)))
-    res = optimize.milp(-np.asarray(c, dtype=float), constraints=optimize.LinearConstraint(rows, -b, b),
-                        bounds=optimize.Bounds(lower, upper))
-    if not res.success:
-        raise SolverError(res.message)
-    return LpResult(x=res.x, iterations=0)
+    flat = np.ravel(pairs)
+    order = np.argsort(flat, kind="stable")
+    lp = _core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(pairs)
+    lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.searchsorted(flat[order], np.arange(len(c) + 1))
+    lp.a_matrix_.index_, lp.a_matrix_.value_ = order // 2, 1.0 - 2.0 * (order % 2)
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = -np.asarray(c, dtype=float), lower, upper
+    lp.row_lower_, lp.row_upper_ = -b, b
+    highs = _core._Highs()
+    highs.setOptionValue("log_to_console", False)
+    highs.passModel(lp)
+    highs.run()
+    status = highs.getModelStatus()
+    if status != _core.HighsModelStatus.kOptimal:
+        raise SolverError(highs.modelStatusToString(status))
+    return LpResult(x=np.array(highs.getSolution().col_value), iterations=highs.getInfo().simplex_iteration_count)
 
 
 def _power_of_two_above(v: float) -> float:

@@ -27,14 +27,16 @@ def run(capsys, argv):
     return code, out.out, out.err
 
 
-def fail_milp(monkeypatch):
-    """Make every HiGHS solve report failure; the solver imports SciPy when it runs."""
-    from scipy import optimize
+def fail_highs(monkeypatch):
+    """Make every HiGHS solve end with the model status ``kSolveError``: the
+    solver builds a fresh ``_Highs`` from SciPy's bundled bindings per call."""
+    from scipy.optimize._highspy import _core
 
-    def failing(*args, **kwargs):
-        return optimize.OptimizeResult(success=False, status=4, message="numerical difficulties", x=None, fun=None)
+    class FailingHighs(_core._Highs):
+        def getModelStatus(self):
+            return _core.HighsModelStatus.kSolveError
 
-    monkeypatch.setattr(optimize, "milp", failing)
+    monkeypatch.setattr(_core, "_Highs", FailingHighs)
 
 
 TWO_POINT = {
@@ -97,10 +99,10 @@ class TestNorm:
         assert json.loads(out)["value"] == pytest.approx(2e25, rel=1e-12)
 
     def test_failing_solver_exits_3(self, tmp_path, capsys, monkeypatch):
-        fail_milp(monkeypatch)
+        fail_highs(monkeypatch)
         code, out, err = run(capsys, ["norm", "--input", write_json(tmp_path / "mol.json", TWO_POINT)])
         assert code == 3
-        assert out == "" and err == "solver error: numerical difficulties\n"
+        assert out == "" and err == "solver error: Solve error\n"
 
     def test_csv_format(self, tmp_path, capsys):
         path = write_json(tmp_path / "mol.json", TWO_POINT)
@@ -277,11 +279,11 @@ class TestFddTable:
         assert calls == []
 
     def test_failing_solver_exits_3(self, tmp_path, capsys, monkeypatch):
-        fail_milp(monkeypatch)
+        fail_highs(monkeypatch)
         mol = write_json(tmp_path / "mol.json", TWO_POINT)
         code, out, err = run(capsys, ["fdd-table", "--input", mol, "--n-max", "3"])
         assert code == 3
-        assert out == "" and err == "solver error: numerical difficulties\n"
+        assert out == "" and err == "solver error: Solve error\n"
 
     def test_json_format_carries_checks(self, tmp_path, capsys):
         mol = write_json(tmp_path / "mol.json", TWO_POINT)

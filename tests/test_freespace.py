@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lipfree.extension import FinitePointedMetricSpace
+from lipfree.cli import main
 from lipfree import freespace, geometry
 from norm_oracle import oracle_free_norm
 from lipfree.freespace import (
@@ -491,6 +492,95 @@ class TestBatchedNorms:
         monkeypatch.setattr(freespace, "solve_box_lp", lambda *args: pytest.fail("solved"))
         with pytest.raises(ValueError, match=f"{MAX_NORM_SUPPORT + 1} support points"):
             freespace.free_norms([plane_molecule(1), Molecule.on_rn([(p, 1.0) for p in pts])])
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+class _Captured(Exception):
+    """Ends a CLI op once its program has reached the solver."""
+
+
+def milp_x(c, pairs, b, lower, upper):
+    """The same program through ``scipy.optimize.milp``, the oracle of
+    :func:`freespace.solve_box_lp`: a CSR matrix, ``milp``'s own CSC
+    conversion and its HiGHS wrapper."""
+    from scipy import optimize, sparse
+
+    m = len(pairs)
+    rows = sparse.csr_array((np.tile([1.0, -1.0], m), np.ravel(pairs), np.arange(0, 2 * m + 1, 2)),
+                            shape=(m, len(c)))
+    res = optimize.milp(-np.asarray(c, dtype=float), constraints=optimize.LinearConstraint(rows, -b, b),
+                        bounds=optimize.Bounds(lower, upper))
+    assert res.success, res.message
+    return res.x
+
+
+def assert_solves_like_milp(program):
+    res = freespace.solve_box_lp(*program)
+    expect = milp_x(*program)
+    assert res.x.dtype == expect.dtype and res.x.tobytes() == expect.tobytes()
+    return res
+
+
+class TestSolveBoxLp:
+    """``solve_box_lp`` calls SciPy's bundled HiGHS bindings directly; HiGHS
+    gets the model ``milp`` would give it, so the witness is ``milp``'s bit for
+    bit."""
+
+    @pytest.fixture(scope="class")
+    def pool_programs(self, tmp_path_factory):
+        """Every program the seed 201-210 ``norm`` and ``fdd`` benchmark pools
+        hand the solver, captured as each op's CLI call reaches it."""
+        workdir = tmp_path_factory.mktemp("pools")
+        programs = []
+
+        def capture(*args):
+            programs.append(args)
+            raise _Captured
+
+        with pytest.MonkeyPatch.context() as mp:
+            spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+            workloads = importlib.util.module_from_spec(spec)
+            mp.setitem(sys.modules, spec.name, workloads)  # its dataclass looks the module up
+            spec.loader.exec_module(workloads)
+            mp.setattr(freespace, "solve_box_lp", capture)
+            for workload in ("norm", "fdd"):
+                for seed in range(201, 211):
+                    for op in workloads.make_pool(workload, seed, workdir):
+                        with pytest.raises(_Captured):
+                            main(op.argv + ["--output", str(workdir / "out.json")])
+        return programs
+
+    def test_pool_programs_solve_like_milp(self, pool_programs):
+        assert len(pool_programs) == 2 * 10 * 96
+        for program in pool_programs:
+            assert_solves_like_milp(program)
+
+    def test_iterations_are_highs_simplex_pivots(self, pool_programs):
+        assert freespace.solve_box_lp(*pool_programs[0]).iterations > 0
+
+    def test_a_program_with_no_pairs_sits_on_its_bounds(self):
+        program = (np.array([1.0, -0.5, 0.0]), np.empty((0, 2), dtype=np.int64), np.empty(0),
+                   np.array([-1.0, -2.0, -3.0]), np.array([1.0, 2.0, 3.0]))
+        res = assert_solves_like_milp(program)
+        assert res.x[:2].tolist() == [1.0, -2.0]
+
+    def test_an_infeasible_program_raises_naming_the_status(self):
+        program = (np.array([1.0, 1.0]), np.array([[0, 1]]), np.array([-1.0]), np.full(2, -1.0), np.full(2, 1.0))
+        with pytest.raises(freespace.SolverError, match="^Infeasible$"):
+            freespace.solve_box_lp(*program)
+
+    def test_the_1e25_scaled_molecule(self, monkeypatch):
+        # HiGHS takes bounds of 1e20 or more as infinite; free_norm scales the program first
+        mu = Molecule.on_rn([((1e25, 0.0), 1.0), ((0.0, 1e25), -1.0)], dim=2)
+        programs, solve_box_lp = [], freespace.solve_box_lp
+        monkeypatch.setattr(freespace, "solve_box_lp", lambda *args: programs.append(args) or solve_box_lp(*args))
+        assert free_norm(mu).value == pytest.approx(2e25, rel=1e-12)
+        monkeypatch.undo()
+        (program,) = programs
+        assert 0.0 < np.max(program[4]) < 1.0  # the bounds HiGHS sees
+        assert_solves_like_milp(program)
 
 
 def pairwise_lattice_ok(projections):
