@@ -358,9 +358,13 @@ def solve_box_lp(c, pairs, b, lower, upper) -> LpResult:
     the bindings SciPy ships (``scipy.optimize._highspy``).  The column-wise
     matrix comes straight from ``pairs``: a stable sort of its entries puts
     each column's rows in order, with ``+1`` for ``i`` and ``-1`` for ``j``.
-    Any model status but optimal raises :class:`SolverError`."""
+    Any model status but optimal raises :class:`SolverError`, and non-finite input ValueError."""
     from scipy.optimize._highspy import _core
 
+    c, b, lower, upper = arrays = [np.asarray(v, dtype=float) for v in (c, b, lower, upper)]
+    if not np.isfinite(np.concatenate(arrays)).all():
+        bad = next(i for i, v in enumerate(arrays) if not np.isfinite(v).all())
+        raise ValueError(f"the program's {('c', 'b', 'lower', 'upper')[bad]} is not finite")
     flat = np.ravel(pairs)
     order = np.argsort(flat, kind="stable")
     lp = _core.HighsLp()
@@ -369,7 +373,7 @@ def solve_box_lp(c, pairs, b, lower, upper) -> LpResult:
     lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
     lp.a_matrix_.start_ = np.searchsorted(flat[order], np.arange(len(c) + 1))
     lp.a_matrix_.index_, lp.a_matrix_.value_ = order // 2, 1.0 - 2.0 * (order % 2)
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = -np.asarray(c, dtype=float), lower, upper
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = -c, lower, upper
     lp.row_lower_, lp.row_upper_ = -b, b
     highs = _core._Highs()
     highs.setOptionValue("log_to_console", False)

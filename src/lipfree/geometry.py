@@ -246,9 +246,6 @@ class FiniteSupportPoint:
                 return v
         return 0.0
 
-    def norm1(self) -> float:
-        return float(sum(abs(v) for _, v in self.items))
-
     def tail(self, n: int) -> float:
         """Exact l1 mass beyond the first ``n`` coordinates."""
         return float(sum(abs(v) for i, v in self.items if i > n))
@@ -349,9 +346,9 @@ class SparseBatch(Sequence):
         return out
 
     def tail(self, n: int) -> np.ndarray:
-        """:meth:`FiniteSupportPoint.tail` of every point, added in index order."""
+        """:meth:`FiniteSupportPoint.tail` of every point, added in index order, as floats."""
         far = self.index > n
-        return np.bincount(self.entry_rows()[far], weights=np.abs(self.value[far]), minlength=len(self))
+        return np.bincount(self.entry_rows()[far], weights=np.abs(self.value[far]), minlength=len(self)).astype(float)
 
 
 def l1_distance(p, q) -> float:
@@ -380,17 +377,16 @@ _L1_BLOCK_ELEMENTS = 1 << 16
 
 
 def l1_batch(points):
-    """``points`` in the array form the l1 kernels read: a :class:`SparseBatch`
-    or a 2-d array as it is, points among which one is finitely supported as a
-    batch (a coordinate row among them embedded), and other points as rows of
-    a 2-d float array; rows of unequal length raise ValueError."""
+    """``points`` in the array form the l1 kernels read: a :class:`SparseBatch` or a 2-d array as
+    it is; no points, or points among which one is finitely supported, as a batch (a coordinate
+    row among them embedded); other points as rows of a 2-d float array (unequal rows raise ValueError)."""
     if isinstance(points, SparseBatch) or isinstance(points, np.ndarray) and points.ndim == 2:
         return points
     points = list(points)
-    if any(isinstance(p, FiniteSupportPoint) for p in points):
+    if not points or any(isinstance(p, FiniteSupportPoint) for p in points):
         return SparseBatch.of([p if isinstance(p, FiniteSupportPoint) else embed_finite(p) for p in points])
     try:
-        rows = np.asarray(points, dtype=float) if points else np.zeros((0, 0))
+        rows = np.asarray(points, dtype=float)
     except ValueError:
         rows = None
     if rows is None or rows.ndim != 2:

@@ -37,17 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .geometry import (
-    MAX_DIM,
-    MAX_LEVEL,
-    FiniteSupportPoint,
-    SparseBatch,
-    cell_low_corners,
-    l1_batch,
-    l1_distances,
-    lattice_coords,
-    pack_key_rows,
-)
+from .geometry import (MAX_DIM, MAX_LEVEL, FiniteSupportPoint, SparseBatch, cell_low_corners, l1_batch, l1_distances,
+                       lattice_coords, pack_key_rows)
 from .interpolation import TabulatedFunction, lip_constant, weights_from_offsets
 
 #: Anchors of :func:`random_lattice_function` have coordinates, and take
@@ -64,8 +55,8 @@ LATTICE_INDEX_RANGE = 6
 MAX_CORNERS = 2**17
 
 #: Most weighted corners :func:`project_values` expands in one batch, in parts.
-#: At this count a ``project`` run took 1.95 s with ``max-coordinate``, the
-#: slowest builtin, on two 17-coordinate points at ``--n 17`` (median of 3, 2 vCPUs).
+#: At this count a ``project`` run on two 17-coordinate points at ``--n 17`` took 1.1-1.3 s
+#: with ``random-lattice`` and 0.54-0.65 s with each builtin (medians of 5 in two sessions, 2 vCPUs).
 MAX_BATCH_CORNERS = 2 * MAX_CORNERS
 
 
@@ -107,16 +98,14 @@ class LipFunction:
 
     ``declared_lip`` is a promise from the constructor, used in convergence
     estimates; it is validated probabilistically in the test-suite, never
-    enforced here.  An evaluator with an ``eval_many`` method of its own is
-    evaluated in batches through it; otherwise one point at a time.
+    enforced here.  An evaluator with an ``eval_many`` method (the builtins and
+    McShane extensions have one) gets whole batches, a plain callable one point at a time.
     """
 
     def __init__(self, evaluator: Callable, declared_lip: float | None = None, label: str = ""):
         if declared_lip is not None and declared_lip < 0:
             raise ValueError("a Lipschitz bound cannot be negative")
-        self.evaluator = evaluator
-        self.declared_lip = declared_lip
-        self.label = label
+        self.evaluator, self.declared_lip, self.label = evaluator, declared_lip, label
 
     def __call__(self, x) -> float:
         return float(self.eval_many([x])[0])
@@ -132,31 +121,47 @@ class LipFunction:
         return f"LipFunction({self.label or self.evaluator!r}{lip})"
 
 
-def _unit_lip(label: str, on_sparse: Callable, on_coords: Callable) -> LipFunction:
-    """A 1-Lipschitz builtin: ``on_sparse`` evaluates finitely supported
-    sequences, ``on_coords`` coordinate vectors."""
-    def ev(x):
-        return on_sparse(x) if isinstance(x, FiniteSupportPoint) else on_coords(np.asarray(x, dtype=float))
+class _Builtin:
+    """A 1-Lipschitz builtin on either layout :func:`~lipfree.geometry.l1_batch` gives."""
 
-    return LipFunction(ev, declared_lip=1.0, label=label)
+    def __init__(self, on_sparse: Callable, on_rows: Callable):
+        self.on_sparse, self.on_rows = on_sparse, on_rows
+
+    def eval_many(self, points: Sequence) -> np.ndarray:
+        batch = l1_batch(points)
+        return self.on_sparse(batch) if isinstance(batch, SparseBatch) else self.on_rows(batch)
 
 
 def coordinate_function(index: int = 1) -> LipFunction:
     """f(x) = x_index; 1-Lipschitz on l1."""
     if index < 1:
         raise ValueError("coordinate indices start at 1")
-    return _unit_lip(f"coordinate-{index}", lambda x: x.coord(index), lambda u: float(u[index - 1]))
+
+    def on_sparse(batch):  # a point's sum over its entries at the index is its one such entry
+        hit = batch.index == index
+        return np.bincount(batch.entry_rows()[hit], weights=batch.value[hit], minlength=len(batch)).astype(float)
+
+    return LipFunction(_Builtin(on_sparse, lambda rows: rows[:, index - 1].copy()),
+                       declared_lip=1.0, label=f"coordinate-{index}")
 
 
 def l1_norm_function() -> LipFunction:
     """f(x) = sum_i |x_i|; 1-Lipschitz, the canonical norm test function."""
-    return _unit_lip("l1-norm", FiniteSupportPoint.norm1, lambda u: float(np.sum(np.abs(u))))
+    # a point's entries add in index order, and a C-ordered row adds as np.sum adds it
+    return LipFunction(_Builtin(lambda batch: batch.tail(0), lambda rows: np.abs(np.ascontiguousarray(rows)).sum(1)),
+                       declared_lip=1.0, label="l1-norm")
 
 
 def max_coordinate_function() -> LipFunction:
     """f(x) = max(0, max_i x_i); 1-Lipschitz, kinked off the grid."""
-    return _unit_lip("max-coordinate", lambda x: max(0.0, max((v for _, v in x.items), default=0.0)),
-                     lambda u: max(0.0, float(np.max(u))))
+    def on_sparse(batch):
+        out = np.zeros(len(batch))
+        np.maximum.at(out, batch.entry_rows(), batch.value)
+        return out
+
+    # as max(0.0, top) on a row: fmax takes 0.0 over a NaN top, and adding 0.0 makes a -0.0 top 0.0
+    return LipFunction(_Builtin(on_sparse, lambda rows: np.fmax(rows.max(axis=1), 0.0) + 0.0),
+                       declared_lip=1.0, label="max-coordinate")
 
 
 def mcshane_extension(points: Sequence, values: Sequence[float], lip: float) -> Callable:
@@ -164,12 +169,10 @@ def mcshane_extension(points: Sequence, values: Sequence[float], lip: float) -> 
 
     ``f(x) = min_p (v_p + lip * d(p, x))`` with the l1 distance agrees with
     the data wherever the data itself is ``lip``-Lipschitz and never exceeds
-    that constant.  The returned evaluator takes one point, and its
-    ``eval_many`` takes a batch: one :func:`lipfree.geometry.l1_distances`
-    matrix per block of queries, the block sized by the kernel's element
-    budget, so memory stays bounded for any number of anchors and queries.
-    Every value is bit-identical to the scalar minimum over
-    :func:`lipfree.geometry.l1_distance`.
+    that constant.  The returned evaluator has only ``eval_many``: one
+    :func:`lipfree.geometry.l1_distances` matrix per block of queries, the
+    block sized by the kernel's element budget so memory stays bounded, each
+    value bit-identical to the scalar minimum over :func:`lipfree.geometry.l1_distance`.
     """
     points = tuple(points)
     if not points:
@@ -180,9 +183,6 @@ def mcshane_extension(points: Sequence, values: Sequence[float], lip: float) -> 
 class _McShane:
     def __init__(self, points: tuple, values: np.ndarray, lip: float):
         self.points, self.values, self.lip = l1_batch(points), values, lip  # laid out once
-
-    def __call__(self, x) -> float:
-        return float(self.eval_many([x])[0])
 
     def eval_many(self, points: Sequence) -> np.ndarray:
         points = l1_batch(points)

@@ -8,12 +8,16 @@ code can be checked against them bit for bit:
   ``np.unique(axis=0)`` and looks each weighted corner's value up in a dict
   keyed by lattice-index tuples, built afresh on every call;
 * :func:`loop_sparse_l1_block` advances the two running sums of every pair
-  one occurring index at a time.
+  one occurring index at a time;
+* :func:`scalar_builtins` are the builtin functions evaluated one point at a
+  time, a finitely supported point through its items and a coordinate vector
+  through NumPy, as :mod:`lipfree.operators` evaluated them before the
+  builtins read the batch layouts.
 """
 
 import numpy as np
 
-from lipfree.geometry import embed_finite, lattice_coords
+from lipfree.geometry import FiniteSupportPoint, embed_finite, lattice_coords
 from lipfree.operators import LipFunction, cell_weights
 
 
@@ -65,3 +69,28 @@ def loop_sparse_l1_block(ps, qs):
             rest[:, q_rows] += np.where(in_p[:, None], 0.0, np.abs(q_vals))
             in_p[p_rows] = False
     return first + rest
+
+
+def norm1(x) -> float:
+    """The l1 norm of a finitely supported point, its magnitudes added in index order."""
+    return float(sum(abs(v) for _, v in x.items))
+
+
+def _scalar_builtin(label, on_sparse, on_coords):
+    def ev(x):
+        return on_sparse(x) if isinstance(x, FiniteSupportPoint) else on_coords(np.asarray(x, dtype=float))
+
+    return LipFunction(ev, declared_lip=1.0, label=label)
+
+
+def scalar_builtins(index=1):
+    """The scalar form of each CLI builtin, by name; ``identity-coordinate``
+    reads coordinate ``index``."""
+    return {
+        "identity-coordinate": _scalar_builtin(f"coordinate-{index}", lambda x: x.coord(index),
+                                               lambda u: float(u[index - 1])),
+        "l1-norm": _scalar_builtin("l1-norm", norm1, lambda u: float(np.sum(np.abs(u)))),
+        "max-coordinate": _scalar_builtin("max-coordinate",
+                                          lambda x: max(0.0, max((v for _, v in x.items), default=0.0)),
+                                          lambda u: max(0.0, float(np.max(u)))),
+    }

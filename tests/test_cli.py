@@ -124,6 +124,15 @@ class TestProject:
             assert set(row) == {"point", "value", "exact", "error", "bound"}
             assert row["error"] <= row["bound"] + 1e-9
 
+    @pytest.mark.parametrize("dim", [None, 2])
+    @pytest.mark.parametrize("function", ["identity-coordinate", "l1-norm", "max-coordinate", "random-lattice"])
+    def test_no_points_give_no_rows(self, tmp_path, capsys, function, dim):
+        pts = write_json(tmp_path / "pts.json", [])
+        argv = ["project", "--input", pts, "--function", function, "--n", "3", "--seed", "5"]
+        code, out, _ = run(capsys, argv + ([] if dim is None else ["--dim", str(dim)]))
+        assert code == 0
+        assert json.loads(out)["rows"] == []
+
     def test_coordinate_mode(self, tmp_path, capsys):
         pts = write_json(tmp_path / "pts.json", [[0.25, -0.25]])
         code, out, _ = run(

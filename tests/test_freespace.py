@@ -571,6 +571,19 @@ class TestSolveBoxLp:
         with pytest.raises(freespace.SolverError, match="^Infeasible$"):
             freespace.solve_box_lp(*program)
 
+    @pytest.mark.parametrize("name", ["c", "b", "lower", "upper"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_argument_raises_naming_it(self, monkeypatch, name, bad):
+        from scipy.optimize._highspy import _core
+
+        program = dict(c=np.array([1.0, 1.0]), pairs=np.array([[0, 1]]), b=np.array([1.0]),
+                       lower=np.full(2, -1.0), upper=np.full(2, 1.0))
+        program[name] = program[name].copy()
+        program[name][-1] = bad
+        monkeypatch.setattr(_core, "_Highs", None)  # HiGHS must not see the model
+        with pytest.raises(ValueError, match=f"^the program's {name} is not finite$"):
+            freespace.solve_box_lp(*program.values())
+
     def test_the_1e25_scaled_molecule(self, monkeypatch):
         # HiGHS takes bounds of 1e20 or more as infinite; free_norm scales the program first
         mu = Molecule.on_rn([((1e25, 0.0), 1.0), ((0.0, 1e25), -1.0)], dim=2)

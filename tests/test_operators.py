@@ -1,4 +1,8 @@
+import importlib.util
+import json
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from lipfree import geometry, operators
 from lipfree.geometry import (
     FiniteSupportPoint,
     Hypercube,
+    SparseBatch,
     embed_finite,
     l1_distance,
     lattice_coords,
@@ -32,6 +37,7 @@ from lipfree.operators import (
 )
 from lipfree.interpolation import TabulatedFunction
 
+from corner_oracles import scalar_builtins
 from cube_helpers import axis_segments
 
 
@@ -513,3 +519,134 @@ class TestConvergenceChecks:
             convergence_checks(f, [sparse([(1, 0.5)]), np.array([0.5])], 3)
         with pytest.raises(TypeError):
             convergence_checks(f, [sparse([(1, 0.5)])], 3, dim=1)
+
+
+def batch_builtins(index=1):
+    """The builtins by CLI name, as :func:`scalar_builtins` names their scalar forms."""
+    return {"identity-coordinate": coordinate_function(index), "l1-norm": l1_norm_function(),
+            "max-coordinate": max_coordinate_function()}
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def project_pool(seed, workdir):
+    """``(points, n, dim)`` of each op of the benchmark's ``project`` pool for a seed."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclass looks the module up
+    try:
+        spec.loader.exec_module(workloads)
+        ops = workloads.make_pool("project", seed, workdir)
+    finally:
+        del sys.modules[spec.name]
+    pools = []
+    for op in ops:
+        raw = json.loads(op.input_path.read_text())["points"]
+        dim = op.meta["dim"]
+        points = [FiniteSupportPoint.from_json(p) for p in raw] if dim is None else list(np.asarray(raw))
+        pools.append((points, op.meta["n"], dim))
+    return pools
+
+
+def wide_rows(rng, count, dim):
+    """Rows of magnitudes from 1e-30 to 1e30 with both signs, some entries 0.0
+    or -0.0, and 1e100 and -1e100 at the magnitude bound."""
+    rows = rng.choice([-1.0, 1.0], size=(count, dim)) * 10.0 ** rng.uniform(-30, 30, size=(count, dim))
+    rows[rng.random((count, dim)) < 0.15] = 0.0
+    rows[rng.random((count, dim)) < 0.15] = -0.0
+    rows[0, 0], rows[-1, -1] = 1e100, -1e100
+    return rows
+
+
+class TestBuiltinsMatchScalarForms:
+    """Each builtin's batch evaluator against its scalar form, bit for bit."""
+
+    @staticmethod
+    def assert_match(points, index=1, levels=(), dim=None):
+        scalar = scalar_builtins(index)
+        for name, f in batch_builtins(index).items():
+            assert same_bits(f.eval_many(points), scalar[name].eval_many(points)), name
+            for n in levels:
+                level = GridLevel(n, dim)
+                assert same_bits(project_values(f, points, level), project_values(scalar[name], points, level)), name
+
+    @pytest.mark.parametrize("seed", range(201, 211))
+    def test_on_the_benchmark_pool(self, seed, tmp_path):
+        scalar = scalar_builtins()
+        for points, n, dim in project_pool(seed, tmp_path):
+            for name, f in batch_builtins().items():
+                got, expect = convergence_checks(f, points, n, dim), convergence_checks(scalar[name], points, n, dim)
+                assert all(same_bits(getattr(got, k), getattr(expect, k)) for k in CHECK_FIELDS), (seed, name)
+
+    @pytest.mark.parametrize("dim", range(1, 17))
+    def test_on_wide_rows_in_both_modes(self, dim):
+        rng = np.random.default_rng(700 + dim)
+        rows = wide_rows(rng, 40, dim)
+        for points in (rows, np.asfortranarray(rows), list(rows), [tuple(r) for r in rows.tolist()]):
+            self.assert_match(points, index=dim)
+        self.assert_match([embed_finite(r) for r in rows], index=dim)
+        # grid projections with at most 6 free axes, so at most 64 corners a point
+        n, free = min(dim, 8), min(dim, 6)
+        step, half = 2.0 ** (1 - n), 2.0 ** (n - 1)
+        u = rng.uniform(-0.9 * half, 0.9 * half, size=(3, dim))
+        u[:, free:] = np.round(u[:, free:] / step) * step
+        self.assert_match(u, index=dim, levels=(n,), dim=dim)
+        self.assert_match([embed_finite(r) for r in u], index=dim, levels=(n,))
+
+    def test_signed_zeros_and_the_magnitude_bound(self):
+        rows = np.array([[-0.0, -0.0], [-0.0, -1.0], [1e100, -1e100], [-1e100, -0.0], [0.0, -0.0]])
+        for index in (1, 2):
+            self.assert_match(rows, index=index)
+            self.assert_match(list(rows), index=index)
+        assert max_coordinate_function().eval_many(rows).tolist() == [0.0, 0.0, 1e100, 0.0, 0.0]
+        assert not np.signbit(max_coordinate_function().eval_many(rows)).any()
+        assert np.signbit(coordinate_function(1).eval_many(rows)).tolist() == [True, True, False, True, False]
+        self.assert_match([sparse([(1, 1e100), (3, -1e100)]), sparse([(2, -1e100)]), sparse([(5, 1e-300)])], index=3)
+
+    def test_nan_rows_and_fresh_values(self):
+        rows = np.array([[np.nan, 1.0], [np.nan, -1.0], [-1.0, np.nan]])
+        for index in (1, 2):
+            self.assert_match(rows, index=index)
+        assert max_coordinate_function().eval_many(rows).tolist() == [0.0, 0.0, 0.0]  # as max(0.0, nan)
+        values = coordinate_function(2).eval_many(rows)
+        rows[:] = 7.0  # the values are the evaluator's own, not a view of the rows
+        assert values[0] == 1.0
+
+    def test_the_origin(self):
+        for index in (1, 4):
+            self.assert_match([FiniteSupportPoint.zero()], index=index, levels=(1, 5))
+            self.assert_match([FiniteSupportPoint.zero()] * 3, index=index)
+            self.assert_match([np.zeros(4)], index=index, levels=(1, 5), dim=4)
+        for f in batch_builtins().values():
+            assert same_bits(f.eval_many([FiniteSupportPoint.zero()]), np.zeros(1))
+
+    def test_an_index_past_int64(self):
+        big = 10**30
+        points = [sparse([(1, 0.5), (big, -2.0)]), sparse([(big, 3.0)]), FiniteSupportPoint.zero(),
+                  sparse([(2, -1.5), (big + 1, 4.0)])]
+        assert SparseBatch.of(points).index.dtype == object
+        for index in (1, 2, big, big + 1, big + 2):
+            self.assert_match(points, index=index, levels=(3,))
+        assert coordinate_function(big).eval_many(points).tolist() == [-2.0, 3.0, 0.0, 0.0]
+
+    def test_17_coordinate_points(self):
+        rng = np.random.default_rng(17)
+        rows = rng.uniform(-0.9, 0.9, size=(2, 17))
+        points = [embed_finite(r) for r in rows]
+        for index in (1, 17, 18):
+            self.assert_match(points, index=index, levels=(10,))
+        self.assert_match(rows, index=17)
+        # the corners one 17-coordinate point reaches at --n 17, compared directly
+        _, keys, _ = cell_weights(points[:1], GridLevel(17))
+        corners = SparseBatch.from_rows(lattice_coords(np.unique(keys, axis=0)[::64], 17))
+        assert len(corners) == 2**17 // 64
+        self.assert_match(corners, index=17)
+
+    def test_empty_batches(self):
+        for points in ([], np.zeros((0, 3)), SparseBatch.of([])):
+            for f in batch_builtins().values():
+                assert same_bits(f.eval_many(points), np.zeros(0))
