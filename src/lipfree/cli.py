@@ -27,7 +27,7 @@ import tempfile
 import numpy as np
 
 from . import extension, freespace, operators, verify
-from .geometry import FiniteSupportPoint, check_magnitude
+from .geometry import as_index, coordinate_rows, sparse_point
 from .interpolation import TabulatedFunction
 
 _BUILTIN_FUNCTIONS = ("identity-coordinate", "l1-norm", "max-coordinate", "random-lattice")
@@ -86,7 +86,7 @@ def _load(path, build):
         return build(obj)
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc.args[0]!r}") from exc
-    except (ValueError, TypeError, AttributeError) as exc:
+    except (ValueError, TypeError, AttributeError, OverflowError) as exc:  # OverflowError: an int past float range
         raise ValueError(f"{path}: {exc}") from exc
 
 
@@ -94,48 +94,28 @@ def _load_molecule(path) -> freespace.Molecule:
     return _load(path, freespace.Molecule.from_json)
 
 
-def _parse_point(obj, dim):
-    if isinstance(obj, dict):
-        point = FiniteSupportPoint.from_json(obj)
-        if dim is not None:
-            if point.support and point.support[-1] > dim:
-                raise ValueError(f"point {obj} has an index beyond dimension {dim}")
-            return np.asarray(point.leading(dim))
-        return point
-    if dim is not None:
-        arr = np.asarray(obj, dtype=float)
-        if arr.shape != (dim,):
-            raise ValueError(f"expected points of dimension {dim}, got {arr.tolist()}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"point {arr.tolist()} has a non-finite coordinate")
-        coords = arr.tolist()
-        check_magnitude(max(coords, key=abs), "coordinate of point {}", coords)
-        return arr
-    return FiniteSupportPoint.from_dense(obj)
+def _read_points(objs, dim):
+    """Points read from a file: sparse points by :func:`sparse_point`, or with
+    ``dim`` coordinate rows from one :func:`coordinate_rows` pass, a sparse
+    point standing for its leading coordinates."""
+    if dim is None:
+        return [sparse_point(p) for p in objs]
+    return coordinate_rows([_leading(sparse_point(p), dim) if isinstance(p, dict) else p for p in objs], dim)
 
 
-def _load_points(path, dim):
-    def build(obj):
-        if isinstance(obj, dict):
-            obj = obj["points"]
-        return [_parse_point(p, dim) for p in obj]
-
-    return _load(path, build)
-
-
-def _encode_point(p):
-    if isinstance(p, FiniteSupportPoint):
-        return p.to_json()
-    return list(np.asarray(p, dtype=float))
+def _leading(point, dim):
+    if point.support and point.support[-1] > dim:
+        raise ValueError(f"point {point.to_json()} has an index beyond dimension {dim}")
+    return point.leading(dim)
 
 
 def _resolve_function(args) -> operators.LipFunction:
     if args.function_file:
         def build(obj):
-            parsed = (_parse_point(p, args.dim) for p in obj["points"])
-            pts = tuple(p if args.dim is None else tuple(p.tolist()) for p in parsed)
+            pts = _read_points(obj["points"], args.dim)
             return operators.tabulated_lip_function(TabulatedFunction(
-                points=pts, values=tuple(obj["values"]), origin=int(obj.get("origin", 0))))
+                points=tuple(pts if args.dim is None else map(tuple, pts.tolist())), values=tuple(obj["values"]),
+                origin=as_index(obj.get("origin", 0), "origin")))
 
         return _load(args.function_file, build)
     name = args.function
@@ -167,12 +147,13 @@ def _cmd_norm(args):
 
 def _cmd_project(args):
     operators.GridLevel(args.n, args.dim)  # check --n and --dim before reading input
-    points = _load_points(args.input, args.dim)
+    points = _load(args.input, lambda obj: _read_points(obj["points"] if isinstance(obj, dict) else obj, args.dim))
     f = _resolve_function(args)
     checks = operators.convergence_checks(f, points, args.n, dim=args.dim)
     names = ("value", "exact", "error", "bound")
     columns = [getattr(checks, name).tolist() for name in names]
-    rows = [{"point": _encode_point(p), **dict(zip(names, r))} for p, *r in zip(points, *columns)]
+    encoded = [p.to_json() for p in points] if args.dim is None else points.tolist()
+    rows = [{"point": p, **dict(zip(names, r))} for p, *r in zip(encoded, *columns)]
     payload = {"function": f.label, "n": args.n, "rows": rows}
 
     def table():

@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import check_magnitude, l1_distances
+from .geometry import as_index, check_magnitude, l1_distances
 # lip_constant is unused here but stays importable: perfbench's tracer wraps it in this module
 from .interpolation import TabulatedFunction, check_values, lip_constant, max_quotient
 
@@ -115,18 +115,11 @@ class FinitePointedMetricSpace:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "FinitePointedMetricSpace":
+        origin = as_index(obj.get("origin", 0), "origin")
         if "embed_l1" in obj:
             coords = obj["embed_l1"]
-            return cls.from_l1_points(
-                coords,
-                origin=int(obj.get("origin", 0)),
-                labels=tuple(obj.get("points", range(len(coords)))),
-            )
-        return cls(
-            labels=tuple(obj["points"]),
-            dist=np.asarray(obj["dist"], dtype=float),
-            origin=int(obj.get("origin", 0)),
-        )
+            return cls.from_l1_points(coords, origin=origin, labels=tuple(obj.get("points", range(len(coords)))))
+        return cls(labels=tuple(obj["points"]), dist=np.asarray(obj["dist"], dtype=float), origin=origin)
 
 
 def space_function(space: FinitePointedMetricSpace, values) -> TabulatedFunction:

@@ -39,8 +39,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .extension import FinitePointedMetricSpace
-from .geometry import (MAX_LEVEL, MAX_MAGNITUDE, FiniteSupportPoint, SparseBatch, check_magnitude, l1_distance,
-                       l1_distances, lattice_coords, pack_key_rows)
+from .geometry import (MAX_LEVEL, MAX_MAGNITUDE, FiniteSupportPoint, SparseBatch, as_index, check_magnitude,
+                       coordinate_rows, l1_distance, l1_distances, lattice_coords, pack_key_rows, sparse_point)
 from .operators import GridLevel, TooManyCorners, _decay_estimates, _stack_points, cell_weights
 
 KINDS = ("l1", "l1N", "finite")
@@ -65,21 +65,12 @@ FDD_TOL = 1e-7
 LATTICE_TOL = 1e-10
 
 
-def _as_l1_point(p) -> FiniteSupportPoint:
-    if isinstance(p, FiniteSupportPoint):
-        return p
-    if isinstance(p, Mapping):
-        if "coords" in p:
-            return FiniteSupportPoint.from_json(p)
-        return FiniteSupportPoint.from_dict(p)
-    return FiniteSupportPoint.from_dense(p)
-
-
 def _coefficient(a) -> float:
     a = float(a)
-    if not np.isfinite(a):
-        raise ValueError(f"coefficient {a} is not finite")
-    check_magnitude(a, "coefficient")
+    if not abs(a) <= MAX_MAGNITUDE:  # NaN fails the comparison too
+        if not math.isfinite(a):
+            raise ValueError(f"coefficient {a} is not finite")
+        check_magnitude(a, "coefficient")
     return a
 
 
@@ -106,43 +97,24 @@ class Molecule:
 
     @classmethod
     def on_l1(cls, pairs: Iterable[tuple[object, float]]) -> "Molecule":
-        terms = [(_as_l1_point(p), _coefficient(a)) for p, a in pairs]
+        terms = [(sparse_point(p), _coefficient(a)) for p, a in pairs]
         return cls(kind="l1", terms=())._rebuild(terms)
 
     @classmethod
     def on_rn(cls, pairs: Iterable[tuple[object, float]], dim: int | None = None) -> "Molecule":
-        """One ``np.asarray`` of all points, checked at once; else point by point, naming the first bad one."""
+        """The coefficients checked first, then all points in one :func:`coordinate_rows` pass."""
         pairs = list(pairs)
-        try:
-            pts, coeffs = (np.asarray([pair[k] for pair in pairs], dtype=float) for k in (0, 1))
-            if (pts.ndim == 2 and dim in (None, pts.shape[1]) and np.all(np.abs(pts) <= MAX_MAGNITUDE)
-                    and np.all(np.abs(coeffs) <= MAX_MAGNITUDE)):  # NaN fails the comparison too
-                return cls(kind="l1N", terms=(), dim=pts.shape[1])._rebuild(zip(map(tuple, pts.tolist()),
-                                                                                coeffs.tolist()))
-        except (TypeError, ValueError, OverflowError):
-            pass
-        terms = []
-        for p, a in pairs:
-            arr = np.asarray(p, dtype=float)
-            if arr.ndim != 1:
-                raise ValueError(f"point {p!r} is not a flat list of coordinates")
-            pt = tuple(float(v) for v in arr)
-            if dim is None:
-                dim = len(pt)
-            if len(pt) != dim:
-                raise ValueError("all points must share one dimension")
-            if not all(np.isfinite(pt)):
-                raise ValueError(f"point {pt} has a non-finite coordinate")
-            check_magnitude(max(pt, key=abs, default=0.0), "coordinate of point {}", pt)
-            terms.append((pt, _coefficient(a)))
-        return cls(kind="l1N", terms=(), dim=dim)._rebuild(terms)
+        coeffs = [_coefficient(a) for _, a in pairs]
+        rows = coordinate_rows([p for p, _ in pairs], dim)
+        mu = cls(kind="l1N", terms=(), dim=rows.shape[1] if pairs else dim)
+        return mu._rebuild(zip(map(tuple, rows.tolist()), coeffs))
 
     @classmethod
     def on_space(cls, space: FinitePointedMetricSpace,
                  pairs: Iterable[tuple[int, float]]) -> "Molecule":
         terms = []
         for p, a in pairs:
-            i = int(p)
+            i = as_index(p, "point index")
             if not (0 <= i < space.size):
                 raise ValueError(f"point index {i} outside the space")
             terms.append((i, _coefficient(a)))
@@ -219,7 +191,7 @@ class Molecule:
 
     # -- serialization ------------------------------------------------------
 
-    def _encode_point(self, p):
+    def _point_to_json(self, p):
         if self.kind == "l1":
             return p.to_json()
         if self.kind == "l1N":
@@ -229,7 +201,7 @@ class Molecule:
     def to_json(self) -> dict:
         out = {
             "space": self.kind,
-            "terms": [{"point": self._encode_point(p), "coeff": a} for p, a in self.terms],
+            "terms": [{"point": self._point_to_json(p), "coeff": a} for p, a in self.terms],
         }
         if self.kind == "l1N":
             out["dim"] = self.dim
@@ -245,7 +217,7 @@ class Molecule:
             return cls.on_l1(raw)
         if kind == "l1N":
             dim = obj.get("dim")
-            return cls.on_rn(raw, dim=int(dim) if dim is not None else None)
+            return cls.on_rn(raw, dim=None if dim is None else as_index(dim, "dimension"))
         if kind == "finite":
             if "metric_space" not in obj:
                 raise ValueError("finite-space molecules need a metric_space entry")
@@ -281,7 +253,7 @@ class NormCertificate:
 
     def to_json(self, mu: Molecule) -> dict:
         """The value and the witness, its points encoded as in ``mu``'s JSON."""
-        entries = [{"point": mu._encode_point(p), "value": v} for p, v in self.witness.items()]
+        entries = [{"point": mu._point_to_json(p), "value": v} for p, v in self.witness.items()]
         return {"value": self.value, "witness": entries}
 
 
@@ -645,8 +617,7 @@ def _level_programs(mu: Molecule, projections: list[Molecule], n_max: int) -> di
     input, ``n`` the level-``n`` projection, ``n_max + n`` its error ``P_n -
     mu``.  Runs of levels with at most ``2 * MAX_NORM_SUPPORT + 1`` points
     share one table of distinct points in :class:`Molecule` order, a mass row
-    per molecule, and one distance matrix; errors are sized, in level order,
-    before any distance."""
+    per molecule, and one distance matrix."""
     sizes, programs, lo = [len(proj.terms) for proj in projections], {}, 1
     while lo <= len(sizes):
         hi = lo
@@ -661,8 +632,6 @@ def _level_programs(mu: Molecule, projections: list[Molecule], n_max: int) -> di
         rows[k + 1:] = rows[1:k + 1] - rows[0]
         if lo > 1 or len(mu.terms) > MAX_NORM_SUPPORT:
             rows[0] = 0.0
-        for n, err in zip(range(lo, hi + 1), rows[k + 1:]):
-            _check_norm_size(np.count_nonzero(err), f"the level-{n} projection error")
         used = [(slot, row[i], np.concatenate([[0], i])) for slot, row, i in
                 zip([0, *range(lo, hi + 1), *range(n_max + lo, n_max + hi + 1)], rows, map(np.flatnonzero, rows))
                 if len(i)]
@@ -694,14 +663,14 @@ def decomposition_report(mu: Molecule, n_max: int) -> FddReport:
         raise ValueError(f"n_max must be in 1..{MAX_LEVEL}, got {n_max}")
     if mu.kind == "finite":
         raise ValueError("grid projections act on l1-type molecules only")
-    projections = []
-    try:
-        for n in range(1, n_max + 1):
-            projections.append(molecule_projection(mu, n))
-            _check_norm_size(len(projections[-1].terms), f"the level-{n} projection")
-    except ValueError:
-        _level_programs(mu, projections[:n - 1], n_max)  # an earlier level's error is refused first
-        raise
+    projections, coeff_of = [], dict(mu.terms)
+    for n in range(1, n_max + 1):
+        proj = molecule_projection(mu, n)
+        projections.append(proj)
+        _check_norm_size(len(proj.terms), f"the level-{n} projection")
+        # |supp(P_n - mu)|: a point of both counts once, and not at all where the coefficients cancel
+        same = [coeff_of[p] == a for p, a in proj.terms if p in coeff_of]
+        _check_norm_size(len(proj.terms) + len(mu.terms) - len(same) - sum(same), f"the level-{n} projection error")
     programs = _level_programs(mu, projections, n_max)
     _check_norm_size(len(mu.terms), "the molecule")
     values = np.zeros(2 * n_max + 1)

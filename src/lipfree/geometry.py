@@ -14,7 +14,9 @@ A point of l1 is a :class:`FiniteSupportPoint`; a batch of them has one
 array layout, :class:`SparseBatch` (CSR-style ``indptr``, ``index``,
 ``value``), made from dense rows by one ``np.nonzero`` or from points by one
 pass over their items.  :func:`l1_distances` lays out each side once and
-runs its sparse blocks on slices of the layouts.
+runs its sparse blocks on slices of the layouts.  Points from input are
+read by :func:`sparse_point` (one point of l1) and :func:`coordinate_rows`
+(a batch of coordinate points, checked in one array pass).
 """
 
 from __future__ import annotations
@@ -50,6 +52,48 @@ def check_magnitude(x, what: str, *args) -> None:
     exceeds :data:`MAX_MAGNITUDE`; the message is built only then."""
     if abs(x) > MAX_MAGNITUDE:
         raise ValueError(f"{what.format(*args)} is {float(x)!r}, beyond the magnitude bound {MAX_MAGNITUDE:g}")
+
+
+def as_index(v, what: str) -> int:
+    """An index or origin read from input as an int; a value that is not an
+    integer (``1.7``, ``"1"``, ``inf``) raises ValueError naming it."""
+    if isinstance(v, (int, np.integer)) or isinstance(v, float) and v.is_integer():
+        return int(v)
+    raise ValueError(f"{what} {v!r} is not an integer")
+
+
+def coordinate_rows(points, dim: int | None = None) -> np.ndarray:
+    """Coordinate points from input as ``(m, dim)`` float rows, checked in one
+    array pass: flat, of one dimension (``dim`` when given), finite and within
+    :data:`MAX_MAGNITUDE`.  A batch that fails is walked point by point only
+    to name its first bad point."""
+    points = list(points)
+    if not points:
+        return np.zeros((0, dim or 0))
+    rows = _floats(points)
+    if rows is not None and rows.ndim == 2 and dim in (None, rows.shape[1]) and np.all(np.abs(rows) <= MAX_MAGNITUDE):
+        return rows  # NaN fails the comparison too
+    for p in points:
+        arr = _floats(p)
+        if arr is None or arr.ndim != 1:
+            raise ValueError(f"point {p!r} is not a flat list of coordinates")
+        dim = len(arr) if dim is None else dim
+        if len(arr) != dim:
+            raise ValueError(f"all points must share one dimension: expected points of dimension {dim}, "
+                             f"got shape {arr.shape}")
+        pt = tuple(arr.tolist())
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"point {pt} has a non-finite coordinate")
+        check_magnitude(max(pt, key=abs, default=0.0), "coordinate of point {}", pt)
+    raise ValueError("expected equal-length coordinate rows")
+
+
+def _floats(x) -> np.ndarray | None:
+    """``x`` as a float array, or None where it does not convert (a string, a ragged list)."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
 
 
 @lru_cache(maxsize=64)
@@ -221,10 +265,6 @@ class FiniteSupportPoint:
         return cls(items=items)
 
     @classmethod
-    def from_dict(cls, coords: Mapping) -> "FiniteSupportPoint":
-        return cls.from_pairs((int(k), float(v)) for k, v in coords.items())
-
-    @classmethod
     def from_dense(cls, values) -> "FiniteSupportPoint":
         return cls.from_pairs((i + 1, float(v)) for i, v in enumerate(np.asarray(values, dtype=float)))
 
@@ -263,7 +303,17 @@ class FiniteSupportPoint:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "FiniteSupportPoint":
-        return cls.from_dict(obj["coords"])
+        return cls.from_pairs((int(k), float(v)) for k, v in obj["coords"].items())
+
+
+def sparse_point(p) -> FiniteSupportPoint:
+    """A point of l1 from input: a :class:`FiniteSupportPoint` as it is, a
+    ``{"coords": {...}}`` object, or a dense list of coordinates."""
+    if isinstance(p, FiniteSupportPoint):
+        return p
+    if isinstance(p, Mapping):
+        return FiniteSupportPoint.from_json(p)
+    return FiniteSupportPoint.from_dense(p)
 
 
 def embed_finite(values) -> FiniteSupportPoint:

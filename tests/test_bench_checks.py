@@ -8,27 +8,20 @@ there would make every benchmark op fail its check.  The workloads module is
 loaded from its file and not modified; only its pool size is made small.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
 from lipfree import interpolation
 from lipfree.cli import main
+from bench_workloads import loaded_workloads
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 SEED = 3
 
 
 @pytest.fixture
 def workloads(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclass looks the module up
-    spec.loader.exec_module(module)
-    monkeypatch.setattr(module, "POOL_SIZE", 2)
-    return module
+    with loaded_workloads() as module:
+        monkeypatch.setattr(module, "POOL_SIZE", 2)
+        yield module
 
 
 def run_checks(workloads, workload, workdir):

@@ -520,6 +520,91 @@ class TestSpaceCap:
             assert out == "" and f"the metric space has {k} points" in err
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestCoordinatePoints:
+    """``project --dim 2`` sample points, an ``l1N`` molecule's points and a
+    ``--dim 2`` function file's points are read by one checker: a bad point
+    exits 2 naming the first one, and edge values within the rules pass."""
+
+    def run_mode(self, tmp_path, capsys, mode, points):
+        """``(code, out, err, points written back)``; the last is None where the command writes none."""
+        sample = write_json(tmp_path / "in.json", points if mode == "project" else [[0.25, 0.25]])
+        if mode == "norm":
+            mol = {"space": "l1N", "dim": 2, "terms": [{"point": p, "coeff": 1.0} for p in points]}
+            code, out, err = run(capsys, ["norm", "--input", write_json(tmp_path / "in.json", mol)])
+            return code, out, err, code == 0 and [e["point"] for e in json.loads(out)["witness"]][1:]
+        argv = ["project", "--input", sample, "--n", "2", "--dim", "2"]
+        if mode == "function-file":
+            table = {"points": [[0.0, 0.0], *points], "values": [0.0] + [1.0] * len(points)}
+            argv += ["--function-file", write_json(tmp_path / "fn.json", table)]
+        code, out, err = run(capsys, argv)
+        return code, out, err, code == 0 and mode == "project" and [r["point"] for r in json.loads(out)["rows"]]
+
+    MODES = ["project", "norm", "function-file"]
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("points, named", [
+        ([[0.5, 0.5], [0.5], [NAN, 0.0]], "got shape (1,)"),
+        ([[0.5, 0.5], [[0.5], [0.5]], [0.5]], "point [[0.5], [0.5]] is not a flat list"),
+        ([[0.5, 0.5], 0.5, [[0.5]]], "point 0.5 is not a flat list"),
+        ([[0.5, 0.5], [0.5, "x"], [0.5]], "point [0.5, 'x'] is not a flat list"),
+        ([[0.5, 0.5], [0.5, NAN], [1e101, 0.0]], "point (0.5, nan) has a non-finite coordinate"),
+        ([[0.5, 0.5], [1.0000000000000002e100, 0.0], [INF, 0.0]],
+         "coordinate of point (1.0000000000000002e+100, 0.0) is 1.0000000000000002e+100, beyond the magnitude bound"),
+    ], ids=["ragged", "nested", "scalar", "string", "nan", "past-the-bound"])
+    def test_the_first_bad_point_exits_2_naming_it(self, tmp_path, capsys, mode, points, named):
+        code, out, err, _ = self.run_mode(tmp_path, capsys, mode, points)
+        assert code == 2
+        assert out == "" and ("fn.json" if mode == "function-file" else "in.json") in err and named in err
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("points", [[[1e100, -1e100], [-1e100, 0.5]], [[-0.0, 0.5], [0.5, -0.0]], []],
+                             ids=["at-the-bound", "negative-zero", "no-points"])
+    def test_edge_values_within_the_rules_answer(self, tmp_path, capsys, mode, points):
+        code, _, _, written = self.run_mode(tmp_path, capsys, mode, points)
+        assert code == 0
+        if mode != "function-file":  # a -0.0 coordinate is written back as -0.0
+            assert repr(sorted(written)) == repr(sorted(points))
+
+
+class TestIndices:
+    """Indices and origins read from input are integers: a value such as
+    ``1.7`` exits 2 naming it rather than being truncated."""
+
+    SPACE = {"points": [0, 1, 2], "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}
+
+    @pytest.mark.parametrize("command, obj, named", [
+        ("norm", {"space": "finite", "metric_space": SPACE, "terms": [{"point": 1.7, "coeff": 1.0}]},
+         "point index 1.7 is not an integer"),
+        ("norm", {"space": "l1N", "dim": 2.5, "terms": [{"point": [0.5, 0.5], "coeff": 1.0}]},
+         "dimension 2.5 is not an integer"),
+        ("bap", {**SPACE, "origin": 0.9}, "origin 0.9 is not an integer"),
+        ("bap", {"embed_l1": [[0.0], [1.0]], "origin": 0.9}, "origin 0.9 is not an integer"),
+        ("bap", {**SPACE, "origin": "1"}, "origin '1' is not an integer"),
+        ("function-file", {"points": [[0.0], [1.0]], "values": [0.0, 1.0], "origin": 0.5},
+         "origin 0.5 is not an integer"),
+    ], ids=["molecule-point", "molecule-dim", "space-origin", "embedded-origin", "string-origin", "function-origin"])
+    def test_a_non_integer_exits_2_naming_it(self, tmp_path, capsys, command, obj, named):
+        path = write_json(tmp_path / "in.json", obj)
+        if command == "function-file":
+            pts = write_json(tmp_path / "pts.json", [[0.5]])
+            argv = ["project", "--input", pts, "--function-file", path, "--n", "2", "--dim", "1"]
+        else:
+            argv = [command, "--input", path]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == "" and "in.json" in err and named in err
+
+    def test_an_integral_float_is_the_integer(self, tmp_path, capsys):
+        space = write_json(tmp_path / "space.json", {**self.SPACE, "origin": 1.0})
+        code, out, _ = run(capsys, ["bap", "--input", space, "--format", "json"])
+        assert code == 0
+        assert out == run(capsys, ["bap", "--input", write_json(tmp_path / "one.json", {**self.SPACE, "origin": 1}),
+                                   "--format", "json"])[1]
+
+
 class TestInputErrors:
     @pytest.mark.parametrize("argv", [
         ["norm"],
@@ -704,6 +789,18 @@ class TestMagnitudeBound:
         pts = write_json(tmp_path / "pts.json", [[0.5, 0.5]])
         argv = ["project", "--input", pts, "--function-file", fn, "--n", "2", "--dim", "2"]
         self.check(capsys, argv, "fn.json", "1e+101")
+
+    @pytest.mark.parametrize("argv, text", [
+        (["norm"], '{"space": "l1N", "terms": [{"point": [0.5], "coeff": 1%s}]}'),
+        (["norm"], '{"space": "l1", "terms": [{"point": {"coords": {"1": 1%s}}, "coeff": 1}]}'),
+        (["bap"], '{"points": [0, 1], "dist": [[0, 1%s], [1, 0]]}'),
+    ], ids=["coefficient", "sparse-value", "distance"])
+    def test_an_integer_past_float_range_exits_2(self, tmp_path, capsys, argv, text):
+        path = tmp_path / "in.json"
+        path.write_text(text % ("0" * 400))
+        code, out, err = run(capsys, [*argv, "--input", str(path)])
+        assert code == 2
+        assert out == "" and "in.json" in err and "too large" in err
 
     def test_no_runtime_warning_reaches_stderr(self, tmp_path):
         mol = {"space": "l1", "terms": [{"point": {"coords": {"1": 1e308}}, "coeff": 1.0},

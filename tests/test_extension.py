@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import os
 import subprocess
@@ -27,6 +26,7 @@ from lipfree.extension import (
 )
 from lipfree.interpolation import lip_constant
 
+from bench_workloads import make_pool
 from chain_oracles import (
     looped_chain_table,
     looped_covering_radius,
@@ -584,16 +584,8 @@ class TestLoopOracles:
 
 def bap_pool_spaces(seed, tmp_path):
     """The spaces of the benchmark's ``bap`` pool for a seed."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # its dataclass looks the module up
-    try:
-        spec.loader.exec_module(workloads)
-        ops = workloads.make_pool("bap", seed, tmp_path)
-    finally:
-        del sys.modules[spec.name]
-    return [FinitePointedMetricSpace.from_json(json.loads(op.input_path.read_text())) for op in ops]
+    return [FinitePointedMetricSpace.from_json(json.loads(op.input_path.read_text()))
+            for op in make_pool("bap", seed, tmp_path)]
 
 
 def largest_inv_dist_support(space):

@@ -1,7 +1,4 @@
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +6,7 @@ import pytest
 from lipfree.extension import FinitePointedMetricSpace
 from lipfree.cli import main
 from lipfree import freespace, geometry
+from bench_workloads import make_pool
 from norm_oracle import oracle_free_norm
 from lipfree.freespace import (
     MAX_NORM_SUPPORT,
@@ -494,9 +492,6 @@ class TestBatchedNorms:
             freespace.free_norms([plane_molecule(1), Molecule.on_rn([(p, 1.0) for p in pts])])
 
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-
-
 class _Captured(Exception):
     """Ends a CLI op once its program has reached the solver."""
 
@@ -540,14 +535,10 @@ class TestSolveBoxLp:
             raise _Captured
 
         with pytest.MonkeyPatch.context() as mp:
-            spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-            workloads = importlib.util.module_from_spec(spec)
-            mp.setitem(sys.modules, spec.name, workloads)  # its dataclass looks the module up
-            spec.loader.exec_module(workloads)
             mp.setattr(freespace, "solve_box_lp", capture)
             for workload in ("norm", "fdd"):
                 for seed in range(201, 211):
-                    for op in workloads.make_pool(workload, seed, workdir):
+                    for op in make_pool(workload, seed, workdir):
                         with pytest.raises(_Captured):
                             main(op.argv + ["--output", str(workdir / "out.json")])
         return programs
@@ -699,17 +690,8 @@ class TestLatticeCheck:
 
 def fdd_pool_molecules(seed, tmp_path):
     """The molecules of the benchmark's ``fdd`` pool for a seed."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # its dataclass looks the module up
-    try:
-        spec.loader.exec_module(workloads)
-        ops = workloads.make_pool("fdd", seed, tmp_path)
-    finally:
-        del sys.modules[spec.name]
     return [(Molecule.from_json(json.loads(op.input_path.read_text())), int(op.argv[op.argv.index("--n-max") + 1]))
-            for op in ops]
+            for op in make_pool("fdd", seed, tmp_path)]
 
 
 def edge_molecules():

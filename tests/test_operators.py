@@ -1,8 +1,5 @@
-import importlib.util
 import json
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +34,7 @@ from lipfree.operators import (
 )
 from lipfree.interpolation import TabulatedFunction
 
+from bench_workloads import make_pool
 from corner_oracles import scalar_builtins
 from cube_helpers import axis_segments
 
@@ -534,17 +532,8 @@ def same_bits(a, b):
 
 def project_pool(seed, workdir):
     """``(points, n, dim)`` of each op of the benchmark's ``project`` pool for a seed."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # its dataclass looks the module up
-    try:
-        spec.loader.exec_module(workloads)
-        ops = workloads.make_pool("project", seed, workdir)
-    finally:
-        del sys.modules[spec.name]
     pools = []
-    for op in ops:
+    for op in make_pool("project", seed, workdir):
         raw = json.loads(op.input_path.read_text())["points"]
         dim = op.meta["dim"]
         points = [FiniteSupportPoint.from_json(p) for p in raw] if dim is None else list(np.asarray(raw))
