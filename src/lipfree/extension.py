@@ -33,10 +33,10 @@ from .interpolation import TabulatedFunction, check_values, lip_constant, max_qu
 
 SCHEMES = ("inv-dist", "shepard-p")
 
-#: Most points a :class:`FinitePointedMetricSpace` holds.  At 100 points ``bap``
-#: took 27-33 s on the slowest shape measured (16-d ``embed_l1``, ``shepard-p``, ``p``
-#: 64), 20-25 s with distances uniform in [1, 2] and 7-9 s on random 3-d spaces
-#: (2 vCPUs), nearly all of it in :func:`doubling_estimate`.
+#: Most points a :class:`FinitePointedMetricSpace` holds.  At 100 points ``bap`` took a median of
+#: 28.6 s (28.2-30.4) on the slowest shape measured (16-d ``embed_l1``, ``shepard-p``, ``p`` 64),
+#: 21.5 s (21.2-23.9) with distances uniform in [1, 2] and 7.2 s (7.0-7.5) on random 3-d spaces
+#: (5 fresh runs each, 2 vCPUs), nearly all of it in :func:`doubling_estimate`.
 MAX_SPACE_POINTS = 100
 
 

@@ -143,30 +143,24 @@ class Molecule:
         return l1_distance(p, q)
 
     def origin_point(self):
+        """The origin as a point of this space; None for coordinate molecules without a dimension."""
         if self.kind == "l1":
             return FiniteSupportPoint.zero()
         if self.kind == "l1N":
-            return tuple(0.0 for _ in range(self.dim)) if self.dim else None
+            return None if self.dim is None else (0.0,) * self.dim
         return self.space.origin
-
-    def _is_origin(self, p) -> bool:
-        if self.kind == "l1":
-            return p.is_zero
-        if self.kind == "l1N":
-            return all(v == 0.0 for v in p)
-        return p == self.space.origin
 
     def _rebuild(self, terms) -> "Molecule":
         """The canonical molecule of ``terms`` on this molecule's space: terms
         at equal points merged (the last point kept, so ``-0.0`` may replace
-        ``0.0``), zero sums and the origin dropped, sorted by point."""
+        ``0.0``), zero sums and points equal to the origin dropped, sorted."""
         merged: dict = {}
         points: dict = {}
         for p, a in terms:
             merged[p] = merged.get(p, 0.0) + float(a)
             points[p] = p
-        canon = tuple((points[k], merged[k]) for k in sorted(merged)
-                      if merged[k] != 0.0 and not self._is_origin(points[k]))
+        origin = self.origin_point()
+        canon = tuple((points[k], merged[k]) for k in sorted(merged) if merged[k] != 0.0 and k != origin)
         return Molecule(kind=self.kind, terms=canon, dim=self.dim, space=self.space)
 
     def _check_compatible(self, other: "Molecule") -> None:
@@ -281,17 +275,19 @@ def _distances(mu: Molecule, pts: list) -> np.ndarray:
     return l1_distances(pts, pts)
 
 
-def _distance_matrix(mu: Molecule) -> np.ndarray:
-    """Distances over origin + support, origin first.
-
-    Entry ``[i, j]`` with ``i < j`` is the distance from point ``i`` to point
-    ``j``, mirrored below the diagonal.
-    """
-    pts = [mu.origin_point()] + list(mu.support)
-    if len(pts) == 1:
-        return np.zeros((1, 1))
-    upper = np.triu(_distances(mu, pts), 1)
-    return upper + upper.T
+def _table_programs(mu: Molecule, table: list, rows: np.ndarray) -> list:
+    """For points ``table`` of ``mu``'s space, origin first, and coefficient
+    rows over ``table[1:]``: each row that is not all zero, in order, as its
+    nonzero coefficients and the distances over the origin and its support.
+    The distances are cut from one matrix over ``table`` whose upper triangle
+    (from point ``i`` to point ``j > i``) is mirrored; a table with no such
+    row computes no distance."""
+    cuts = [(row[i], np.concatenate([[0], i + 1])) for row, i in zip(rows, map(np.flatnonzero, rows)) if len(i)]
+    if not cuts:
+        return []
+    upper = np.triu(_distances(mu, table), 1)
+    dist = upper + upper.T
+    return [(c, dist[at[:, None], at]) for c, at in cuts]
 
 
 def _chain_reach(d: np.ndarray) -> np.ndarray:
@@ -418,10 +414,11 @@ def free_norms(mus: Sequence[Molecule]) -> list[NormCertificate]:
     A pair with an exact relay through a third point is implied by shorter
     pairs and is dropped; every other pair is one row
     ``-d_ij <= f_i - f_j <= d_ij``, and the distances to the origin are the
-    variable bounds.  HiGHS takes bounds of ``1e20`` or more as infinite and
-    ignores small reduced costs, so each molecule's distances are divided by
-    its own power of two ``2^e >= max d`` and its coefficients by one above
-    their largest magnitude; both divisions are exact, and the witness is
+    variable bounds, cut by :func:`_table_programs` from the molecule's own
+    table.  HiGHS takes bounds of ``1e20`` or more as infinite and ignores
+    small reduced costs, so each molecule's distances are divided by its own
+    power of two ``2^e >= max d`` and its coefficients by one above their
+    largest magnitude; both divisions are exact, and the witness is
     multiplied back.  All programs go to one HiGHS call
     (:func:`_solve_programs`).  Zero molecules take no variable; a batch of
     them solves nothing.  A support larger than :data:`MAX_NORM_SUPPORT`
@@ -430,9 +427,9 @@ def free_norms(mus: Sequence[Molecule]) -> list[NormCertificate]:
     mus = list(mus)
     for mu in mus:
         _check_norm_size(len(mu.terms), "the molecule")
-    solved = [mu for mu in mus if not mu.is_zero]
-    xs = iter(_solve_programs(_norm_programs([np.asarray(mu.coefficients) for mu in solved],
-                                             [_distance_matrix(mu) for mu in solved])))
+    cuts = [cut for mu in mus
+            for cut in _table_programs(mu, [mu.origin_point(), *mu.support], np.array([mu.coefficients]))]
+    xs = iter(_solve_programs(_norm_programs([c for c, _ in cuts], [d for _, d in cuts])))
     certs = []
     for mu in mus:
         origin, value = mu.origin_point(), 0.0
@@ -616,30 +613,27 @@ def _level_programs(mu: Molecule, projections: list[Molecule], n_max: int) -> di
     """The norm programs of a report, ``{slot: (c, program)}``: slot 0 the
     input, ``n`` the level-``n`` projection, ``n_max + n`` its error ``P_n -
     mu``.  Runs of levels with at most ``2 * MAX_NORM_SUPPORT + 1`` points
-    share one table of distinct points in :class:`Molecule` order, a mass row
-    per molecule, and one distance matrix."""
+    share one table of distinct points in :class:`Molecule` order and a mass
+    row per molecule, and :func:`_table_programs` cuts their programs."""
     sizes, programs, lo = [len(proj.terms) for proj in projections], {}, 1
     while lo <= len(sizes):
         hi = lo
         while hi < len(sizes) and len(mu.terms) + sum(sizes[lo - 1:hi + 1]) <= 2 * MAX_NORM_SUPPORT + 1:
             hi += 1
         k, group = hi - lo + 1, [mu, *projections[lo - 1:hi]]
-        table = [mu.origin_point(), *sorted({p for part in group for p in part.support})]
-        where = {p: i for i, p in enumerate(table)}
-        rows = np.zeros((2 * k + 1, len(table)))  # input, projections, errors
+        points = sorted({p for part in group for p in part.support})
+        where = {p: i for i, p in enumerate(points)}
+        rows = np.zeros((2 * k + 1, len(points)))  # input, projections, errors
         for row, part in zip(rows, group):
             row[[where[p] for p in part.support]] = part.coefficients
         rows[k + 1:] = rows[1:k + 1] - rows[0]
-        if lo > 1 or len(mu.terms) > MAX_NORM_SUPPORT:
+        if lo > 1:
             rows[0] = 0.0
-        used = [(slot, row[i], np.concatenate([[0], i])) for slot, row, i in
-                zip([0, *range(lo, hi + 1), *range(n_max + lo, n_max + hi + 1)], rows, map(np.flatnonzero, rows))
-                if len(i)]
-        dist = np.triu(_distances(mu, table), 1) if used else np.zeros((1, 1))
-        dist += dist.T
-        cs = [c for _, c, _ in used]
-        programs.update(zip([slot for slot, _, _ in used],
-                            zip(cs, _norm_programs(cs, [dist[at[:, None], at] for _, _, at in used]))))
+        slots = [slot for slot, row in zip([0, *range(lo, hi + 1), *range(n_max + lo, n_max + hi + 1)], rows)
+                 if row.any()]
+        cuts = _table_programs(mu, [mu.origin_point(), *points], rows)
+        cs = [c for c, _ in cuts]
+        programs.update(zip(slots, zip(cs, _norm_programs(cs, [d for _, d in cuts]))))
         lo = hi + 1
     return programs
 
@@ -655,8 +649,8 @@ def decomposition_report(mu: Molecule, n_max: int) -> FddReport:
     ``1..MAX_LEVEL``.
 
     Each level is projected by :func:`molecule_projection`; the norm programs
-    are cut from shared distance matrices (:func:`_level_programs`) and solved
-    in one HiGHS call.  A level past the corner cap or
+    are cut from one distance matrix per run of levels (:func:`_level_programs`)
+    and solved in one HiGHS call.  A level past the corner cap or
     :data:`MAX_NORM_SUPPORT` raises ValueError after the earlier levels.
     """
     if not (1 <= n_max <= MAX_LEVEL):
@@ -671,8 +665,8 @@ def decomposition_report(mu: Molecule, n_max: int) -> FddReport:
         # |supp(P_n - mu)|: a point of both counts once, and not at all where the coefficients cancel
         same = [coeff_of[p] == a for p, a in proj.terms if p in coeff_of]
         _check_norm_size(len(proj.terms) + len(mu.terms) - len(same) - sum(same), f"the level-{n} projection error")
-    programs = _level_programs(mu, projections, n_max)
     _check_norm_size(len(mu.terms), "the molecule")
+    programs = _level_programs(mu, projections, n_max)
     values = np.zeros(2 * n_max + 1)
     for k, x in zip(sorted(programs), _solve_programs([programs[k][1] for k in sorted(programs)])):
         values[k] = max(float(programs[k][0] @ x), 0.0)

@@ -22,6 +22,7 @@ read by :func:`sparse_point` (one point of l1) and :func:`coordinate_rows`
 from __future__ import annotations
 
 import itertools
+import numbers
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -308,12 +309,22 @@ class FiniteSupportPoint:
 
 def sparse_point(p) -> FiniteSupportPoint:
     """A point of l1 from input: a :class:`FiniteSupportPoint` as it is, a
-    ``{"coords": {...}}`` object, or a dense list of coordinates."""
+    ``{"coords": {...}}`` object mapping integer indices to numbers, or a
+    dense list of coordinates checked as :func:`coordinate_rows` checks one.
+    A malformed point raises ValueError naming it."""
     if isinstance(p, FiniteSupportPoint):
         return p
-    if isinstance(p, Mapping):
-        return FiniteSupportPoint.from_json(p)
-    return FiniteSupportPoint.from_dense(p)
+    if not isinstance(p, Mapping):
+        return FiniteSupportPoint.from_dense(coordinate_rows([p])[0])
+    coords = p["coords"]
+    if not isinstance(coords, Mapping):
+        raise ValueError(f"point {p!r} does not map indices to values")
+    for k, v in coords.items():
+        if not ((isinstance(k, int) or isinstance(k, str) and k.isdecimal()) and int(k) >= 1):
+            raise ValueError(f"point {p!r} has index {k!r}, which is not an integer >= 1")
+        if not isinstance(v, numbers.Real):
+            raise ValueError(f"point {p!r} has value {v!r} at index {k}, which is not a number")
+    return FiniteSupportPoint.from_json(p)
 
 
 def embed_finite(values) -> FiniteSupportPoint:

@@ -63,13 +63,6 @@ class TabulatedFunction:
         check_values(np.asarray(values))
         object.__setattr__(self, "values", values)
 
-    def value_at(self, point) -> float:
-        try:
-            pos = self.points.index(point)
-        except ValueError:
-            raise KeyError(f"point {point!r} is not tabulated") from None
-        return self.values[pos]
-
 
 def check_values(values: np.ndarray) -> None:
     """Reject, by position, the first value not finite or beyond :data:`~lipfree.geometry.MAX_MAGNITUDE`."""

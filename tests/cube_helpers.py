@@ -1,4 +1,4 @@
-"""Views of cubes and corner data that only the tests use."""
+"""Views of cubes, corner data and tabulated functions that only the tests use."""
 
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -11,6 +11,11 @@ from lipfree.operators import GridLevel, project_values
 
 #: Largest midpoint deviation that :func:`check_axis_affinity` passes.
 AFFINITY_TOL = 1e-10
+
+
+def value_at(f, point):
+    """The value a :class:`TabulatedFunction` tabulates at ``point``."""
+    return f.values[f.points.index(point)]
 
 
 def vertex_data(cube, mapping):

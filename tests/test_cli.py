@@ -104,6 +104,13 @@ class TestNorm:
         assert code == 3
         assert out == "" and err == "solver error: Solve error\n"
 
+    def test_one_point_past_the_support_cap_exits_2_naming_the_count(self, tmp_path, capsys):
+        points = np.random.default_rng(513).uniform(-4.0, 4.0, size=(513, 2)).tolist()
+        mol = {"space": "l1N", "dim": 2, "terms": [{"point": p, "coeff": 1.0} for p in points]}
+        code, out, err = run(capsys, ["norm", "--input", write_json(tmp_path / "mol.json", mol)])
+        assert code == 2
+        assert out == "" and "the molecule has 513 support points" in err
+
     def test_csv_format(self, tmp_path, capsys):
         path = write_json(tmp_path / "mol.json", TWO_POINT)
         code, out, _ = run(capsys, ["norm", "--input", path, "--format", "csv"])
@@ -567,6 +574,34 @@ class TestCoordinatePoints:
         assert code == 0
         if mode != "function-file":  # a -0.0 coordinate is written back as -0.0
             assert repr(sorted(written)) == repr(sorted(points))
+
+
+class TestSequencePoints:
+    """A malformed sequence point, as a ``project`` sample point without
+    ``--dim`` or as an ``l1`` molecule's point, exits 2 naming it."""
+
+    @pytest.mark.parametrize("mode", ["project", "norm"])
+    @pytest.mark.parametrize("point, named", [
+        ([[0.5], [0.25]], "point [[0.5], [0.25]] is not a flat list of coordinates"),
+        ([[0.5]], "point [[0.5]] is not a flat list of coordinates"),
+        (5, "point 5 is not a flat list of coordinates"),
+        ([0.5, NAN], "point (0.5, nan) has a non-finite coordinate"),
+        ({"coords": [1, 2]}, "point {'coords': [1, 2]} does not map indices to values"),
+        ({"coords": {"a": 1}}, "point {'coords': {'a': 1}} has index 'a', which is not an integer >= 1"),
+        ({"coords": {"0": 1}}, "point {'coords': {'0': 1}} has index '0', which is not an integer >= 1"),
+        ({"coords": {"1": None}}, "point {'coords': {'1': None}} has value None at index 1, which is not a number"),
+        ({"coords": {"1": "x"}}, "point {'coords': {'1': 'x'}} has value 'x' at index 1, which is not a number"),
+    ], ids=["nested", "nested-one", "scalar", "nan", "coords-list", "index-name", "index-0", "value-null",
+            "value-string"])
+    def test_a_bad_point_exits_2_naming_it(self, tmp_path, capsys, mode, point, named):
+        if mode == "project":
+            argv = ["project", "--n", "2", "--input", write_json(tmp_path / "in.json", [[0.25], point])]
+        else:
+            terms = [{"point": [0.25], "coeff": 1.0}, {"point": point, "coeff": 1.0}]
+            argv = ["norm", "--input", write_json(tmp_path / "in.json", {"space": "l1", "terms": terms})]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == "" and "in.json" in err and named in err
 
 
 class TestIndices:

@@ -1,4 +1,5 @@
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from lipfree.freespace import (
     MAX_NORM_SUPPORT,
     Molecule,
     NormCertificate,
-    _distance_matrix,
     _projection_estimates,
+    _table_programs,
     check_certificate,
     decomposition_report,
     free_norm,
@@ -76,6 +77,58 @@ class TestCanonicalization:
         mfin = Molecule.on_space(space, [(1, 1.0), (2, -0.5)])
         back = Molecule.from_json(mfin.to_json())
         assert back.support == mfin.support and back.coefficients == mfin.coefficients
+
+
+def origin_spellings():
+    """``{name: (build, origin, point, others)}``: a molecule constructor of
+    one space, a spelling of its origin as input and as a point of the space,
+    and two inputs that are not the origin."""
+    space = FinitePointedMetricSpace(labels=(0, 1, 2, 3), dist=np.array(
+        [[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]], dtype=float), origin=2)
+    on_l1, on_r2, on_space = Molecule.on_l1, partial(Molecule.on_rn, dim=2), partial(Molecule.on_space, space)
+    l1_others, r2_others, zero = [sparse([(1, 0.5)]), {"coords": {"2": -1.0}}], [(0.5, 0.0), (0.0, -1.0)], sparse([])
+    return {
+        "l1N": (on_r2, (0.0, 0.0), (0.0, 0.0), r2_others),
+        "l1N-negative-zero": (on_r2, (-0.0, 0.0), (-0.0, 0.0), r2_others),
+        "l1N-both-negative-zero": (on_r2, (-0.0, -0.0), (-0.0, -0.0), r2_others),
+        "l1-zero": (on_l1, FiniteSupportPoint.zero(), zero, l1_others),
+        "l1-empty-coords": (on_l1, {"coords": {}}, zero, l1_others),
+        "l1-zero-coordinate": (on_l1, {"coords": {"2": 0.0}}, zero, l1_others),
+        "l1-dense-zeros": (on_l1, [0.0, -0.0], zero, l1_others),
+        "finite": (on_space, space.origin, space.origin, [1, 3]),
+    }
+
+
+@pytest.mark.parametrize("name", origin_spellings())
+class TestOriginRule:
+    """A term at the origin vanishes in every spelling of the origin, whether
+    it stands alone, among other terms, or meets a ``plus`` or ``scaled``."""
+
+    def test_alone_it_is_the_zero_molecule(self, name):
+        build, origin, _, _ = origin_spellings()[name]
+        mu = build([(origin, 3.0)])
+        assert mu.is_zero
+        assert free_norm(mu).witness == {mu.origin_point(): 0.0}
+
+    def test_among_other_terms_only_they_remain(self, name):
+        build, origin, _, others = origin_spellings()[name]
+        mu = build([(others[0], 1.0), (origin, 2.0), (others[1], -1.0)])
+        assert len(mu.terms) == 2 and mu.terms == build([(others[0], 1.0), (others[1], -1.0)]).terms
+
+    def test_plus_and_scaled_drop_it(self, name):
+        build, origin, point, others = origin_spellings()[name]
+        mu, nu = build([(others[0], 1.0), (others[1], 2.0)]), build([(others[1], -2.0), (origin, 5.0)])
+        # a term at the origin that only the merge of plus or scaled can drop
+        raw = Molecule(kind=mu.kind, terms=((point, 4.0), *mu.terms), dim=mu.dim, space=mu.space)
+        assert raw.scaled(2.0).terms == mu.scaled(2.0).terms and raw.scaled(0.0).is_zero
+        assert raw.plus(nu).terms == mu.plus(nu).terms == build([(others[0], 1.0)]).terms
+        assert raw.minus(build([(others[0], 1.0), (others[1], 2.0), (origin, 4.0)])).is_zero
+
+
+def test_a_dimension_0_point_is_the_origin():
+    mu = Molecule.on_rn([([], 1.0)])
+    assert mu.dim == 0 and mu.is_zero
+    assert free_norm(mu).witness == {(): 0.0}
 
 
 class TestPairing:
@@ -317,22 +370,53 @@ def distance_cases(seed):
     yield Molecule.on_space(space, [(int(i), float(rng.normal())) for i in rng.choice(12, size=7)])
 
 
+def molecule_cut(mu):
+    """``(c, d)`` that the table routine cuts for ``mu`` from its own table, ``[origin, *support]``."""
+    (cut,) = _table_programs(mu, [mu.origin_point(), *mu.support], np.array([mu.coefficients]))
+    return cut
+
+
 class TestDistanceMatrix:
+    """The distance matrices that :func:`_table_programs` cuts."""
+
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_per_pair_loop(self, seed):
         for mu in distance_cases(500 + seed):
-            assert np.array_equal(_distance_matrix(mu), looped_distance_matrix(mu)), mu.kind
+            c, d = molecule_cut(mu)
+            assert np.array_equal(d, looped_distance_matrix(mu)), mu.kind
+            assert c.tolist() == list(mu.coefficients)
 
-    def test_empty_molecules(self):
+    @pytest.mark.parametrize("seed", range(4))
+    def test_each_row_is_cut_to_its_own_support(self, seed):
+        rng = np.random.default_rng(540 + seed)
+        for mu in distance_cases(530 + seed):
+            table = [mu.origin_point(), *mu.support]
+            rows = rng.normal(size=(5, len(mu.terms))) * (rng.random((5, len(mu.terms))) < 0.5)
+            rows[rng.integers(5)] = 0.0
+            kept = [row for row in rows if row.any()]
+            cuts = _table_programs(mu, table, rows)
+            assert len(cuts) == len(kept)
+            for row, (c, d) in zip(kept, cuts):
+                part = mu._rebuild([(mu.support[i], row[i]) for i in np.flatnonzero(row)])
+                assert c.tolist() == list(part.coefficients)
+                assert np.array_equal(d, looped_distance_matrix(part)), mu.kind
+
+    def test_empty_molecules(self, monkeypatch):
+        def no_distances(mu, pts):
+            raise AssertionError("a table without a nonzero row computed distances")
+
+        monkeypatch.setattr(freespace, "_distances", no_distances)
         for mu in (Molecule.on_l1([]), Molecule.on_rn([]), Molecule.on_rn([((0.0, 0.0), 1.0)])):
-            assert _distance_matrix(mu).tolist() == [[0.0]]
+            assert _table_programs(mu, [mu.origin_point(), *mu.support], np.array([mu.coefficients])) == []
+        mu = Molecule.on_rn([((1.0, 0.0), 1.0), ((0.0, 2.0), -1.0)])
+        assert _table_programs(mu, [mu.origin_point(), *mu.support], np.zeros((3, 2))) == []
 
     def test_tiny_blocks_change_nothing(self, monkeypatch):
         cases = list(distance_cases(520))
-        expect = [_distance_matrix(mu) for mu in cases]
+        expect = [molecule_cut(mu)[1] for mu in cases]
         monkeypatch.setattr(geometry, "_L1_BLOCK_ELEMENTS", 1)
         for mu, d in zip(cases, expect):
-            assert np.array_equal(_distance_matrix(mu), d)
+            assert np.array_equal(molecule_cut(mu)[1], d)
 
 
 def test_rn_points_must_be_flat():
@@ -767,7 +851,7 @@ class TestReportOracle:
 class TestRelayStack:
     def test_a_padded_stack_keeps_each_reach(self):
         rng = np.random.default_rng(980)
-        ds = [_distance_matrix(Molecule.on_rn([(p, 1.0) for p in rng.uniform(-3, 3, size=(k, 2))], dim=2))
+        ds = [molecule_cut(Molecule.on_rn([(p, 1.0) for p in rng.uniform(-3, 3, size=(k, 2))], dim=2))[1]
               for k in (3, 9, 1, 6)]
         stack = np.full((len(ds), 10, 10), np.inf)
         for s, d in zip(stack, ds):
